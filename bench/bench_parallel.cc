@@ -1,7 +1,6 @@
 // Scaling benchmark of the thread-parallel batch solver engine: a
 // 50-instance batch (one instance per simulated user query-set) solved
-// with Scan+ and GreedySC at 1/2/4/8 threads, plus the intra-instance
-// parallel paths on one large instance. Emits the human table and a
+// with Scan+ and GreedySC at 1/2/4/8 threads. Emits the human table and a
 // machine-readable JSON summary line (prefix "JSON:") per
 // configuration, and verifies on every run that each thread count
 // returned bit-identical covers to the serial engine -- the
@@ -12,14 +11,12 @@
 // hardware_threads so downstream tooling can tell these apart).
 #include <algorithm>
 #include <iostream>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "gen/instance_gen.h"
 #include "parallel/batch_solver.h"
-#include "parallel/parallel_solver.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -37,15 +34,13 @@ void Run() {
       "parallel batch-solver scaling (engine benchmark, not a paper "
       "figure)",
       "50-instance batch (|L|=5, ~30min @ 120 posts/min each) x "
-      "{Scan+, GreedySC} x {1,2,4,8} threads; plus intra-instance "
-      "parallel Scan+/GreedySC on one ~4h instance",
+      "{Scan+, GreedySC} x {1,2,4,8} threads",
       "linear-ish batch speedup up to the core count; identical covers "
       "at every thread count");
 
   const unsigned hw = std::thread::hardware_concurrency();
   std::cout << "hardware threads: " << hw << "\n";
 
-  // --- Inter-instance (batch) scaling -------------------------------
   const size_t batch_size = bench::Scaled(50, 4);
   std::vector<Instance> instances;
   instances.reserve(batch_size);
@@ -81,7 +76,7 @@ void Run() {
     std::vector<BatchJobResult> reference;
     double serial_seconds = 0.0;
     for (int threads : thread_counts) {
-      BatchSolver solver(ParallelOptions{.num_threads = threads});
+      BatchSolver solver(threads);
       Stopwatch watch;
       std::vector<BatchJobResult> results = solver.SolveAll(jobs);
       const double seconds = watch.ElapsedSeconds();
@@ -115,56 +110,6 @@ void Run() {
   table.Print(std::cout);
   bench::MaybeWriteCsv("bench_parallel_batch", table);
 
-  // --- Intra-instance scaling ---------------------------------------
-  bench::PrintSection("intra-instance scaling (one large instance)");
-  InstanceGenConfig big_cfg;
-  big_cfg.num_labels = 8;
-  big_cfg.duration = 4 * 3600.0;
-  big_cfg.posts_per_minute = bench::ScaledRate(150.0);
-  big_cfg.overlap_rate = 1.4;
-  big_cfg.seed = 99;
-  auto big = GenerateInstance(big_cfg);
-  MQD_CHECK(big.ok());
-  std::cout << "posts: " << big->num_posts() << "\n";
-  UniformLambda model(120.0);
-
-  TablePrinter intra({"algorithm", "threads", "seconds", "speedup",
-                      "identical"});
-  for (const AlgoSetup& algo : algos) {
-    std::vector<PostId> reference;
-    double serial_seconds = 0.0;
-    for (int threads : thread_counts) {
-      std::unique_ptr<ThreadPool> pool;
-      if (threads > 1) pool = std::make_unique<ThreadPool>(threads - 1);
-      ParallelOptions options{.num_threads = threads,
-                              .min_posts_to_parallelize = 1};
-      auto solver = CreateParallelSolver(algo.kind, pool.get(), options);
-      Stopwatch watch;
-      auto cover = solver->Solve(*big, model);
-      const double seconds = watch.ElapsedSeconds();
-      MQD_CHECK(cover.ok());
-      if (threads == 1) {
-        reference = *cover;
-        serial_seconds = seconds;
-      }
-      const bool identical = *cover == reference;
-      MQD_CHECK(identical);
-      const double speedup = seconds > 0.0 ? serial_seconds / seconds : 0.0;
-      intra.AddRow({algo.label, std::to_string(threads),
-                    FormatDouble(seconds, 4), FormatDouble(speedup, 3),
-                    identical ? "yes" : "NO"});
-      std::cout << "JSON: {\"bench\":\"parallel_intra\",\"algorithm\":\""
-                << algo.label << "\",\"threads\":" << threads
-                << ",\"posts\":" << big->num_posts()
-                << ",\"seconds\":" << FormatDouble(seconds, 6)
-                << ",\"speedup\":" << FormatDouble(speedup, 4)
-                << ",\"hardware_threads\":" << hw
-                << ",\"identical_covers\":" << (identical ? "true" : "false")
-                << "}\n";
-    }
-  }
-  intra.Print(std::cout);
-  bench::MaybeWriteCsv("bench_parallel_intra", intra);
   bench::MaybeWriteMetrics("bench_parallel");
 }
 

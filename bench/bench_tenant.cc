@@ -10,13 +10,10 @@
 //    generator saturates long before the tenant counts swept here —
 //    not with tenants;
 //
-//  * the cluster sweep parallelizes: the same replay over a borrowed
-//    ThreadPool (threads column) divides per-post cost while staying
-//    bit-identical (the tenant-labeled differential battery proves the
-//    equality; this bench times it), and steady-state fan-out performs
-//    zero arena block allocations (steady_allocs column: per-cluster
-//    representative arenas reach their high-water mark during warm-up
-//    and never touch malloc again).
+//  * steady-state fan-out performs zero arena block allocations
+//    (steady_allocs column: per-cluster representative arenas reach
+//    their high-water mark during warm-up and never touch malloc
+//    again).
 //
 // The replay is windowed — 256-post RunUntil batches, one cluster
 // sweep per batch — matching how a serving layer drains a firehose.
@@ -25,7 +22,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,7 +34,7 @@
 #include "stream/multi_tenant.h"
 #include "util/logging.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
+#include "util/simd.h"
 #include "util/timer.h"
 
 namespace mqd {
@@ -76,24 +72,17 @@ struct RowStats {
 };
 
 /// One engine run: subscribe `num_tenants` fuzzed 3-label profiles at
-/// epoch 0, replay the stream in 256-post windows on `threads`
-/// threads (1 = serial sweep, t > 1 = a borrowed pool with t - 1
-/// workers plus the caller), then derive a 200-tenant sample of
-/// emission sequences (the per-query cost a serving layer would pay).
+/// epoch 0, replay the stream in 256-post windows, then derive a
+/// 200-tenant sample of emission sequences (the per-query cost a
+/// serving layer would pay).
 RowStats RunEngine(const Instance& inst, const CoverageModel& model,
-                   StreamKind kind, double tau, size_t num_tenants,
-                   int threads) {
+                   StreamKind kind, double tau, size_t num_tenants) {
   Rng rng(num_tenants * 2654435761ULL + static_cast<uint64_t>(kind));
   auto profiles =
       GenerateLabelMaskProfiles(inst.num_labels(), 3, num_tenants, &rng);
   MQD_CHECK(profiles.ok());
   auto engine = MultiTenantStream::Create(inst, model, kind, tau);
   MQD_CHECK(engine.ok());
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) {
-    pool = std::make_unique<ThreadPool>(threads - 1);
-    (*engine)->SetThreadPool(pool.get());
-  }
   std::vector<TenantId> ids;
   ids.reserve(num_tenants);
   for (LabelMask mask : *profiles) {
@@ -125,11 +114,6 @@ RowStats RunEngine(const Instance& inst, const CoverageModel& model,
   row.per_post_us = replay_s * 1e6 / static_cast<double>(num_posts);
   row.clusters = (*engine)->num_clusters();
   row.shared_hit_rate = (*engine)->shared_hit_rate();
-  // Determinism, not timing: a pooled run over a non-trivial cluster
-  // fleet must actually have dispatched sharded sweeps.
-  if (threads > 1 && row.clusters >= 3) {
-    MQD_CHECK((*engine)->parallel_sweeps() > 0);
-  }
 
   const size_t sample = std::min<size_t>(200, ids.size());
   const size_t stride = std::max<size_t>(1, ids.size() / sample);
@@ -152,58 +136,38 @@ void Run() {
       "multi-tenant stream fan-out scaling (no paper counterpart)",
       "Figure 14-15 arrival regime (|L|=20, 118 posts/min, overlap "
       "1.4, lambda=tau=300s), 3-label profiles, tenants subscribed at "
-      "epoch 0, 256-post replay windows, sweep threads in {1, 2, 4}",
+      "epoch 0, 256-post replay windows",
       "n/a — the engine's contract: per-post cost sublinear in tenant "
-      "count, cluster sweep parallel across the pool with bit-"
-      "identical outputs, zero steady-state arena block allocations");
+      "count, zero steady-state arena block allocations");
 
   const Instance inst = PaperScaleInstance();
   UniformLambda model(300.0);
   const double tau = 300.0;
   std::cout << "Stream: " << inst.num_posts() << " posts; hardware "
-            << "threads: " << std::thread::hardware_concurrency() << "\n";
+            << "threads: " << std::thread::hardware_concurrency()
+            << "; SIMD tier: " << simd::LevelName(simd::Active()) << "\n";
 
   const std::vector<size_t> tenant_counts = {1000, 10000, 100000};
-  const std::vector<int> thread_counts = {1, 2, 4};
-  TablePrinter table({"algo", "tenants", "threads", "clusters",
-                      "per_post_us", "speedup", "shared_hit_rate",
-                      "derive_us", "steady_allocs"});
-  // per_post_us on the serial (threads=1) rows at the sweep's
-  // endpoints, per algorithm, for the sublinearity shape check.
+  TablePrinter table({"algo", "tenants", "clusters", "per_post_us",
+                      "shared_hit_rate", "derive_us", "steady_allocs"});
+  // per_post_us at the sweep's endpoints, per algorithm, for the
+  // sublinearity shape check.
   std::vector<double> first_cost, last_cost;
-  // The headline parallel number: speedup at 100k tenants on 4
-  // threads for the cluster-tier algorithm.
-  double cluster_speedup_100k = 0.0;
   uint64_t max_steady_allocs = 0;
   for (StreamKind kind :
        {StreamKind::kStreamScan, StreamKind::kStreamGreedyPlus}) {
     for (size_t i = 0; i < tenant_counts.size(); ++i) {
       const size_t n = tenant_counts[i];
-      double serial_cost = 0.0;
-      for (int threads : thread_counts) {
-        const RowStats row = RunEngine(inst, model, kind, tau, n, threads);
-        if (threads == 1) serial_cost = row.per_post_us;
-        const double speedup =
-            row.per_post_us > 0.0 ? serial_cost / row.per_post_us : 0.0;
-        table.AddRow({std::string(StreamKindName(kind)), std::to_string(n),
-                      std::to_string(threads), std::to_string(row.clusters),
-                      FormatDouble(row.per_post_us, 3),
-                      FormatDouble(speedup, 2),
-                      FormatDouble(row.shared_hit_rate, 3),
-                      FormatDouble(row.derive_us, 3),
-                      std::to_string(row.steady_allocs)});
-        max_steady_allocs = std::max(max_steady_allocs, row.steady_allocs);
-        if (kind == StreamKind::kStreamGreedyPlus &&
-            n == tenant_counts.back() && threads == 4) {
-          cluster_speedup_100k = speedup;
-        }
-        if (threads == 1) {
-          if (i == 0) first_cost.push_back(row.per_post_us);
-          if (i + 1 == tenant_counts.size()) {
-            last_cost.push_back(row.per_post_us);
-          }
-        }
-      }
+      const RowStats row = RunEngine(inst, model, kind, tau, n);
+      table.AddRow({std::string(StreamKindName(kind)), std::to_string(n),
+                    std::to_string(row.clusters),
+                    FormatDouble(row.per_post_us, 3),
+                    FormatDouble(row.shared_hit_rate, 3),
+                    FormatDouble(row.derive_us, 3),
+                    std::to_string(row.steady_allocs)});
+      max_steady_allocs = std::max(max_steady_allocs, row.steady_allocs);
+      if (i == 0) first_cost.push_back(row.per_post_us);
+      if (i + 1 == tenant_counts.size()) last_cost.push_back(row.per_post_us);
     }
   }
   table.Print(std::cout);
@@ -225,26 +189,14 @@ void Run() {
   // Steady-state allocation freedom needs the stream to outlast the
   // lambda horizon (the carried windows' high-water mark); the sanity
   // scale's 60 s stream never leaves warm-up, so the zero check is
-  // gated on full scale. The parallel-speedup threshold additionally
-  // needs the hardware to run 4 sweep threads for real.
-  const bool full_scale = BenchScale() >= 1.0;
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (full_scale) {
+  // gated on full scale.
+  if (BenchScale() >= 1.0) {
     std::cout << "steady-state arena block allocations (max over rows): "
               << max_steady_allocs << " (want 0)\n";
     MQD_CHECK(max_steady_allocs == 0);
   } else {
     std::cout << "steady-alloc check skipped (needs full scale; stream "
               << "shorter than the lambda warm-up horizon)\n";
-  }
-  if (full_scale && hw >= 4) {
-    std::cout << "StreamGreedySC+ 100k-tenant speedup on 4 threads: "
-              << FormatDouble(cluster_speedup_100k, 2) << "x (want >= 2)\n";
-    MQD_CHECK(cluster_speedup_100k >= 2.0);
-  } else {
-    std::cout << "parallel-speedup check skipped ("
-              << (full_scale ? "" : "needs full scale; ") << hw
-              << " hardware thread(s))\n";
   }
   bench::MaybeWriteMetrics("tenant");
 }

@@ -47,11 +47,8 @@ namespace mqd::internal {
 /// purely an algebraic regrouping of the same decrements.
 class GreedyState {
  public:
-  /// When `compute_gains` is false the gains are left at zero and the
-  /// caller must fill them (e.g. via a parallel loop over
-  /// InitialGain + set_gain) before the first argmax.
   GreedyState(const Instance& inst, const CoverageModel& model,
-              Arena& arena, bool compute_gains = true)
+              Arena& arena)
       : inst_(inst),
         model_(model),
         uniform_(model.IsUniform()),
@@ -74,7 +71,6 @@ class GreedyState {
       reach_flat_ = arena.AllocSpan<double>(inst.num_pairs());
       reach_ready_ = arena.AllocZeroedSpan<uint8_t>(num_labels);
     }
-    if (!compute_gains) return;
     if (uniform_) {
       // Bulk init: with one constant reach the per-position window
       // ends are monotone in the sorted value order, so one
@@ -106,7 +102,7 @@ class GreedyState {
 
   /// Initial gain of post p = |S_p| = number of (q, a) pairs with a in
   /// label(p) and q within Reach(p, a) of p. Pure function of the
-  /// instance; safe to evaluate concurrently for distinct posts.
+  /// instance.
   int64_t InitialGain(PostId p) const {
     int64_t gain = 0;
     ForEachLabel(inst_.labels(p), [&](LabelId a) {
@@ -118,7 +114,6 @@ class GreedyState {
     return gain;
   }
 
-  void set_gain(PostId p, int64_t gain) { gain_[p] = gain; }
   int64_t gain(PostId p) const { return gain_[p]; }
   /// Raw gain array (indexed by PostId) for the argmax kernels.
   const int64_t* gains_data() const { return gain_.data(); }

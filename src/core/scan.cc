@@ -8,11 +8,15 @@
 
 namespace mqd {
 
-namespace internal {
+namespace {
 
+/// One per-label Scan sweep, the body both solvers share. With
+/// `covered == nullptr` this is plain Scan: appends picks for label
+/// `a` to `out`. With `covered` non-null this is the Scan+ sweep:
+/// posts whose bit for `a` is already set are skipped, and each pick
+/// marks everything it covers across all its labels.
 void SweepLabel(const Instance& inst, const CoverageModel& model, LabelId a,
-                std::vector<LabelMask>* covered, std::vector<PostId>* out,
-                const std::function<void(PostId picked)>* mark) {
+                std::vector<LabelMask>* covered, std::vector<PostId>* out) {
   const std::span<const PostId> posts = inst.label_posts(a);
   const std::span<const DimValue> values = inst.label_values(a);
   const DimValue max_reach = model.MaxReach();
@@ -62,10 +66,7 @@ void SweepLabel(const Instance& inst, const CoverageModel& model, LabelId a,
     }
 
     out->push_back(best);
-    if (covered != nullptr && mark != nullptr) {
-      (*mark)(best);
-      // The skip loop at the top advances i.
-    } else if (covered != nullptr) {
+    if (covered != nullptr) {
       // Scan+: everything `best` covers, for every label it carries,
       // is pruned from the remaining sweeps.
       ForEachLabel(inst.labels(best), [&](LabelId b) {
@@ -83,6 +84,7 @@ void SweepLabel(const Instance& inst, const CoverageModel& model, LabelId a,
   }
 }
 
+/// The label processing order ScanPlus uses for a given policy.
 std::vector<LabelId> OrderedLabels(const Instance& inst, LabelOrder order) {
   std::vector<LabelId> labels(static_cast<size_t>(inst.num_labels()));
   std::iota(labels.begin(), labels.end(), LabelId{0});
@@ -107,10 +109,7 @@ std::vector<LabelId> OrderedLabels(const Instance& inst, LabelOrder order) {
   return labels;
 }
 
-}  // namespace internal
-
-using internal::OrderedLabels;
-using internal::SweepLabel;
+}  // namespace
 
 Result<std::vector<PostId>> ScanSolver::Solve(
     const Instance& inst, const CoverageModel& model) const {

@@ -1,7 +1,6 @@
 #ifndef MQD_CORE_SCAN_H_
 #define MQD_CORE_SCAN_H_
 
-#include <functional>
 #include <vector>
 
 #include "core/solver.h"
@@ -61,29 +60,6 @@ class ScanPlusSolver final : public Solver {
  private:
   LabelOrder order_;
 };
-
-namespace internal {
-
-/// One per-label Scan sweep (the body both solvers share, exposed so
-/// the parallel engine reuses the exact serial logic instead of
-/// duplicating it). With `covered == nullptr` this is plain Scan:
-/// reads only `inst`/`model` and appends picks for label `a` to
-/// `out`, so sweeps for different labels may run concurrently. With
-/// `covered` non-null this is the Scan+ sweep: posts whose bit for
-/// `a` is already set are skipped, and each pick marks everything it
-/// covers across all its labels. When `mark` is additionally non-null
-/// it replaces the built-in marking loop (the parallel Scan+ path
-/// marks ranges concurrently with atomics); it must set exactly the
-/// same bits the serial loop would.
-void SweepLabel(
-    const Instance& inst, const CoverageModel& model, LabelId a,
-    std::vector<LabelMask>* covered, std::vector<PostId>* out,
-    const std::function<void(PostId picked)>* mark = nullptr);
-
-/// The label processing order ScanPlus uses for a given policy.
-std::vector<LabelId> OrderedLabels(const Instance& inst, LabelOrder order);
-
-}  // namespace internal
 
 }  // namespace mqd
 

@@ -192,16 +192,10 @@ const TenantMetrics& GetTenantMetrics() {
         &reg.MustCounter("mqd_tenant_evictions_total"),
         &reg.MustCounter("mqd_tenant_restores_total"),
         &reg.MustCounter("mqd_tenant_quarantined_total"),
-        &reg.MustCounter("mqd_tenant_parallel_sweeps_total"),
-        &reg.MustCounter("mqd_tenant_parallel_shards_total"),
         &reg.MustCounter("mqd_tenant_near_identical_attaches_total"),
         &reg.MustCounter("mqd_tenant_rep_grows_total"),
         &reg.MustCounter("mqd_tenant_residual_corrections_total"),
         &reg.MustCounter("mqd_tenant_residual_filtered_fires_total"),
-        // Per-shard sweep latencies are micro-scale; the fine low
-        // buckets are where the distribution lives.
-        &reg.MustHistogram("mqd_tenant_shard_seconds",
-                           LinearBuckets(0.0, 0.02, 40)),
     };
   }();
   return *metrics;

@@ -17,7 +17,7 @@ namespace mqd::obs {
 /// Counters end in `_total`, latency histograms in `_seconds`;
 /// per-algorithm families carry an `algorithm` label.
 
-/// Per-solver-algorithm family (label algorithm="Scan", "Scan+(par)",
+/// Per-solver-algorithm family (label algorithm="Scan", "Scan+",
 /// ...). Recorded by the InstrumentedSolver decorator in core/solver.
 struct SolverMetrics {
   Counter* solves;               // mqd_solver_solve_total
@@ -146,18 +146,13 @@ struct TenantMetrics {
   Counter* evictions;          // mqd_tenant_evictions_total
   Counter* restores;           // mqd_tenant_restores_total
   Counter* quarantines;        // mqd_tenant_quarantined_total
-  // Parallel cluster sweep + near-identical clustering (DESIGN.md
-  // §16): sweeps/shards count dispatches through the thread pool,
-  // shard_seconds samples one per-shard latency per sweep, and the
-  // residual counters track the fire-log mask-filter corrections that
-  // near-identical representative sharing pays at derive time.
-  Counter* parallel_sweeps;    // mqd_tenant_parallel_sweeps_total
-  Counter* parallel_shards;    // mqd_tenant_parallel_shards_total
+  // Near-identical clustering (DESIGN.md §16): attaches/grows count
+  // representative sharing, and the residual counters track the
+  // fire-log mask-filter corrections it pays at derive time.
   Counter* near_attaches;      // mqd_tenant_near_identical_attaches_total
   Counter* rep_grows;          // mqd_tenant_rep_grows_total
   Counter* residual_corrections;  // mqd_tenant_residual_corrections_total
   Counter* residual_filtered;  // mqd_tenant_residual_filtered_fires_total
-  LatencyHistogram* shard_seconds;  // mqd_tenant_shard_seconds
 };
 
 const TenantMetrics& GetTenantMetrics();

@@ -5,21 +5,19 @@
 
 #include "obs/stack_metrics.h"
 #include "obs/trace.h"
-#include "parallel/parallel_solver.h"
 #include "util/timer.h"
 
 namespace mqd {
 
-BatchSolver::BatchSolver(ParallelOptions options) : options_(options) {
-  const int total = ResolveNumThreads(options.num_threads);
+BatchSolver::BatchSolver(int num_threads) {
+  const int total = ResolveNumThreads(num_threads);
   if (total > 1) {
     owned_pool_ = std::make_unique<ThreadPool>(total - 1);
     pool_ = owned_pool_.get();
   }
 }
 
-BatchSolver::BatchSolver(ThreadPool* pool, ParallelOptions options)
-    : pool_(pool), options_(options) {}
+BatchSolver::BatchSolver(ThreadPool* pool) : pool_(pool) {}
 
 BatchSolver::~BatchSolver() = default;
 
@@ -76,8 +74,8 @@ std::vector<BatchJobResult> BatchSolver::SolveAll(
                     Result<std::vector<PostId>> cover =
                         job.solver != nullptr
                             ? job.solver->Solve(*job.instance, model)
-                            : CreateParallelSolver(job.kind, pool_, options_)
-                                  ->Solve(*job.instance, model);
+                            : CreateSolver(job.kind)->Solve(*job.instance,
+                                                            model);
                     if (cover.ok()) {
                       slot.cover = std::move(cover).value();
                     } else {

@@ -6,7 +6,6 @@
 
 #include "core/coverage.h"
 #include "core/solver.h"
-#include "parallel/parallel_options.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -38,10 +37,8 @@ struct BatchJobResult {
 /// Fans a batch of MQDP jobs across a work-stealing pool and collects
 /// the outcomes **in submission order**: results[i] always belongs to
 /// jobs[i], no matter which thread solved it or when it finished.
-/// Each job is additionally free to use intra-instance parallelism on
-/// the same pool (per-label sweeps, gain argmax) for instances above
-/// ParallelOptions::min_posts_to_parallelize; nested fork/join on one
-/// pool is safe because waiting threads help execute chunks.
+/// Each job runs the serial solver for its kind; independent jobs are
+/// the unit of parallelism.
 ///
 /// Failure isolation: a job that returns an error -- or throws; the
 /// engine catches and converts exceptions into
@@ -49,13 +46,12 @@ struct BatchJobResult {
 /// bit-identical to solving each job serially, at every thread count.
 class BatchSolver {
  public:
-  /// Self-owned pool with options.num_threads total threads (the
-  /// calling thread counts as one; num_threads == 1 runs serial).
-  explicit BatchSolver(ParallelOptions options = {});
+  /// Self-owned pool with `num_threads` total threads (the calling
+  /// thread counts as one; 0 = all hardware threads, 1 = serial).
+  explicit BatchSolver(int num_threads = 0);
 
-  /// Borrows `pool` (may be null for serial); `options.num_threads`
-  /// is ignored in favor of the pool's size.
-  BatchSolver(ThreadPool* pool, ParallelOptions options);
+  /// Borrows `pool` (may be null for serial).
+  explicit BatchSolver(ThreadPool* pool);
 
   ~BatchSolver();
 
@@ -72,7 +68,6 @@ class BatchSolver {
  private:
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_ = nullptr;
-  ParallelOptions options_;
 };
 
 }  // namespace mqd

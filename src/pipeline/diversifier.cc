@@ -4,7 +4,6 @@
 
 #include "obs/stack_metrics.h"
 #include "obs/trace.h"
-#include "parallel/parallel_solver.h"
 #include "sentiment/scorer.h"
 #include "simhash/dedup.h"
 #include "simhash/simhash.h"
@@ -66,15 +65,6 @@ Diversifier::Diversifier(TopicMatcher matcher, PipelineConfig config)
 
 Result<PipelineResult> Diversifier::Run(
     const std::vector<Tweet>& tweets) const {
-  if (config_.parallel.num_threads != 1) {
-    ThreadPool pool(ResolveNumThreads(config_.parallel.num_threads) - 1);
-    return Run(tweets, &pool);
-  }
-  return Run(tweets, /*pool=*/nullptr);
-}
-
-Result<PipelineResult> Diversifier::Run(const std::vector<Tweet>& tweets,
-                                        ThreadPool* pool) const {
   obs::ScopedTimer timer(obs::GetPipelineMetrics().digest_seconds);
   obs::TraceSpan span("pipeline:digest");
   MatchedBatch batch{Instance{}, 0, 0};
@@ -99,10 +89,7 @@ Result<PipelineResult> Diversifier::Run(const std::vector<Tweet>& tweets,
     model = std::make_unique<UniformLambda>(config_.lambda);
   }
 
-  const std::unique_ptr<Solver> solver =
-      pool != nullptr
-          ? CreateParallelSolver(config_.solver, pool, config_.parallel)
-          : CreateSolver(config_.solver);
+  const std::unique_ptr<Solver> solver = CreateSolver(config_.solver);
   MQD_ASSIGN_OR_RETURN(result.selection,
                        solver->Solve(result.instance, *model));
   result.selected_tweet_ids = ToTweetIds(result.instance, result.selection);
@@ -110,9 +97,9 @@ Result<PipelineResult> Diversifier::Run(const std::vector<Tweet>& tweets,
 }
 
 BatchDiversifier::BatchDiversifier(std::vector<Diversifier> users,
-                                   ParallelOptions options)
-    : users_(std::move(users)), options_(options) {
-  const int total = ResolveNumThreads(options_.num_threads);
+                                   int num_threads)
+    : users_(std::move(users)) {
+  const int total = ResolveNumThreads(num_threads);
   if (total > 1) pool_ = std::make_unique<ThreadPool>(total - 1);
 }
 
@@ -122,14 +109,11 @@ std::vector<BatchPipelineOutcome> BatchDiversifier::RunAll(
     const std::vector<Tweet>& tweets) const {
   std::vector<BatchPipelineOutcome> outcomes(users_.size());
   // One chunk per user; slot i is written only by the thread that
-  // claimed user i, so outcomes stay in construction order. A user's
-  // own solve may additionally fork intra-instance work onto the same
-  // pool (nested fork/join is deadlock-free: waiters help).
+  // claimed user i, so outcomes stay in construction order.
   ParallelFor(pool_.get(), users_.size(), /*grain=*/1,
               [&](size_t begin, size_t end) {
                 for (size_t i = begin; i < end; ++i) {
-                  Result<PipelineResult> r =
-                      users_[i].Run(tweets, pool_.get());
+                  Result<PipelineResult> r = users_[i].Run(tweets);
                   if (r.ok()) {
                     outcomes[i].result = std::move(r).value();
                   } else {

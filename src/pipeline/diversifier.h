@@ -7,7 +7,6 @@
 #include "core/proportional.h"
 #include "core/solver.h"
 #include "gen/tweet_gen.h"
-#include "parallel/parallel_options.h"
 #include "pipeline/matcher.h"
 #include "stream/factory.h"
 #include "stream/replay.h"
@@ -31,10 +30,6 @@ struct PipelineConfig {
   /// Use the Section-6 post-specific lambda instead of the fixed one.
   bool proportional = false;
   ProportionalConfig proportional_config;
-  /// Intra-instance solver parallelism. Default num_threads = 1
-  /// (serial); covers are bit-identical at any setting, so raising it
-  /// is purely a latency decision.
-  ParallelOptions parallel{.num_threads = 1};
 };
 
 /// Result of one offline (static MQDP) pipeline run.
@@ -56,12 +51,6 @@ class Diversifier {
 
   Result<PipelineResult> Run(const std::vector<Tweet>& tweets) const;
 
-  /// Like Run, but the solver fans intra-instance work across `pool`
-  /// (borrowed; null = serial) per config.parallel. Same result,
-  /// bit for bit.
-  Result<PipelineResult> Run(const std::vector<Tweet>& tweets,
-                             ThreadPool* pool) const;
-
  private:
   TopicMatcher matcher_;
   PipelineConfig config_;
@@ -82,7 +71,9 @@ struct BatchPipelineOutcome {
 /// Diversifier::Run would produce serially.
 class BatchDiversifier {
  public:
-  BatchDiversifier(std::vector<Diversifier> users, ParallelOptions options);
+  /// `num_threads` total threads (the calling thread counts as one;
+  /// 0 = all hardware threads, 1 = serial).
+  BatchDiversifier(std::vector<Diversifier> users, int num_threads);
   ~BatchDiversifier();
 
   BatchDiversifier(const BatchDiversifier&) = delete;
@@ -95,7 +86,6 @@ class BatchDiversifier {
 
  private:
   std::vector<Diversifier> users_;
-  ParallelOptions options_;
   std::unique_ptr<ThreadPool> pool_;
 };
 

@@ -12,14 +12,11 @@
 
 #include "core/solve_scratch.h"
 #include "obs/stack_metrics.h"
-#include "parallel/sweep.h"
 #include "stream/checkpoint.h"
 #include "stream/stream_greedy.h"
 #include "util/fault_injection.h"
 #include "util/logging.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace mqd {
 
@@ -395,69 +392,12 @@ uint64_t MultiTenantStream::DeliverPending(Cluster& cluster, PostId end,
 }
 
 void MultiTenantStream::SweepClusters(PostId end) {
-  live_list_.clear();
-  for (uint32_t c = 0; c < static_cast<uint32_t>(clusters_.size()); ++c) {
-    if (clusters_[c]) live_list_.push_back(c);
-  }
-  const size_t n = live_list_.size();
-  if (n == 0) return;
-  const size_t shards = NumSweepShards(n, kSweepGrain);
-  shard_deliveries_.assign(shards, 0);
-  shard_seconds_.assign(shards, 0.0);
-  const obs::TenantMetrics& metrics = obs::GetTenantMetrics();
-  FaultInjector& injector = FaultInjector::Global();
-  if (injector.armed()) {
-    // Injected fault firing is a pure function of (seed, site, hit
-    // index), so probes must be issued in one deterministic order:
-    // the sweep degrades to serial, shard by shard. A tenant.shard
-    // fire quarantines every cluster in that one shard and the sweep
-    // moves on — one-shard blast radius.
-    for (size_t s = 0; s < shards; ++s) {
-      const size_t begin = s * kSweepGrain;
-      const size_t stop = std::min(n, begin + kSweepGrain);
-      Status fault = injector.MaybeInject("tenant.shard");
-      if (!fault.ok()) {
-        for (size_t i = begin; i < stop; ++i) {
-          Cluster& cluster = *clusters_[live_list_[i]];
-          if (!cluster.health.ok()) continue;
-          cluster.health = fault;
-          metrics.quarantines->Increment();
-        }
-        continue;
-      }
-      for (size_t i = begin; i < stop; ++i) {
-        shard_deliveries_[s] +=
-            DeliverPending(*clusters_[live_list_[i]], end, /*probe=*/true);
-      }
-    }
-  } else {
-    // Clusters are mutually independent and each belongs to exactly
-    // one shard, so the sharded sweep is bit-identical to serial at
-    // every thread count; tallies merge by shard index below.
-    const bool parallel = RunShardedSweep(
-        pool_, n, kSweepGrain, /*force_serial=*/false,
-        [&](size_t shard, size_t begin, size_t stop) {
-          Stopwatch sw;
-          uint64_t delivered = 0;
-          for (size_t i = begin; i < stop; ++i) {
-            delivered += DeliverPending(*clusters_[live_list_[i]], end,
-                                        /*probe=*/false);
-          }
-          shard_deliveries_[shard] = delivered;
-          shard_seconds_[shard] = sw.ElapsedSeconds();
-        });
-    if (parallel) {
-      ++parallel_sweeps_;
-      parallel_shards_ += shards;
-      metrics.parallel_sweeps->Increment();
-      metrics.parallel_shards->Increment(static_cast<double>(shards));
-    }
-    for (size_t s = 0; s < shards; ++s) {
-      metrics.shard_seconds->Observe(shard_seconds_[s]);
-    }
-  }
-  for (size_t s = 0; s < shards; ++s) {
-    fanout_deliveries_ += shard_deliveries_[s];
+  // Injected fault firing is a pure function of (seed, site, hit
+  // index); clusters are swept in ascending id order, so the
+  // tenant.fanout probes run in one deterministic order.
+  const bool probe = FaultInjector::Global().armed();
+  for (const std::unique_ptr<Cluster>& cluster : clusters_) {
+    if (cluster) fanout_deliveries_ += DeliverPending(*cluster, end, probe);
   }
 }
 

@@ -20,8 +20,6 @@
 
 namespace mqd {
 
-class ThreadPool;
-
 /// Handle for one subscription in a MultiTenantStream. Ids are dense
 /// and never reused within one engine; an unsubscribed or evicted id
 /// stays invalid forever (restore mints a fresh id).
@@ -88,15 +86,9 @@ Result<TenantView> BuildTenantView(const Instance& inst,
 ///    pending deadlines in (deadline, label) order with emission times
 ///    taken from the deadlines themselves, not the call instant.
 ///
-/// Parallel sweep: per RunUntil batch the live clusters are
-/// partitioned into deterministic fixed-grain shards
-/// (parallel/sweep.h) and advanced on the borrowed ThreadPool.
-/// Clusters are mutually independent and each is touched by exactly
-/// one shard, so outputs are exact-equal to the serial sweep at every
-/// thread count; per-shard delivery tallies are merged in shard
-/// order. While a fault injector is armed the sweep degrades to the
-/// serial order (fault firing is a pure function of the probe hit
-/// index, which concurrency would scramble).
+/// Sweep: per RunUntil batch the live clusters are advanced in
+/// ascending cluster id order on the calling thread. Independent
+/// replays (one engine each) are the unit of parallelism.
 ///
 /// Allocation: greedy representatives bump-allocate their carried
 /// windows from a per-cluster Arena (`arena_stats()` aggregates the
@@ -112,13 +104,10 @@ Result<TenantView> BuildTenantView(const Instance& inst,
 ///
 /// Fault sites: "tenant.fanout" probes each per-cluster delivery —
 /// a fire quarantines that cluster only (its tenants' queries return
-/// the fault; every other tenant stays bit-identical). "tenant.shard"
-/// probes each sweep shard before it runs — a fire quarantines every
-/// cluster in that one shard (one-shard blast radius). "tenant.evict"
+/// the fault; every other tenant stays bit-identical). "tenant.evict"
 /// probes EvictTenant and leaves the tenant intact on fire.
 ///
-/// Not thread-safe at the API surface; one engine per replay thread
-/// (the engine parallelizes internally across the borrowed pool).
+/// Not thread-safe; one engine per replay thread.
 class MultiTenantStream {
  public:
   /// `kind` must be a replayable stream algorithm (kInstant is not
@@ -127,11 +116,6 @@ class MultiTenantStream {
   static Result<std::unique_ptr<MultiTenantStream>> Create(
       const Instance& inst, const CoverageModel& model, StreamKind kind,
       double tau);
-
-  /// Borrows `pool` for the cluster sweep (not owned; must outlive the
-  /// engine or be cleared first). Null or zero workers = serial sweep.
-  /// Outputs are bit-identical at every setting.
-  void SetThreadPool(ThreadPool* pool) { pool_ = pool; }
 
   /// Near-identical clustering slack for plain-StreamScan mid-stream
   /// joiners: a tenant shares a superset representative when the
@@ -199,10 +183,6 @@ class MultiTenantStream {
   double fanout_amplification() const;
   /// Fraction of delivery work absorbed by the shared tier.
   double shared_hit_rate() const;
-  /// Cluster sweeps dispatched through the thread pool, and the
-  /// shards those sweeps ran.
-  uint64_t parallel_sweeps() const { return parallel_sweeps_; }
-  uint64_t parallel_shards() const { return parallel_shards_; }
   /// Subscribes/restores absorbed by an existing near-identical
   /// representative (subset attach or grow attach).
   uint64_t near_identical_attaches() const {
@@ -252,9 +232,6 @@ class MultiTenantStream {
   };
 
   static constexpr uint32_t kNoCluster = static_cast<uint32_t>(-1);
-  /// Clusters per sweep shard. Fixed (never thread-count-dependent) so
-  /// the shard structure — and tenant.shard blast radius — is stable.
-  static constexpr size_t kSweepGrain = 2;
 
   MultiTenantStream(const Instance& inst, const CoverageModel& model,
                     StreamKind kind, double tau);
@@ -286,9 +263,8 @@ class MultiTenantStream {
   /// the tenant.fanout site first (a fire quarantines the cluster and
   /// stops it).
   uint64_t DeliverPending(Cluster& cluster, PostId end, bool probe);
-  /// One batch sweep of all live clusters up to `end` — sharded over
-  /// the pool when profitable, serial (with fault probes) when the
-  /// injector is armed.
+  /// One batch sweep of all live clusters up to `end`, with fault
+  /// probes while the injector is armed.
   void SweepClusters(PostId end);
   void EnsureSharedScan();
   std::vector<Emission> DeriveSharedEmissions(LabelMask mask) const;
@@ -303,7 +279,6 @@ class MultiTenantStream {
   const CoverageModel& model_;
   StreamKind kind_;
   double tau_;
-  ThreadPool* pool_ = nullptr;
   int cluster_slack_ = kDefaultClusterSlack;
   static constexpr int kDefaultClusterSlack = 4;
 
@@ -323,18 +298,9 @@ class MultiTenantStream {
   size_t live_clusters_ = 0;
   std::map<std::pair<LabelMask, PostId>, uint32_t> cluster_index_;
 
-  /// Sweep scratch, reused across sweeps (allocation-free at steady
-  /// state): live cluster ids in ascending id order, one delivery
-  /// tally and one latency sample per shard.
-  std::vector<uint32_t> live_list_;
-  std::vector<uint64_t> shard_deliveries_;
-  std::vector<double> shard_seconds_;
-
   uint64_t arrivals_ = 0;
   uint64_t fanout_deliveries_ = 0;
   uint64_t shared_tier_hits_ = 0;
-  uint64_t parallel_sweeps_ = 0;
-  uint64_t parallel_shards_ = 0;
   uint64_t near_identical_attaches_ = 0;
   uint64_t rep_grows_ = 0;
   /// Derive-side counters mutate under const queries.

@@ -39,11 +39,9 @@ struct FaultSpec {
 /// pool.task, io.write_checkpoint (probed between the flushed tmp
 /// write and the rename in WriteStreamCheckpointToFile; a fire models
 /// a torn write — the previous on-disk snapshot survives), the
-/// multi-tenant trio tenant.fanout (probed on each per-cluster
+/// multi-tenant pair tenant.fanout (probed on each per-cluster
 /// delivery; a fire quarantines that cluster only — see
-/// stream/multi_tenant.h), tenant.shard (probed once per sweep shard;
-/// a fire quarantines every cluster in that one shard — the sweep's
-/// blast-radius unit) and tenant.evict (probed in EvictTenant; a fire
+/// stream/multi_tenant.h) and tenant.evict (probed in EvictTenant; a fire
 /// returns the fault and leaves the tenant subscribed), and the
 /// serving-daemon trio serve.accept (transport framing; a fire
 /// rejects the line/connection, the loop survives), serve.queue

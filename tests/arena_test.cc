@@ -187,9 +187,7 @@ TEST(ArenaMetrics, BatchSolverSteadyStateVisibleInMetrics) {
   const obs::ArenaMetrics& metrics = obs::GetArenaMetrics();
 
   const Instance inst = MakeTestInstance(13);
-  ParallelOptions options;
-  options.num_threads = 1;  // serial: deterministic single scratch
-  const BatchSolver batch(options);
+  const BatchSolver batch(1);  // serial: deterministic single scratch
   std::vector<BatchJob> jobs(4);
   for (BatchJob& job : jobs) {
     job.instance = &inst;

@@ -131,7 +131,7 @@ TEST(ChaosTest, FuzzedFaultSchedulesNeverCorrupt) {
                           // ones) only cost parallelism — the calling
                           // thread claims every unfinished chunk, so
                           // the batch stays complete and correct.
-      BatchSolver batch(&pool, ParallelOptions{});
+      BatchSolver batch(&pool);
       std::vector<BatchJob> jobs(4);
       for (auto& job : jobs) {
         job.instance = &inst;
@@ -448,103 +448,6 @@ TEST(ChaosTest, TenantFaultSweepDegradesOnlyFaultedTenants) {
   // The sweep must sample both halves of the contract.
   EXPECT_GT(quarantined, 0u);
   EXPECT_GT(intact, 0u);
-}
-
-/// tenant.shard is the sweep's blast-radius unit: while armed the
-/// sweep degrades to its serial shard order and probes the site once
-/// per shard; a fire quarantines every cluster in that one shard and
-/// nothing else. With one cluster per tenant (eight distinct profiles
-/// subscribed in order) and the fixed grain of two clusters per
-/// shard, tenants {2s, 2s+1} share shard s — so they must fall
-/// together or survive together, the quarantined count must be
-/// exactly two per fired shard, and every intact tenant must stay
-/// bit-identical to a fault-free engine.
-TEST(ChaosTest, TenantShardFaultQuarantinesWholeShardsOnly) {
-  ScopedDisarm disarm_guard;
-  InstanceGenConfig cfg;
-  cfg.num_labels = 6;
-  cfg.duration = 120.0;
-  cfg.posts_per_minute = 60.0;
-  cfg.overlap_rate = 1.5;
-  cfg.seed = 100300;
-  auto generated = GenerateInstance(cfg);
-  ASSERT_TRUE(generated.ok());
-  const Instance& inst = *generated;
-  UniformLambda model(8.0);
-  const std::vector<LabelMask> profiles = {
-      MaskOf(0) | MaskOf(1), MaskOf(2),             MaskOf(1) | MaskOf(3),
-      MaskOf(4) | MaskOf(5), MaskOf(0) | MaskOf(2), MaskOf(3),
-      MaskOf(2) | MaskOf(4), MaskOf(1) | MaskOf(5)};
-
-  auto clean = MultiTenantStream::Create(inst, model,
-                                         StreamKind::kStreamGreedy, 3.0);
-  ASSERT_TRUE(clean.ok());
-  std::vector<std::vector<Emission>> want;
-  for (LabelMask mask : profiles) {
-    auto id = (*clean)->Subscribe(mask);
-    ASSERT_TRUE(id.ok());
-    want.push_back({});
-    ASSERT_EQ(*id, want.size() - 1);
-  }
-  ASSERT_TRUE((*clean)->RunToEnd().ok());
-  for (size_t i = 0; i < profiles.size(); ++i) {
-    auto e = (*clean)->TenantEmissions(static_cast<TenantId>(i));
-    ASSERT_TRUE(e.ok());
-    want[i] = std::move(*e);
-  }
-
-  ThreadPool pool(3);
-  size_t quarantined = 0, intact = 0;
-  bool saw_partial = false;
-  for (uint64_t seed = 1; seed <= 50; ++seed) {
-    ASSERT_TRUE(
-        FaultInjector::Global().ArmFromSpec("tenant.shard:0.3", seed).ok());
-    auto engine = MultiTenantStream::Create(inst, model,
-                                            StreamKind::kStreamGreedy, 3.0);
-    ASSERT_TRUE(engine.ok());
-    // The borrowed pool must sit idle while the injector is armed:
-    // fault firing is a pure function of the probe hit index, which a
-    // concurrent sweep would scramble.
-    (*engine)->SetThreadPool(&pool);
-    std::vector<TenantId> ids;
-    for (LabelMask mask : profiles) {
-      auto id = (*engine)->Subscribe(mask);
-      ASSERT_TRUE(id.ok());
-      ids.push_back(*id);
-    }
-    ASSERT_TRUE((*engine)->RunToEnd().ok()) << "seed " << seed;
-    const uint64_t fires = FaultInjector::Global().Fires("tenant.shard");
-    FaultInjector::Global().Disarm();
-    EXPECT_EQ((*engine)->parallel_sweeps(), 0u)
-        << "seed " << seed << ": armed sweep must stay serial";
-
-    std::vector<bool> healthy(ids.size());
-    size_t down = 0;
-    for (size_t i = 0; i < ids.size(); ++i) {
-      auto e = (*engine)->TenantEmissions(ids[i]);
-      healthy[i] = e.ok();
-      if (e.ok()) {
-        ++intact;
-        ASSERT_EQ(*e, want[i]) << "seed " << seed << " tenant " << i;
-      } else {
-        ++quarantined;
-        ++down;
-        ASSERT_EQ(e.status().code(), StatusCode::kInternal)
-            << "seed " << seed << " tenant " << i;
-      }
-    }
-    for (size_t s = 0; s < ids.size() / 2; ++s) {
-      EXPECT_EQ(healthy[2 * s], healthy[2 * s + 1])
-          << "seed " << seed << " shard " << s
-          << ": blast radius split a shard";
-    }
-    EXPECT_EQ(down, 2 * fires) << "seed " << seed;
-    if (fires > 0 && down < ids.size()) saw_partial = true;
-    if (::testing::Test::HasFailure()) return;
-  }
-  EXPECT_GT(quarantined, 0u);
-  EXPECT_GT(intact, 0u);
-  EXPECT_TRUE(saw_partial) << "no schedule ever hit some but not all shards";
 }
 
 /// Regression for the exact DP's budget-overshoot fix: the deadline is

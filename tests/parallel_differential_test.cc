@@ -1,10 +1,9 @@
-// Differential tests of the parallel solver engine: for hundreds of
-// randomized instances the parallel Scan / Scan+ / GreedySC paths and
-// the BatchSolver must return **byte-identical** covers to the serial
-// solvers at 1, 2, and 8 threads, including the lambda edge cases
-// (lambda = 0, lambda >= span) and degenerate instances (empty,
-// single post). min_posts_to_parallelize is forced to 0 so even tiny
-// instances exercise the genuinely parallel code paths.
+// Differential tests of the batch engine: for hundreds of randomized
+// instances every BatchSolver slot must hold a **byte-identical** cover
+// to the serial solver at 1, 2, and 8 threads, including the lambda
+// edge cases (lambda = 0, lambda >= span), degenerate instances (empty,
+// single post) and variable-lambda models, and the batch metrics must
+// match the serial ground truth.
 #include <algorithm>
 #include <memory>
 #include <utility>
@@ -19,24 +18,33 @@
 #include "obs/metrics.h"
 #include "obs/stack_metrics.h"
 #include "parallel/batch_solver.h"
-#include "parallel/parallel_solver.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 
 namespace mqd {
 namespace {
 
-/// The solver kinds with a parallel implementation.
 const SolverKind kKinds[] = {SolverKind::kScan, SolverKind::kScanPlus,
                              SolverKind::kGreedySC,
                              SolverKind::kGreedySCLazy};
 
 const int kThreadCounts[] = {1, 2, 8};
 
-/// Forces the parallel path regardless of instance size.
-ParallelOptions ForcedParallel(int threads) {
-  return ParallelOptions{.num_threads = threads,
-                         .min_posts_to_parallelize = 0};
+/// A directional (post-specific lambda) model over `inst`: per-post
+/// reaches derived from a hash of the post id, max_reach dominating
+/// all of them.
+std::unique_ptr<VariableLambda> HashedVariableLambda(const Instance& inst) {
+  std::vector<std::vector<DimValue>> reaches(inst.num_posts());
+  DimValue max_reach = 0.0;
+  for (PostId p = 0; p < inst.num_posts(); ++p) {
+    const int k = MaskCount(inst.labels(p));
+    for (int i = 0; i < k; ++i) {
+      const DimValue r = static_cast<DimValue>((p * 7 + i * 3) % 13);
+      reaches[p].push_back(r);
+      max_reach = std::max(max_reach, r);
+    }
+  }
+  return std::make_unique<VariableLambda>(std::move(reaches), max_reach);
 }
 
 /// Lambdas probing the interesting regimes of an instance: degenerate
@@ -48,47 +56,70 @@ std::vector<double> EdgeLambdas(const Instance& inst) {
           span + 1.0};
 }
 
-void ExpectIdenticalAcrossThreadCounts(const Instance& inst, double lambda) {
-  UniformLambda model(lambda);
-  for (SolverKind kind : kKinds) {
-    const Result<std::vector<PostId>> serial =
-        CreateSolver(kind)->Solve(inst, model);
-    ASSERT_TRUE(serial.ok()) << SolverKindName(kind);
-    for (int threads : kThreadCounts) {
-      std::unique_ptr<ThreadPool> pool;
-      if (threads > 1) pool = std::make_unique<ThreadPool>(threads - 1);
-      const auto solver =
-          CreateParallelSolver(kind, pool.get(), ForcedParallel(threads));
-      const Result<std::vector<PostId>> parallel = solver->Solve(inst, model);
-      ASSERT_TRUE(parallel.ok()) << SolverKindName(kind);
-      ASSERT_EQ(*parallel, *serial)
-          << SolverKindName(kind) << " diverged at " << threads
-          << " threads, lambda=" << lambda << ", n=" << inst.num_posts();
-      ASSERT_TRUE(IsCover(inst, model, *parallel));
+/// Batch jobs plus the serial cover each one must reproduce.
+struct BatchCase {
+  std::vector<BatchJob> jobs;
+  std::vector<std::vector<PostId>> expected;
+
+  /// One job per solver kind for (inst, lambda); `inst` must outlive
+  /// the case.
+  void Add(const Instance& inst, double lambda) {
+    UniformLambda model(lambda);
+    for (SolverKind kind : kKinds) {
+      auto serial = CreateSolver(kind)->Solve(inst, model);
+      ASSERT_TRUE(serial.ok()) << SolverKindName(kind);
+      jobs.push_back(
+          BatchJob{.instance = &inst, .kind = kind, .lambda = lambda});
+      expected.push_back(std::move(serial).value());
+    }
+  }
+};
+
+/// Solves the whole case as one batch at every thread count; each slot
+/// must be a valid cover equal to its serial solve.
+void ExpectBatchMatchesSerial(const BatchCase& batch) {
+  for (int threads : kThreadCounts) {
+    const std::vector<BatchJobResult> results =
+        BatchSolver(threads).SolveAll(batch.jobs);
+    ASSERT_EQ(results.size(), batch.jobs.size());
+    for (size_t j = 0; j < results.size(); ++j) {
+      const BatchJob& job = batch.jobs[j];
+      ASSERT_TRUE(results[j].status.ok()) << j;
+      ASSERT_EQ(results[j].cover, batch.expected[j])
+          << SolverKindName(job.kind) << " diverged at " << threads
+          << " threads, lambda=" << job.lambda
+          << ", n=" << job.instance->num_posts();
+      ASSERT_TRUE(
+          IsCover(*job.instance, UniformLambda(job.lambda), results[j].cover));
     }
   }
 }
 
 TEST(ParallelDifferentialTest, TinyRandomInstancesAllKindsAllThreads) {
   // ~160 tiny instances: every shape of label overlap and clustering
-  // the generator can produce at this size, each checked at four
-  // lambdas x four kinds x three thread counts.
+  // the generator can produce at this size, each solved at four
+  // lambdas x four kinds in one batch at three thread counts.
   Rng rng(20260807);
+  std::vector<Instance> instances;
+  instances.reserve(160);
+  BatchCase batch;
   for (int trial = 0; trial < 160; ++trial) {
     const int n = 1 + static_cast<int>(rng.Uniform(40));
     const int labels = 1 + static_cast<int>(rng.Uniform(5));
     const int per_post = 1 + static_cast<int>(rng.Uniform(labels));
     auto inst = GenerateTinyInstance(n, labels, per_post, 60, &rng);
     ASSERT_TRUE(inst.ok());
-    for (double lambda : EdgeLambdas(*inst)) {
-      ExpectIdenticalAcrossThreadCounts(*inst, lambda);
-    }
+    const Instance& stored = instances.emplace_back(std::move(inst).value());
+    for (double lambda : EdgeLambdas(stored)) batch.Add(stored, lambda);
   }
+  ExpectBatchMatchesSerial(batch);
 }
 
 TEST(ParallelDifferentialTest, MediumGeneratedInstances) {
-  // A few realistic-size instances (enough posts that the parallel
-  // paths chunk for real even at default grains).
+  // A few realistic-size instances with bursts.
+  std::vector<Instance> instances;
+  instances.reserve(3);
+  BatchCase batch;
   for (uint64_t seed : {7u, 21u, 77u}) {
     InstanceGenConfig cfg;
     cfg.num_labels = 6;
@@ -99,67 +130,30 @@ TEST(ParallelDifferentialTest, MediumGeneratedInstances) {
     cfg.seed = seed;
     auto inst = GenerateInstance(cfg);
     ASSERT_TRUE(inst.ok());
+    const Instance& stored = instances.emplace_back(std::move(inst).value());
     for (double lambda : {0.0, 15.0, 120.0, 1300.0}) {
-      ExpectIdenticalAcrossThreadCounts(*inst, lambda);
+      batch.Add(stored, lambda);
     }
   }
+  ExpectBatchMatchesSerial(batch);
 }
 
 TEST(ParallelDifferentialTest, EmptyAndSinglePostInstances) {
   InstanceBuilder empty_builder(3);
   auto empty = empty_builder.Build();
   ASSERT_TRUE(empty.ok());
-  for (double lambda : {0.0, 10.0}) {
-    ExpectIdenticalAcrossThreadCounts(*empty, lambda);
-  }
-
-  const Instance single = testing::MakeInstance(2, {{5.0, MaskOf(0) | MaskOf(1)}});
-  for (double lambda : {0.0, 1.0, 100.0}) {
-    ExpectIdenticalAcrossThreadCounts(single, lambda);
-  }
-}
-
-TEST(ParallelDifferentialTest, VariableLambdaModel) {
-  // The directional (post-specific lambda) model through the same
-  // parallel machinery: per-post reaches derived from a hash of the
-  // post id, max_reach dominating all of them.
-  Rng rng(99);
-  for (int trial = 0; trial < 40; ++trial) {
-    const int n = 2 + static_cast<int>(rng.Uniform(30));
-    auto inst = GenerateTinyInstance(n, 3, 2, 50, &rng);
-    ASSERT_TRUE(inst.ok());
-    std::vector<std::vector<DimValue>> reaches(inst->num_posts());
-    DimValue max_reach = 0.0;
-    for (PostId p = 0; p < inst->num_posts(); ++p) {
-      const int k = MaskCount(inst->labels(p));
-      for (int i = 0; i < k; ++i) {
-        const DimValue r = static_cast<DimValue>((p * 7 + i * 3) % 13);
-        reaches[p].push_back(r);
-        max_reach = std::max(max_reach, r);
-      }
-    }
-    VariableLambda model(std::move(reaches), max_reach);
-    for (SolverKind kind : kKinds) {
-      const auto serial = CreateSolver(kind)->Solve(*inst, model);
-      ASSERT_TRUE(serial.ok());
-      for (int threads : kThreadCounts) {
-        std::unique_ptr<ThreadPool> pool;
-        if (threads > 1) pool = std::make_unique<ThreadPool>(threads - 1);
-        const auto solver =
-            CreateParallelSolver(kind, pool.get(), ForcedParallel(threads));
-        const auto parallel = solver->Solve(*inst, model);
-        ASSERT_TRUE(parallel.ok());
-        ASSERT_EQ(*parallel, *serial)
-            << SolverKindName(kind) << " (variable lambda) diverged at "
-            << threads << " threads";
-      }
-    }
-  }
+  const Instance single =
+      testing::MakeInstance(2, {{5.0, MaskOf(0) | MaskOf(1)}});
+  BatchCase batch;
+  for (double lambda : {0.0, 10.0}) batch.Add(*empty, lambda);
+  for (double lambda : {0.0, 1.0, 100.0}) batch.Add(single, lambda);
+  ExpectBatchMatchesSerial(batch);
 }
 
 TEST(ParallelDifferentialTest, BatchSolverMatchesSerialPerJob) {
-  // One batch mixing instance sizes, kinds and lambdas; every slot
-  // must equal the one-at-a-time serial solve.
+  // One batch mixing instance sizes, kinds, lambdas and variable-
+  // lambda models (set through BatchJob::model); every slot must equal
+  // the one-at-a-time serial solve.
   Rng rng(4242);
   std::vector<Instance> instances;
   for (int i = 0; i < 24; ++i) {
@@ -177,6 +171,7 @@ TEST(ParallelDifferentialTest, BatchSolverMatchesSerialPerJob) {
   }
 
   std::vector<BatchJob> jobs;
+  std::vector<std::unique_ptr<VariableLambda>> models;
   std::vector<std::vector<PostId>> expected;
   for (size_t i = 0; i < instances.size(); ++i) {
     const Instance& inst = instances[i];
@@ -190,10 +185,17 @@ TEST(ParallelDifferentialTest, BatchSolverMatchesSerialPerJob) {
       ASSERT_TRUE(serial.ok());
       expected.push_back(std::move(serial).value());
     }
+    const VariableLambda& variable =
+        *models.emplace_back(HashedVariableLambda(inst));
+    jobs.push_back(BatchJob{.instance = &inst, .kind = kind,
+                            .model = &variable});
+    auto serial = CreateSolver(kind)->Solve(inst, variable);
+    ASSERT_TRUE(serial.ok());
+    expected.push_back(std::move(serial).value());
   }
 
   for (int threads : kThreadCounts) {
-    BatchSolver solver(ForcedParallel(threads));
+    BatchSolver solver(threads);
     const std::vector<BatchJobResult> results = solver.SolveAll(jobs);
     ASSERT_EQ(results.size(), jobs.size());
     for (size_t j = 0; j < jobs.size(); ++j) {
@@ -235,7 +237,7 @@ TEST(ParallelDifferentialTest, BatchMetricsMatchSerialGroundTruth) {
 
   for (int threads : kThreadCounts) {
     obs::MetricsRegistry::Global().Reset();
-    BatchSolver solver(ForcedParallel(threads));
+    BatchSolver solver(threads);
     const std::vector<BatchJobResult> results = solver.SolveAll(jobs);
     ASSERT_EQ(results.size(), jobs.size());
 

@@ -165,11 +165,6 @@ TEST(BatchDiversifierTest, ManyUsersMatchSerialRunsAtAnyThreadCount) {
       PipelineConfig config;
       config.lambda = 20.0 + 10.0 * u;
       config.solver = kinds[u % 3];
-      // Even users force the intra-instance parallel path too.
-      if (u % 2 == 0) {
-        config.parallel = ParallelOptions{.num_threads = 0,
-                                          .min_posts_to_parallelize = 0};
-      }
       users.emplace_back(std::move(matcher).value(), config);
     }
     return users;
@@ -185,9 +180,7 @@ TEST(BatchDiversifierTest, ManyUsersMatchSerialRunsAtAnyThreadCount) {
   }
 
   for (int threads : {1, 2, 8}) {
-    BatchDiversifier batch(make_users(),
-                           ParallelOptions{.num_threads = threads,
-                                           .min_posts_to_parallelize = 0});
+    BatchDiversifier batch(make_users(), threads);
     const std::vector<BatchPipelineOutcome> outcomes = batch.RunAll(tweets);
     ASSERT_EQ(outcomes.size(), reference.size());
     for (size_t u = 0; u < outcomes.size(); ++u) {

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <set>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -19,7 +17,6 @@
 #include "stream/multi_tenant.h"
 #include "stream/replay.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace mqd {
 namespace {
@@ -269,55 +266,33 @@ TEST(TenantDifferentialTest, StreamGreedyPlusClustersMatchSingleTenant) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel sweep differential: the sharded thread-pool sweep must be
-// bit-identical to the serial sweep at every thread count.
+// Windowed runs with mid-stream joiners: the engine advanced in fixed
+// RunUntil windows, with tenants joining at a window boundary, must
+// match independent single-tenant replicas.
 // ---------------------------------------------------------------------------
 
-/// Thread counts to exercise. MQD_TENANT_THREADS pins one count (the
-/// CI corner legs use 1 and the machine width); otherwise {2, hw}. A
-/// count of t means a pool with t-1 workers plus the calling thread,
-/// so t == 1 exercises the zero-worker (inline) pool configuration.
-std::vector<int> SweepThreadCounts() {
-  if (const char* env = std::getenv("MQD_TENANT_THREADS")) {
-    const int t = std::atoi(env);
-    if (t >= 1) return {t};
-  }
-  std::vector<int> counts = {2};
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  if (hw > 2) counts.push_back(hw);
-  return counts;
-}
-
 /// Everything observable about one windowed engine run: per-tenant
-/// emissions and covers plus the sweep counters, so two runs can be
-/// compared field-for-field after the engines are gone.
+/// masks, join cursors, emissions and covers, so the run can be
+/// compared field-for-field after the engine is gone.
 struct WindowedRun {
   std::vector<LabelMask> masks;
   std::vector<PostId> joins;
   std::vector<std::vector<Emission>> emissions;
   std::vector<std::vector<PostId>> covers;
-  uint64_t parallel_sweeps = 0;
-  uint64_t parallel_shards = 0;
-  size_t clusters = 0;
 };
 
 /// Drives one engine through fixed 97-post windows, subscribing
 /// `early` at epoch 0 and `late` at the first window boundary >= cut.
-/// The window structure depends only on the instance, never on the
-/// pool, so every run sees identical batch boundaries and join
-/// cursors.
 WindowedRun RunWindowedEngine(const Instance& inst,
                               const CoverageModel& model, StreamKind kind,
                               double tau,
                               const std::vector<LabelMask>& early,
                               const std::vector<LabelMask>& late,
-                              PostId cut, ThreadPool* pool,
-                              const std::string& context) {
+                              PostId cut, const std::string& context) {
   WindowedRun out;
   auto engine = MultiTenantStream::Create(inst, model, kind, tau);
   EXPECT_TRUE(engine.ok()) << context;
   if (!engine.ok()) return out;
-  (*engine)->SetThreadPool(pool);
   std::vector<TenantId> ids;
   auto subscribe = [&](LabelMask mask, PostId join) {
     auto id = (*engine)->Subscribe(mask);
@@ -350,19 +325,14 @@ WindowedRun RunWindowedEngine(const Instance& inst,
     out.emissions.push_back(e.ok() ? std::move(*e) : std::vector<Emission>{});
     out.covers.push_back(c.ok() ? std::move(*c) : std::vector<PostId>{});
   }
-  out.parallel_sweeps = (*engine)->parallel_sweeps();
-  out.parallel_shards = (*engine)->parallel_shards();
-  out.clusters = (*engine)->num_clusters();
   return out;
 }
 
-/// Serial-vs-pooled differential over every algorithm and both
-/// coverage models, with mid-stream joiners in the mix: the pooled
-/// engines must reproduce the serial tenant outputs exactly, the
-/// serial run is anchored against independent single-tenant replicas,
-/// and at >= 2 threads with >= 3 live clusters the pool must actually
-/// have been used (parallel_sweeps > 0 — sharing must be real).
-TEST(TenantParallelSweepTest, PooledSweepBitIdenticalAcrossThreadCounts) {
+/// Windowed runs over every algorithm and both coverage models, with
+/// mid-stream joiners in the mix, anchored against independent
+/// single-tenant replicas — a few epoch-0 tenants and a few mid-stream
+/// joiners each — on emissions and covers.
+TEST(TenantWindowedRunTest, WindowedRunWithJoinersMatchesSingleTenant) {
   InstanceGenConfig cfg;
   cfg.num_labels = 10;
   cfg.duration = 600.0;
@@ -386,11 +356,6 @@ TEST(TenantParallelSweepTest, PooledSweepBitIdenticalAcrossThreadCounts) {
   UniformLambda uniform(lambda);
   VariableLambda variable(table, lambda);
 
-  const std::vector<int> thread_counts = SweepThreadCounts();
-  const int max_threads =
-      *std::max_element(thread_counts.begin(), thread_counts.end());
-  uint64_t total_parallel_sweeps = 0;
-
   for (StreamKind kind :
        {StreamKind::kStreamScan, StreamKind::kStreamScanPlus,
         StreamKind::kStreamGreedy, StreamKind::kStreamGreedyPlus}) {
@@ -401,22 +366,19 @@ TEST(TenantParallelSweepTest, PooledSweepBitIdenticalAcrossThreadCounts) {
       const std::string context =
           std::string(StreamKindName(kind)) +
           (use_variable ? " variable" : " uniform");
-      const WindowedRun serial = RunWindowedEngine(
-          *inst, model, kind, tau, early, late, cut, nullptr,
-          context + " serial");
-      EXPECT_EQ(serial.parallel_sweeps, 0u) << context;
+      const WindowedRun run = RunWindowedEngine(*inst, model, kind, tau,
+                                                early, late, cut, context);
+      ASSERT_EQ(run.masks.size(), 56u) << context;
 
-      // Anchor the serial run against independent replicas — a few
-      // epoch-0 tenants and a few mid-stream joiners each.
       for (size_t i : {size_t{0}, size_t{17}, size_t{35}, size_t{36},
                        size_t{45}, size_t{55}}) {
         SingleTenant solo = BuildSingleTenant(
-            *inst, serial.masks[i], serial.joins[i], lambda,
+            *inst, run.masks[i], run.joins[i], lambda,
             use_variable ? &table : nullptr, lambda);
         auto proc = CreateStreamProcessor(kind, solo.sub, *solo.model, tau);
         ASSERT_TRUE(RunStream(solo.sub, proc.get()).ok()) << context;
         const auto& want = proc->emissions();
-        const auto& got = serial.emissions[i];
+        const auto& got = run.emissions[i];
         ASSERT_EQ(got.size(), want.size())
             << context << " anchor tenant " << i;
         for (size_t e = 0; e < got.size(); ++e) {
@@ -425,39 +387,15 @@ TEST(TenantParallelSweepTest, PooledSweepBitIdenticalAcrossThreadCounts) {
           ASSERT_EQ(got[e].emit_time, want[e].emit_time)
               << context << " anchor tenant " << i << " emission " << e;
         }
-      }
-
-      for (int t : thread_counts) {
-        ThreadPool pool(t - 1);
-        const std::string pooled_context =
-            context + " threads=" + std::to_string(t);
-        const WindowedRun pooled = RunWindowedEngine(
-            *inst, model, kind, tau, early, late, cut, &pool,
-            pooled_context);
-        ASSERT_EQ(pooled.masks, serial.masks) << pooled_context;
-        ASSERT_EQ(pooled.emissions.size(), serial.emissions.size())
-            << pooled_context;
-        for (size_t i = 0; i < serial.emissions.size(); ++i) {
-          EXPECT_EQ(pooled.emissions[i], serial.emissions[i])
-              << pooled_context << " tenant " << i << " diverged";
-          EXPECT_EQ(pooled.covers[i], serial.covers[i])
-              << pooled_context << " tenant " << i << " cover diverged";
-          if (::testing::Test::HasFailure()) return;
+        std::vector<PostId> want_cover;
+        for (PostId local : proc->SelectedPosts()) {
+          want_cover.push_back(solo.global_of_local[local]);
         }
-        EXPECT_EQ(pooled.clusters, serial.clusters) << pooled_context;
-        if (t >= 2 && pooled.clusters >= 3) {
-          EXPECT_GT(pooled.parallel_sweeps, 0u)
-              << pooled_context << ": pool was never used";
-          EXPECT_GE(pooled.parallel_shards, 2 * pooled.parallel_sweeps)
-              << pooled_context;
-        }
-        total_parallel_sweeps += pooled.parallel_sweeps;
+        std::sort(want_cover.begin(), want_cover.end());
+        ASSERT_EQ(run.covers[i], want_cover)
+            << context << " anchor tenant " << i << " cover";
       }
     }
-  }
-  if (max_threads >= 2) {
-    EXPECT_GT(total_parallel_sweeps, 0u)
-        << "no configuration ever dispatched a parallel sweep";
   }
 }
 

@@ -200,7 +200,7 @@ TEST(BatchSolverTest, ExceptionBecomesStatusAndIsolatesTheJob) {
                           .kind = SolverKind::kScanPlus,
                           .lambda = -5.0});
 
-  BatchSolver solver(ParallelOptions{.num_threads = 4});
+  BatchSolver solver(4);
   const std::vector<BatchJobResult> results = solver.SolveAll(jobs);
   ASSERT_EQ(results.size(), 4u);
   EXPECT_TRUE(results[0].status.ok());
@@ -230,7 +230,7 @@ TEST(BatchSolverTest, TenThousandJobsKeepSubmissionOrder) {
                             .kind = SolverKind::kScan,
                             .lambda = 0.0});
   }
-  BatchSolver solver(ParallelOptions{.num_threads = 8});
+  BatchSolver solver(8);
   const std::vector<BatchJobResult> results = solver.SolveAll(jobs);
   ASSERT_EQ(results.size(), kJobs);
   for (size_t j = 0; j < kJobs; ++j) {
@@ -241,7 +241,7 @@ TEST(BatchSolverTest, TenThousandJobsKeepSubmissionOrder) {
 }
 
 TEST(BatchSolverTest, EmptyBatchAndSerialPool) {
-  BatchSolver serial(ParallelOptions{.num_threads = 1});
+  BatchSolver serial(1);
   EXPECT_TRUE(serial.SolveAll({}).empty());
   EXPECT_EQ(serial.pool(), nullptr);
 
@@ -257,8 +257,8 @@ TEST(BatchSolverTest, EmptyBatchAndSerialPool) {
 TEST(BatchSolverTest, BorrowedPoolIsShared) {
   ThreadPool pool(3);
   const Instance inst = testing::MakeInstance(1, {{0.0, 1}, {50.0, 1}});
-  BatchSolver a(&pool, ParallelOptions{});
-  BatchSolver b(&pool, ParallelOptions{});
+  BatchSolver a(&pool);
+  BatchSolver b(&pool);
   std::vector<BatchJob> jobs(
       200,
       BatchJob{.instance = &inst, .kind = SolverKind::kScan, .lambda = 1.0});

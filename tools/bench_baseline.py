@@ -48,6 +48,7 @@ thresholds (CI machines are too noisy for that).
 """
 
 import argparse
+import glob
 import json
 import os
 import re
@@ -293,16 +294,46 @@ def write_gap(args):
           f"{reread['revision']})")
 
 
-# One bench_tenant table row: algo, tenants, sweep threads, clusters,
-# per-post microseconds, parallel speedup vs the threads=1 row,
-# shared-tier hit rate, per-derive microseconds, steady-state arena
-# block allocations (see bench/bench_tenant.cc).
+# One bench_tenant table row: algo, tenants, clusters, per-post
+# microseconds, shared-tier hit rate, per-derive microseconds,
+# steady-state arena block allocations (see bench/bench_tenant.cc).
 TENANT_ROW_RE = re.compile(
-    r"^\s*([\w+]+)\s+(\d+)\s+(\d+)\s+(\d+)\s+([\d.]+)\s+([\d.]+)\s+"
-    r"([\d.]+)\s+([\d.]+)\s+(\d+)\s*$")
+    r"^\s*([\w+]+)\s+(\d+)\s+(\d+)\s+([\d.]+)\s+([\d.]+)\s+"
+    r"([\d.]+)\s+(\d+)\s*$")
 
-# {algo} x {tenants} x {threads} grid the bench sweeps.
-TENANT_ROWS_EXPECTED = 2 * 3 * 3
+# bench_tenant's header line: hardware threads and the dispatched
+# kernel tier of the recording process.
+TENANT_HOST_RE = re.compile(
+    r"hardware threads: (\d+); SIMD tier: (\w+)")
+
+# {algo} x {tenants} grid the bench sweeps.
+TENANT_ROWS_EXPECTED = 2 * 3
+
+
+def build_info(build_dir):
+    """Compiler and build type of the CMake tree the benches came from."""
+    info = {"compiler": "unknown", "build_type": "unknown"}
+    try:
+        with open(os.path.join(build_dir, "CMakeCache.txt")) as f:
+            for line in f:
+                if line.startswith("CMAKE_BUILD_TYPE:"):
+                    info["build_type"] = line.split("=", 1)[1].strip()
+    except OSError:
+        pass
+    compiler = {}
+    for path in glob.glob(os.path.join(build_dir, "CMakeFiles", "*",
+                                       "CMakeCXXCompiler.cmake")):
+        with open(path) as f:
+            for line in f:
+                m = re.match(
+                    r'set\(CMAKE_CXX_COMPILER_(ID|VERSION) "([^"]*)"\)',
+                    line)
+                if m:
+                    compiler[m.group(1)] = m.group(2)
+    if compiler:
+        info["compiler"] = " ".join(
+            compiler[k] for k in ("ID", "VERSION") if k in compiler)
+    return info
 
 
 def run_tenant(build_dir, sanity):
@@ -323,31 +354,31 @@ def run_tenant(build_dir, sanity):
             rows.append({
                 "algo": row.group(1),
                 "tenants": int(row.group(2)),
-                "threads": int(row.group(3)),
-                "clusters": int(row.group(4)),
-                "per_post_us": float(row.group(5)),
-                "speedup": float(row.group(6)),
-                "shared_hit_rate": float(row.group(7)),
-                "derive_us": float(row.group(8)),
-                "steady_allocs": int(row.group(9)),
+                "clusters": int(row.group(3)),
+                "per_post_us": float(row.group(4)),
+                "shared_hit_rate": float(row.group(5)),
+                "derive_us": float(row.group(6)),
+                "steady_allocs": int(row.group(7)),
             })
-    if len(rows) != TENANT_ROWS_EXPECTED:
+    host = TENANT_HOST_RE.search(out.stdout)
+    if len(rows) != TENANT_ROWS_EXPECTED or host is None:
         raise SystemExit(
             f"could not parse bench_tenant output: {len(rows)} rows "
-            f"(want {TENANT_ROWS_EXPECTED})\n{out.stdout}")
-    return {"wall_seconds": round(elapsed, 3), "rows": rows}
+            f"(want {TENANT_ROWS_EXPECTED}), host line "
+            f"{'found' if host else 'missing'}\n{out.stdout}")
+    return ({"wall_seconds": round(elapsed, 3), "rows": rows},
+            {"nproc": int(host.group(1)), "simd": host.group(2)})
 
 
 def write_tenant(args):
-    tenant = run_tenant(args.build_dir, args.sanity)
+    tenant, host = run_tenant(args.build_dir, args.sanity)
+    host.update(build_info(args.build_dir))
     rows = tenant["rows"]
-    serial = [r for r in rows if r["threads"] == 1]
-    # Per-post cost growth over the tenant sweep on the serial
-    # (threads=1) rows, per algorithm: the headline sublinearity
-    # number (tenants grow 100x).
+    # Per-post cost growth over the tenant sweep, per algorithm: the
+    # headline sublinearity number (tenants grow 100x).
     growth = {}
-    for algo in sorted({r["algo"] for r in serial}):
-        sweep = sorted((r for r in serial if r["algo"] == algo),
+    for algo in sorted({r["algo"] for r in rows}):
+        sweep = sorted((r for r in rows if r["algo"] == algo),
                        key=lambda r: r["tenants"])
         growth[algo] = {
             "tenant_ratio": round(sweep[-1]["tenants"] / sweep[0]["tenants"]),
@@ -355,33 +386,22 @@ def write_tenant(args):
                 sweep[-1]["per_post_us"] / sweep[0]["per_post_us"], 3)
             if sweep[0]["per_post_us"] > 0 else None,
         }
-    # Best parallel speedup observed at the largest tenant count, per
-    # algorithm (the bench itself asserts the >=2x threshold when the
-    # recording host has >=4 hardware threads at full scale).
-    top = max(r["tenants"] for r in rows)
-    parallel = {}
-    for algo in sorted({r["algo"] for r in rows}):
-        candidates = [r for r in rows
-                      if r["algo"] == algo and r["tenants"] == top]
-        best = max(candidates, key=lambda r: r["speedup"])
-        parallel[algo] = {"threads": best["threads"],
-                          "speedup": best["speedup"]}
     doc = {
-        "schema": "mqd-bench-tenant/2",
+        "schema": "mqd-bench-tenant/3",
         "revision": git_revision(),
         "recorded_unix": int(time.time()),
         "sanity_mode": args.sanity,
+        "host": host,
         "workload": {
             "tenant": "bench_tenant fan-out sweep at the Figure 14-15 "
                       "arrival regime (|L|=20, 118 posts/min, overlap "
                       "1.4, seed 13, lambda=tau=300s); 3-label "
-                      "broad-group profiles at 1k/10k/100k tenants x "
-                      "{1,2,4} sweep threads, 256-post replay windows, "
-                      "shared scan tier + StreamGreedySC+ cluster tier",
+                      "broad-group profiles at 1k/10k/100k tenants, "
+                      "256-post replay windows, shared scan tier + "
+                      "StreamGreedySC+ cluster tier",
         },
         "bench_tenant": tenant,
         "per_post_cost_growth": growth,
-        "parallel_speedup_at_top": parallel,
     }
 
     with open(args.tenant_out, "w") as f:
@@ -393,6 +413,8 @@ def write_tenant(args):
     assert len(rows) == TENANT_ROWS_EXPECTED
     assert max(r["tenants"] for r in rows) >= 100_000, \
         "sweep must reach 100k concurrent profiles"
+    for key in ("nproc", "simd", "compiler", "build_type"):
+        assert key in reread["host"], key
     for algo, g in reread["per_post_cost_growth"].items():
         # Structure always; the sublinearity threshold only outside
         # --sanity (CI timing is too noisy to gate on). A generous 10x

@@ -13,7 +13,7 @@ All five artifact schemas are understood:
   core/stream - google-benchmark entries, compared by cpu_time
                 normalized to nanoseconds;
   tenant      - the fan-out grid rows, compared by per-post cost
-                (keyed tenant/{algo}/tenants={n}/threads={t});
+                (keyed tenant/{algo}/tenants={n});
   gap         - the certified lower/upper gaps, compared by gap size
                 (keyed gap/lambda={l}/seed={s} and gap/labels={n}).
                 These are deterministic at a fixed node budget, so
@@ -60,8 +60,7 @@ def load_entries(path):
                                  f"'{unit}'")
             entries[name] = (row["cpu_time"] * UNITS[unit], "ns")
     for row in doc.get("bench_tenant", {}).get("rows", []):
-        name = (f"tenant/{row['algo']}/tenants={row['tenants']}"
-                f"/threads={row.get('threads', 1)}")
+        name = f"tenant/{row['algo']}/tenants={row['tenants']}"
         entries[name] = (row["per_post_us"] * UNITS["us"], "ns")
     for row in doc.get("bench_serve", {}).get("rows", []):
         prefix = f"serve/rate={row['rate_x']}"

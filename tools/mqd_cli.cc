@@ -12,8 +12,7 @@
 // Examples:
 //   mqd generate --labels 3 --minutes 10 --rate 30 --out inst.mqdp
 //   mqd solve inst.mqdp --algorithm greedy --lambda 5 --out cover.txt
-//   mqd solve inst.mqdp --algorithm scan+ --lambda 5 --threads 8
-//   mqd solve-batch a.mqdp b.mqdp --algorithm scan+ --lambdas 5,15,60
+//   mqd solve-batch a.mqdp b.mqdp --algorithm scan+ --lambdas 5,15 --threads 8
 //   mqd stream inst.mqdp --algorithm stream-scan --lambda 10 --tau 5
 //   mqd serve-stream inst.mqdp --profiles 1000 --algorithm stream-scan
 //   echo "1 ping" | mqd serve inst.mqdp --workers 2
@@ -41,7 +40,6 @@
 #include "obs/stack_metrics.h"
 #include "obs/trace.h"
 #include "parallel/batch_solver.h"
-#include "parallel/parallel_solver.h"
 #include "serve/server.h"
 #include "serve/transport.h"
 #include "stream/delay_stats.h"
@@ -227,9 +225,6 @@ int CmdSolve(const std::vector<std::string>& args) {
                "scan | scan+ | greedy | greedy-lazy | opt | bnb");
   flags.Define("lambda", "60", "coverage threshold (dimension units)");
   flags.Define("out", "-", "cover output file ('-' = stdout)");
-  flags.Define("threads", "1",
-               "solver threads (0 = all cores; covers are identical "
-               "at any thread count)");
   flags.Define("budget-ms", "0",
                "wall-clock budget in milliseconds; > 0 runs the "
                "degradation ladder (greedy -> scan+ -> scan -> trivial) "
@@ -256,8 +251,6 @@ int CmdSolve(const std::vector<std::string>& args) {
   if (!lambda.ok()) return Fail(lambda.status());
   auto kind = ParseSolverKind(flags.GetString("algorithm"));
   if (!kind.ok()) return Fail(kind.status());
-  auto threads = GetThreadCount(flags, "threads");
-  if (!threads.ok()) return Fail(threads.status());
   auto budget_ms = GetFiniteNonNegative(flags, "budget-ms");
   if (!budget_ms.ok()) return Fail(budget_ms.status());
 
@@ -314,13 +307,7 @@ int CmdSolve(const std::vector<std::string>& args) {
               << "\n";
     cover = outcome.cover;
   } else {
-    ParallelOptions parallel{.num_threads = static_cast<int>(*threads)};
-    const int total = ResolveNumThreads(parallel.num_threads);
-    std::unique_ptr<ThreadPool> pool;
-    if (total > 1) pool = std::make_unique<ThreadPool>(total - 1);
-    auto solver = pool != nullptr
-                      ? CreateParallelSolver(*kind, pool.get(), parallel)
-                      : CreateSolver(*kind);
+    auto solver = CreateSolver(*kind);
     auto cover_or = solver->Solve(*instance, model);
     if (!cover_or.ok()) return Fail(cover_or.status());
     std::cerr << solver->name() << ": " << cover_or->size()
@@ -398,8 +385,7 @@ int CmdSolveBatch(const std::vector<std::string>& args) {
     }
   }
 
-  BatchSolver batch(ParallelOptions{
-      .num_threads = static_cast<int>(*threads)});
+  BatchSolver batch(*threads);
   const std::vector<BatchJobResult> results = batch.SolveAll(jobs);
 
   TablePrinter table(
@@ -491,10 +477,6 @@ int CmdServeStream(const std::vector<std::string>& args) {
   flags.Define("lambda", "60", "coverage threshold");
   flags.Define("tau", "10", "max reporting delay");
   flags.Define("seed", "1", "profile-generator seed");
-  flags.Define("threads", "1",
-               "threads for the cluster sweep (0 = all hardware "
-               "threads, 1 = serial); outputs are bit-identical at "
-               "every setting");
   DefineMetricsFlags(&flags);
   DefineFaultFlags(&flags);
   if (Status s = flags.Parse(args); !s.ok()) return Fail(s);
@@ -511,10 +493,9 @@ int CmdServeStream(const std::vector<std::string>& args) {
   auto lambda = flags.GetDouble("lambda");
   auto tau = flags.GetDouble("tau");
   auto seed = flags.GetInt("seed");
-  auto threads = GetThreadCount(flags, "threads");
   for (const Status& s :
        {num_profiles.status(), profile_labels.status(), lambda.status(),
-        tau.status(), seed.status(), threads.status()}) {
+        tau.status(), seed.status()}) {
     if (!s.ok()) return Fail(s);
   }
   auto kind = ParseStreamKind(flags.GetString("algorithm"));
@@ -530,17 +511,10 @@ int CmdServeStream(const std::vector<std::string>& args) {
   if (!profiles.ok()) return Fail(profiles.status());
 
   UniformLambda model(*lambda);
-  // Declared before the engine so the borrowed pool outlives it.
-  const int total_threads = ResolveNumThreads(*threads);
-  std::unique_ptr<ThreadPool> pool;
-  if (total_threads > 1) {
-    pool = std::make_unique<ThreadPool>(total_threads - 1);
-  }
   auto engine_or =
       MultiTenantStream::Create(*instance, model, *kind, *tau);
   if (!engine_or.ok()) return Fail(engine_or.status());
   auto engine = std::move(engine_or).value();
-  if (pool != nullptr) engine->SetThreadPool(pool.get());
   std::vector<TenantId> ids;
   ids.reserve(profiles->size());
   for (LabelMask mask : *profiles) {
@@ -574,10 +548,7 @@ int CmdServeStream(const std::vector<std::string>& args) {
             << " clusters, fan-out amplification "
             << FormatDouble(engine->fanout_amplification(), 2)
             << ", shared-tier hit rate "
-            << FormatDouble(engine->shared_hit_rate(), 3) << ", "
-            << total_threads << " sweep thread(s), "
-            << engine->parallel_sweeps() << " pooled sweeps over "
-            << engine->parallel_shards() << " shards\n"
+            << FormatDouble(engine->shared_hit_rate(), 3) << "\n"
             << "tenant emissions: " << emitted << " total across "
             << (ids.size() - degraded) << " healthy tenants, " << degraded
             << " degraded\n";
