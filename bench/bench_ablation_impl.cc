@@ -1,15 +1,11 @@
 // Ablations of the implementation choices DESIGN.md calls out:
-//  (a) GreedySC inner engine: linear argmax (the paper's shipped
-//      choice, Section 7.3) vs lazy decreasing-gain heap — identical
-//      outputs, different cost profiles;
-//  (b) Scan+ label processing order (by id / smallest list first /
+//  (a) Scan+ label processing order (by id / smallest list first /
 //      largest list first) — the paper notes the optimization's
 //      effectiveness "depends on the ordering of the labels";
-//  (c) SimHash dedup on/off in the end-to-end pipeline.
+//  (b) SimHash dedup on/off in the end-to-end pipeline.
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/greedy_sc.h"
 #include "core/scan.h"
 #include "gen/instance_gen.h"
 #include "gen/tweet_gen.h"
@@ -19,40 +15,8 @@
 namespace mqd {
 namespace {
 
-void GreedyEngineAblation() {
-  bench::PrintSection(
-      "(a) GreedySC engine: linear argmax vs lazy heap (us/post)");
-  TablePrinter table({"|L|", "lambda(s)", "posts", "linear us/post",
-                      "lazy us/post", "sizes equal"});
-  GreedySCSolver linear(GreedyEngine::kLinearArgmax);
-  GreedySCSolver lazy(GreedyEngine::kLazyHeap);
-  for (int L : {2, 10}) {
-    for (double lambda : {60.0, 600.0}) {
-      InstanceGenConfig cfg;
-      cfg.num_labels = L;
-      cfg.duration = 6 * 3600.0;
-      cfg.posts_per_minute = bench::ScaledRate(0.1 * (58.0 * L + 20.0));
-      cfg.overlap_rate = 1.2;
-      cfg.seed = 5 + static_cast<uint64_t>(L);
-      auto inst = GenerateInstance(cfg);
-      MQD_CHECK(inst.ok());
-      UniformLambda model(lambda);
-      auto t_linear = RunTimedSolve(linear, *inst, model);
-      auto t_lazy = RunTimedSolve(lazy, *inst, model);
-      MQD_CHECK(t_linear.ok() && t_lazy.ok());
-      table.AddRow(
-          {FormatDouble(L, 0), FormatDouble(lambda, 0),
-           FormatDouble(static_cast<double>(inst->num_posts()), 0),
-           FormatDouble(t_linear->micros_per_post, 3),
-           FormatDouble(t_lazy->micros_per_post, 3),
-           t_linear->selection == t_lazy->selection ? "yes" : "NO"});
-    }
-  }
-  table.Print(std::cout);
-}
-
 void ScanPlusOrderAblation() {
-  bench::PrintSection("(b) Scan+ label-order policies (solution size)");
+  bench::PrintSection("(a) Scan+ label-order policies (solution size)");
   TablePrinter table({"seed", "scan", "byId", "sizeAsc", "sizeDesc"});
   ScanSolver scan;
   for (uint64_t seed = 0; seed < bench::Scaled(6, 3); ++seed) {
@@ -81,7 +45,7 @@ void ScanPlusOrderAblation() {
 }
 
 void DedupAblation() {
-  bench::PrintSection("(c) SimHash dedup on/off in the pipeline");
+  bench::PrintSection("(b) SimHash dedup on/off in the pipeline");
   TweetGenConfig gen;
   gen.duration_seconds = bench::Scaled(2, 1) * 3600.0;
   gen.base_rate_per_minute = 120.0;
@@ -130,11 +94,9 @@ void DedupAblation() {
 int main() {
   mqd::bench::PrintHeader(
       "Implementation ablations",
-      "greedy engine, Scan+ label order, pipeline dedup",
-      "Section 7.3: heap maintenance can cost more than linear "
-      "re-scan; Scan+ order matters; dedup shrinks the instance "
-      "without hurting coverage");
-  mqd::GreedyEngineAblation();
+      "Scan+ label order, pipeline dedup",
+      "Scan+ order matters; dedup shrinks the instance without "
+      "hurting coverage");
   mqd::ScanPlusOrderAblation();
   mqd::DedupAblation();
   return 0;

@@ -2,9 +2,7 @@
 // MQDP algorithms on one day of posts, for varying lambda, at |L| = 2,
 // 5, 20. Paper shapes: Scan/Scan+ orders of magnitude faster than
 // GreedySC and insensitive to lambda; GreedySC gets faster as lambda
-// grows (fewer greedy rounds) and slower as |L| grows. Both GreedySC
-// engines are timed (linear argmax = the paper's implementation
-// choice; see also bench_ablation_impl).
+// grows (fewer greedy rounds) and slower as |L| grows.
 #include <iostream>
 
 #include "bench_common.h"
@@ -28,8 +26,7 @@ void Run() {
 
   ScanSolver scan;
   ScanPlusSolver scan_plus;
-  GreedySCSolver greedy_linear(GreedyEngine::kLinearArgmax);
-  GreedySCSolver greedy_lazy(GreedyEngine::kLazyHeap);
+  GreedySCSolver greedy;
 
   for (int L : {2, 5, 20}) {
     bench::PrintSection(StrFormat("|L| = %d", L));
@@ -44,8 +41,7 @@ void Run() {
     std::cout << "posts: " << inst->num_posts() << "\n";
 
     TablePrinter table({"lambda(s)", "Scan us/post", "Scan+ us/post",
-                        "GreedySC us/post", "GreedyLazy us/post",
-                        "scan_size", "greedy_size"});
+                        "GreedySC us/post", "scan_size", "greedy_size"});
     double scan_first = 0, scan_last = 0, greedy_first = 0,
            greedy_last = 0;
     const std::vector<double> lambdas{30.0, 60.0, 300.0, 600.0, 1800.0};
@@ -53,13 +49,11 @@ void Run() {
       UniformLambda model(lambda);
       auto t_scan = RunTimedSolve(scan, *inst, model);
       auto t_plus = RunTimedSolve(scan_plus, *inst, model);
-      auto t_greedy = RunTimedSolve(greedy_linear, *inst, model);
-      auto t_lazy = RunTimedSolve(greedy_lazy, *inst, model);
-      MQD_CHECK(t_scan.ok() && t_plus.ok() && t_greedy.ok() &&
-                t_lazy.ok());
+      auto t_greedy = RunTimedSolve(greedy, *inst, model);
+      MQD_CHECK(t_scan.ok() && t_plus.ok() && t_greedy.ok());
       table.AddNumericRow(
           {lambda, t_scan->micros_per_post, t_plus->micros_per_post,
-           t_greedy->micros_per_post, t_lazy->micros_per_post,
+           t_greedy->micros_per_post,
            static_cast<double>(t_scan->selection.size()),
            static_cast<double>(t_greedy->selection.size())},
           3);

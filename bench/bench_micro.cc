@@ -110,7 +110,7 @@ BENCHMARK(BM_GreedySolve)->Arg(2)->Arg(8);
 void BM_GreedySelectPaperScale(benchmark::State& state) {
   Instance inst = MakePaperScaleInstance();
   UniformLambda model(60.0);
-  GreedySCSolver greedy(GreedyEngine::kLinearArgmax);
+  GreedySCSolver greedy;
   for (auto _ : state) {
     auto z = greedy.Solve(inst, model);
     benchmark::DoNotOptimize(z);
@@ -119,19 +119,6 @@ void BM_GreedySelectPaperScale(benchmark::State& state) {
                           static_cast<int64_t>(inst.num_posts()));
 }
 BENCHMARK(BM_GreedySelectPaperScale)->Unit(benchmark::kMillisecond);
-
-void BM_GreedyLazySelectPaperScale(benchmark::State& state) {
-  Instance inst = MakePaperScaleInstance();
-  UniformLambda model(60.0);
-  GreedySCSolver greedy(GreedyEngine::kLazyHeap);
-  for (auto _ : state) {
-    auto z = greedy.Solve(inst, model);
-    benchmark::DoNotOptimize(z);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(inst.num_posts()));
-}
-BENCHMARK(BM_GreedyLazySelectPaperScale)->Unit(benchmark::kMillisecond);
 
 void BM_ScanSelectPaperScale(benchmark::State& state) {
   Instance inst = MakePaperScaleInstance();
@@ -231,26 +218,6 @@ std::vector<double> KernelCenters(const std::vector<double>& values) {
   }
   return centers;
 }
-
-void BM_KernelArgmaxCompact(benchmark::State& state, simd::Level level) {
-  const kern::KernelTable* kt = KernelTableFor(state, level);
-  if (kt == nullptr) return;
-  Rng rng(23);
-  std::vector<int64_t> gains(kKernelN);
-  for (int64_t& g : gains) g = 1 + static_cast<int64_t>(rng.Uniform(64));
-  // All gains positive: the compaction pass keeps every id in place,
-  // so the id array is reusable across iterations.
-  std::vector<PostId> ids(kKernelN);
-  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<PostId>(i);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        kt->argmax_compact(ids.data(), ids.size(), gains.data()));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kKernelN));
-}
-BENCHMARK_CAPTURE(BM_KernelArgmaxCompact, scalar, simd::Level::kScalar);
-BENCHMARK_CAPTURE(BM_KernelArgmaxCompact, avx2, simd::Level::kAvx2);
 
 void BM_KernelArgmaxDense(benchmark::State& state, simd::Level level) {
   const kern::KernelTable* kt = KernelTableFor(state, level);

@@ -1,14 +1,11 @@
 #include "core/greedy_sc.h"
 
-#include <algorithm>
-#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/greedy_state.h"
-#include "core/kernels.h"
 #include "core/solve_scratch.h"
 #include "obs/stack_metrics.h"
-#include "util/logging.h"
 
 namespace mqd {
 
@@ -16,113 +13,19 @@ namespace {
 
 using internal::GreedyState;
 
-struct HeapEntry {
-  int64_t gain;
-  PostId post;
-};
-
-/// Max-heap on gain; ties broken toward the smallest PostId so both
-/// engines pick identical sequences (kept deterministic for testing).
-struct HeapLess {
-  bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-    if (a.gain != b.gain) return a.gain < b.gain;
-    return a.post > b.post;
-  }
-};
-
-Result<std::vector<PostId>> SolveLinear(const Instance& inst,
-                                        GreedyState& state,
-                                        const Deadline& deadline,
-                                        Arena& arena) {
+Result<std::vector<PostId>> Rounds(const Instance& inst, GreedyState& state,
+                                   const Deadline& deadline, Arena& arena) {
   DeadlineChecker budget(deadline);
-  const kern::KernelTable& kt = kern::Active();
-  // Live-post list: gains never increase, so a post whose gain hit
-  // zero is permanently out of the running and the argmax never needs
-  // to revisit it. The list stays ascending (the kernel's compaction
-  // preserves order), so the strict `>` argmax keeps the serial
-  // left-to-right tie-break toward the smallest PostId.
-  const std::span<PostId> live = arena.AllocSpan<PostId>(inst.num_posts());
-  size_t live_size = 0;
-  for (PostId p = 0; p < inst.num_posts(); ++p) {
-    if (state.gain(p) > 0) live[live_size++] = p;
-  }
   const std::span<PostId> out = arena.AllocSpan<PostId>(inst.num_posts());
   size_t out_size = 0;
-  // Density-adaptive argmax. While most posts are still live, the
-  // compacting scan's ids->gains gather is pure overhead: a dense
-  // first-max scan of the whole gain array picks the same post (dead
-  // posts hold gain <= 0, so they can never attain the positive max,
-  // and "first max" in PostId order is exactly the live list's
-  // tie-break toward the smallest PostId). Run dense while live
-  // posts outnumber dead ones, refreshing the live list every 32
-  // rounds to notice when the density flips; then compact every round.
-  const size_t n = inst.num_posts();
-  size_t rounds = 0;
   while (state.remaining() > 0) {
     MQD_RETURN_NOT_OK(budget.Check("GreedySC"));
-    PostId best = kInvalidPost;
-    if (live_size * 2 >= n && (rounds++ % 32) != 0) {
-      const size_t at = kt.argmax_dense(state.gains_data(), n);
-      if (at < n) best = static_cast<PostId>(at);
-    } else {
-      const kern::ArgmaxCompactResult round =
-          kt.argmax_compact(live.data(), live_size, state.gains_data());
-      live_size = round.size;
-      best = round.best;
-    }
+    const PostId best = state.Best();
     if (best == kInvalidPost) {
       return Status::Internal("GreedySC stalled with uncovered pairs");
     }
     out[out_size++] = best;
     state.Select(best);
-  }
-  return std::vector<PostId>(out.begin(), out.begin() + out_size);
-}
-
-Result<std::vector<PostId>> SolveLazyHeap(const Instance& inst,
-                                          GreedyState& state,
-                                          const Deadline& deadline,
-                                          Arena& arena) {
-  DeadlineChecker budget(deadline);
-  // Binary heap over arena storage; std::push_heap/pop_heap run the
-  // exact algorithm std::priority_queue would, so the pop sequence —
-  // a total order on (gain, post) — is unchanged. Capacity num_posts
-  // suffices: each round pops one entry and re-pushes at most one.
-  const std::span<HeapEntry> heap = arena.AllocSpan<HeapEntry>(inst.num_posts());
-  size_t heap_size = 0;
-  for (PostId p = 0; p < inst.num_posts(); ++p) {
-    if (state.gain(p) > 0) {
-      heap[heap_size++] = HeapEntry{state.gain(p), p};
-    }
-  }
-  std::make_heap(heap.begin(), heap.begin() + heap_size, HeapLess{});
-  const std::span<PostId> out = arena.AllocSpan<PostId>(inst.num_posts());
-  size_t out_size = 0;
-  while (state.remaining() > 0) {
-    MQD_RETURN_NOT_OK(budget.Check("GreedySC(lazy)"));
-    if (heap_size == 0) {
-      return Status::Internal("GreedySC(lazy) stalled with uncovered pairs");
-    }
-    HeapEntry top = heap[0];
-    std::pop_heap(heap.begin(), heap.begin() + heap_size, HeapLess{});
-    --heap_size;
-    const int64_t current = state.gain(top.post);
-    if (current == 0) continue;  // dead entry, stale or not: drop it
-    if (current != top.gain) {
-      // Stale entry: pop-then-test. Stored gains upper-bound true
-      // gains (gains only decrease), so when the refreshed entry
-      // still beats the stored runner-up it is the exact argmax with
-      // the exact tie-break — select it now instead of pushing it
-      // just to pop it again.
-      top.gain = current;
-      if (heap_size > 0 && HeapLess{}(top, heap[0])) {
-        heap[heap_size++] = top;
-        std::push_heap(heap.begin(), heap.begin() + heap_size, HeapLess{});
-        continue;
-      }
-    }
-    out[out_size++] = top.post;
-    state.Select(top.post);
   }
   return std::vector<PostId>(out.begin(), out.begin() + out_size);
 }
@@ -140,10 +43,7 @@ Result<std::vector<PostId>> GreedySCSolver::SolveWithBudget(
   SolveScratch::Session session(SolveScratch::ThreadLocal());
   Arena& arena = session.arena();
   GreedyState state(inst, model, arena);
-  Result<std::vector<PostId>> result =
-      engine_ == GreedyEngine::kLinearArgmax
-          ? SolveLinear(inst, state, deadline, arena)
-          : SolveLazyHeap(inst, state, deadline, arena);
+  Result<std::vector<PostId>> result = Rounds(inst, state, deadline, arena);
   const obs::SolverMetrics& metrics = obs::SolverMetricsFor(name());
   metrics.gain_fastpath->Increment(state.fastpath_updates());
   metrics.gain_exact->Increment(state.exact_updates());

@@ -5,31 +5,16 @@
 
 namespace mqd {
 
-/// How GreedySC finds the next post with maximum residual gain.
-enum class GreedyEngine {
-  /// Re-scan all posts each round (the implementation the paper ships,
-  /// Section 7.3: they found heap maintenance more expensive on their
-  /// data).
-  kLinearArgmax,
-  /// Lazy-deletion max-heap. Valid because gains only decrease as
-  /// pairs get covered (the objective is submodular), so a popped
-  /// entry whose stored gain is stale is simply re-pushed.
-  kLazyHeap,
-};
-
 /// Algorithm GreedySC (paper Algorithm 2): reduce MQDP to set cover
 /// with universe U = {(post, label)} and one set per post (the pairs
 /// that post lambda-covers); greedily pick the post covering the most
-/// still-uncovered pairs. Approximation ratio ln(|P| |L|) [Feige 98].
+/// still-uncovered pairs, ties toward the smallest PostId.
+/// Approximation ratio ln(|P| |L|) [Feige 98]. The argmax is a
+/// block-max index over the residual gains (internal::GreedyState), so
+/// a round costs O(|P|/64 + the PostId span its selection touched).
 class GreedySCSolver final : public Solver {
  public:
-  explicit GreedySCSolver(GreedyEngine engine = GreedyEngine::kLinearArgmax)
-      : engine_(engine) {}
-
-  std::string_view name() const override {
-    return engine_ == GreedyEngine::kLinearArgmax ? "GreedySC"
-                                                  : "GreedySC(lazy)";
-  }
+  std::string_view name() const override { return "GreedySC"; }
 
   Result<std::vector<PostId>> Solve(const Instance& inst,
                                     const CoverageModel& model) const override;
@@ -40,9 +25,6 @@ class GreedySCSolver final : public Solver {
   Result<std::vector<PostId>> SolveWithBudget(
       const Instance& inst, const CoverageModel& model,
       const Deadline& deadline) const override;
-
- private:
-  GreedyEngine engine_;
 };
 
 }  // namespace mqd

@@ -24,24 +24,6 @@ namespace scalar {
 // original solver loops, verbatim. The AVX2 tier (kernels_avx2.cc)
 // must reproduce them bit-for-bit.
 
-ArgmaxCompactResult ArgmaxCompact(PostId* ids, size_t n,
-                                  const int64_t* gains) {
-  ArgmaxCompactResult r{0, kInvalidPost, 0};
-  size_t w = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const PostId p = ids[i];
-    const int64_t g = gains[p];
-    if (g <= 0) continue;
-    ids[w++] = p;
-    if (g > r.best_gain) {
-      r.best_gain = g;
-      r.best = p;
-    }
-  }
-  r.size = w;
-  return r;
-}
-
 size_t ArgmaxDense(const int64_t* gains, size_t n) {
   int64_t best_gain = 0;
   size_t best = n;
@@ -132,10 +114,9 @@ void CoverDecrement(const double* values, const double* reaches, size_t n,
 namespace {
 
 constexpr KernelTable kScalarTable{
-    scalar::ArgmaxCompact, scalar::ArgmaxDense, scalar::Materialize,
-    scalar::PrefixRuns,    scalar::CoverRun,    scalar::CovererRun,
-    scalar::SumU8,         scalar::MaxCoverEnd, scalar::LastCover,
-    scalar::CoverDecrement,
+    scalar::ArgmaxDense, scalar::Materialize,    scalar::PrefixRuns,
+    scalar::CoverRun,    scalar::CovererRun,     scalar::SumU8,
+    scalar::MaxCoverEnd, scalar::LastCover,      scalar::CoverDecrement,
 };
 
 // Dispatch state. Written once at startup (or from single-threaded

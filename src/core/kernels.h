@@ -28,24 +28,9 @@
 /// simd::ForceLevelForTest.
 namespace mqd::kern {
 
-/// Result of one live-list argmax round (GreedySC SolveLinear).
-struct ArgmaxCompactResult {
-  size_t size;        // entries kept (gain > 0), order preserved
-  PostId best;        // first id attaining the max gain, or kInvalidPost
-  int64_t best_gain;  // 0 when best == kInvalidPost
-};
-
-/// Scalar semantics:
-///   w = 0; best = kInvalidPost; best_gain = 0;
-///   for i in [0, n):  p = ids[i]; g = gains[p];
-///     if (g <= 0) continue;          // permanently zero: compact away
-///     ids[w++] = p;
-///     if (g > best_gain) { best_gain = g; best = p; }   // first max wins
-using ArgmaxCompactFn = ArgmaxCompactResult (*)(PostId* ids, size_t n,
-                                                const int64_t* gains);
-
 /// Index of the first maximum of gains[0..n) if that maximum is > 0,
-/// else n (stream window batch argmax; strict > keeps the first).
+/// else n; strict > keeps the first. GreedySC's block-max argmax runs
+/// it at both levels; StreamGreedy runs it over a window batch.
 using ArgmaxDenseFn = size_t (*)(const int64_t* gains, size_t n);
 
 /// Difference-array materialize, fused with the CSR scatter:
@@ -113,7 +98,6 @@ using CoverDecrementFn = void (*)(const double* values,
 inline constexpr size_t kNoIndex = static_cast<size_t>(-1);
 
 struct KernelTable {
-  ArgmaxCompactFn argmax_compact;
   ArgmaxDenseFn argmax_dense;
   MaterializeFn materialize;
   PrefixRunsFn prefix_runs;

@@ -22,7 +22,6 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -33,86 +32,12 @@
 namespace mqd::kern {
 namespace {
 
-// Stable left-pack shuffle indices for every 8-bit keep mask.
-constexpr std::array<std::array<uint32_t, 8>, 256> MakeCompactLut() {
-  std::array<std::array<uint32_t, 8>, 256> lut{};
-  for (unsigned m = 0; m < 256; ++m) {
-    unsigned w = 0;
-    for (unsigned b = 0; b < 8; ++b) {
-      if (m & (1u << b)) lut[m][w++] = b;
-    }
-    for (; w < 8; ++w) lut[m][w] = 0;
-  }
-  return lut;
-}
-
-constexpr std::array<std::array<uint32_t, 8>, 256> kCompactLut =
-    MakeCompactLut();
-
 inline unsigned MaskPd(__m256d m) {
   return static_cast<unsigned>(_mm256_movemask_pd(m));
 }
 
 inline unsigned MaskI64(__m256i m) {
   return static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(m)));
-}
-
-ArgmaxCompactResult ArgmaxCompactAvx2(PostId* ids, size_t n,
-                                      const int64_t* gains) {
-  ArgmaxCompactResult r{0, kInvalidPost, 0};
-  size_t w = 0;
-  size_t i = 0;
-  const __m256i zero = _mm256_setzero_si256();
-  const long long* gbase = reinterpret_cast<const long long*>(gains);
-  for (; i + 8 <= n; i += 8) {
-    const __m256i idv =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ids + i));
-    const __m128i idlo = _mm256_castsi256_si128(idv);
-    const __m128i idhi = _mm256_extracti128_si256(idv, 1);
-    const __m256i g0 = _mm256_i32gather_epi64(gbase, idlo, 8);
-    const __m256i g1 = _mm256_i32gather_epi64(gbase, idhi, 8);
-    const unsigned keep = MaskI64(_mm256_cmpgt_epi64(g0, zero)) |
-                          (MaskI64(_mm256_cmpgt_epi64(g1, zero)) << 4);
-    // Rare path first, while the original ids are still in a register:
-    // some lane beats the running best. Scalar rescan of the chunk
-    // keeps the "first max wins" tie-break exact.
-    const __m256i bb = _mm256_set1_epi64x(r.best_gain);
-    const unsigned gt = MaskI64(_mm256_cmpgt_epi64(g0, bb)) |
-                        (MaskI64(_mm256_cmpgt_epi64(g1, bb)) << 4);
-    if (gt != 0) {
-      alignas(32) int64_t gtmp[8];
-      alignas(32) uint32_t idtmp[8];
-      _mm256_store_si256(reinterpret_cast<__m256i*>(gtmp), g0);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(gtmp + 4), g1);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(idtmp), idv);
-      for (int j = 0; j < 8; ++j) {
-        if (gtmp[j] > r.best_gain) {
-          r.best_gain = gtmp[j];
-          r.best = idtmp[j];
-        }
-      }
-    }
-    // Stable compaction of surviving ids. The 8-lane store may write
-    // past the surviving count but never past index i+7 (w <= i), so
-    // unread source entries stay intact.
-    const __m256i perm = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(kCompactLut[keep].data()));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(ids + w),
-                        _mm256_permutevar8x32_epi32(idv, perm));
-    w += static_cast<size_t>(std::popcount(keep));
-  }
-  for (; i < n; ++i) {
-    const PostId p = ids[i];
-    const int64_t g = gains[p];
-    if (g <= 0) continue;
-    ids[w++] = p;
-    if (g > r.best_gain) {
-      r.best_gain = g;
-      r.best = p;
-    }
-  }
-  r.size = w;
-  return r;
 }
 
 size_t ArgmaxDenseAvx2(const int64_t* gains, size_t n) {
@@ -357,10 +282,9 @@ void CoverDecrementAvx2(const double* values, const double* reaches,
 }
 
 constexpr KernelTable kAvx2Table{
-    ArgmaxCompactAvx2, ArgmaxDenseAvx2, MaterializeAvx2,
-    PrefixRunsAvx2,    CoverRunAvx2,    CovererRunAvx2,
-    SumU8Avx2,         MaxCoverEndAvx2, LastCoverAvx2,
-    CoverDecrementAvx2,
+    ArgmaxDenseAvx2, MaterializeAvx2,    PrefixRunsAvx2,
+    CoverRunAvx2,    CovererRunAvx2,     SumU8Avx2,
+    MaxCoverEndAvx2, LastCoverAvx2,      CoverDecrementAvx2,
 };
 
 }  // namespace

@@ -7,8 +7,8 @@
 namespace mqd {
 
 /// Per-thread reusable solve-lifetime storage. Every transient
-/// structure of one solver run — GreedyState's covered/gain/delta
-/// arrays, the live-post list, the lazy heap, the selection buffer —
+/// structure of one solver run — GreedyState's covered/gain/block-max/
+/// delta arrays, the selection buffer —
 /// bump-allocates out of one thread-local Arena that a Session rewinds
 /// when the solve starts. After the first solve of a given size the
 /// arena has reached its high-water mark and a steady-state workload

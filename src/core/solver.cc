@@ -68,8 +68,6 @@ std::string_view SolverKindName(SolverKind kind) {
       return "Scan+";
     case SolverKind::kGreedySC:
       return "GreedySC";
-    case SolverKind::kGreedySCLazy:
-      return "GreedySC(lazy)";
     case SolverKind::kOpt:
       return "OPT";
     case SolverKind::kBranchAndBound:
@@ -94,9 +92,7 @@ std::unique_ptr<Solver> CreateSolver(SolverKind kind) {
       case SolverKind::kScanPlus:
         return std::make_unique<ScanPlusSolver>();
       case SolverKind::kGreedySC:
-        return std::make_unique<GreedySCSolver>(GreedyEngine::kLinearArgmax);
-      case SolverKind::kGreedySCLazy:
-        return std::make_unique<GreedySCSolver>(GreedyEngine::kLazyHeap);
+        return std::make_unique<GreedySCSolver>();
       case SolverKind::kOpt:
         return std::make_unique<OptDpSolver>();
       case SolverKind::kBranchAndBound:

@@ -49,8 +49,7 @@ class Solver {
 enum class SolverKind {
   kScan,         // Algorithm 3
   kScanPlus,     // Scan with cross-label pruning
-  kGreedySC,     // Algorithm 2, linear argmax (paper's implementation)
-  kGreedySCLazy, // Algorithm 2 with a lazy decreasing-gain heap
+  kGreedySC,     // Algorithm 2
   kOpt,          // Algorithm 1 (exact DP; uniform lambda only)
   kBranchAndBound,  // exact branch-and-bound reference
 };

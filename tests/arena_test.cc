@@ -10,6 +10,7 @@
 
 #include "core/coverage.h"
 #include "core/greedy_sc.h"
+#include "core/proportional.h"
 #include "core/solve_scratch.h"
 #include "gen/instance_gen.h"
 #include "obs/stack_metrics.h"
@@ -91,7 +92,7 @@ Instance MakeTestInstance(uint64_t seed) {
 TEST(SolveScratch, RepeatedSolvesStopAllocatingAfterWarmup) {
   const Instance inst = MakeTestInstance(3);
   const UniformLambda model(40.0);
-  const GreedySCSolver solver(GreedyEngine::kLinearArgmax);
+  const GreedySCSolver solver;
 
   auto solve_once = [&] {
     auto z = solver.Solve(inst, model);
@@ -113,20 +114,23 @@ TEST(SolveScratch, RepeatedSolvesStopAllocatingAfterWarmup) {
   EXPECT_EQ(stats.resets, resets_before + 100);
 }
 
-/// Same fixed point for the lazy-heap engine (heap storage rides the
-/// scratch arena too).
-TEST(SolveScratch, LazyHeapReachesSteadyStateToo) {
+/// Same fixed point for the variable-lambda exact path (its reach
+/// rows ride the scratch arena too).
+TEST(SolveScratch, VariableLambdaReachesSteadyStateToo) {
   const Instance inst = MakeTestInstance(5);
-  const UniformLambda model(40.0);
-  const GreedySCSolver solver(GreedyEngine::kLazyHeap);
+  ProportionalConfig config;
+  config.lambda0 = 40.0;
+  auto model = ComputeProportionalLambdas(inst, config);
+  ASSERT_TRUE(model.ok());
+  const GreedySCSolver solver;
   for (int i = 0; i < 3; ++i) {
-    auto z = solver.Solve(inst, model);
+    auto z = solver.Solve(inst, **model);
     ASSERT_TRUE(z.ok());
   }
   const Arena::Stats& stats = SolveScratch::ThreadLocal().stats();
   const uint64_t blocks = stats.block_allocs;
   for (int i = 0; i < 100; ++i) {
-    auto z = solver.Solve(inst, model);
+    auto z = solver.Solve(inst, **model);
     ASSERT_TRUE(z.ok());
   }
   EXPECT_EQ(stats.block_allocs, blocks);

@@ -97,8 +97,7 @@ TEST(DifferentialTest, SolversAreDeterministic) {
   UniformLambda model(4.0);
   for (SolverKind kind :
        {SolverKind::kScan, SolverKind::kScanPlus, SolverKind::kGreedySC,
-        SolverKind::kGreedySCLazy, SolverKind::kOpt,
-        SolverKind::kBranchAndBound}) {
+        SolverKind::kOpt, SolverKind::kBranchAndBound}) {
     auto solver = CreateSolver(kind);
     auto first = solver->Solve(*inst, model);
     auto second = solver->Solve(*inst, model);

@@ -12,6 +12,7 @@
 #include "core/greedy_sc.h"
 #include "core/proportional.h"
 #include "gen/instance_gen.h"
+#include "greedy_oracle.h"
 #include "gtest/gtest.h"
 #include "util/logging.h"
 
@@ -169,15 +170,11 @@ TEST(GoldenCoverTest, VariableLambdaCoversMatchPrePrBehavior) {
     pcfg.lambda0 = 45.0;
     auto model = ComputeProportionalLambdas(*inst, pcfg);
     ASSERT_TRUE(model.ok());
-    for (GreedyEngine engine :
-         {GreedyEngine::kLinearArgmax, GreedyEngine::kLazyHeap}) {
-      GreedySCSolver solver(engine);
-      auto cover = solver.Solve(*inst, **model);
-      ASSERT_TRUE(cover.ok());
-      EXPECT_EQ(*cover, gc.cover)
-          << "seed " << gc.seed << " engine "
-          << (engine == GreedyEngine::kLinearArgmax ? "linear" : "lazy");
-    }
+    auto cover = GreedySCSolver().Solve(*inst, **model);
+    ASSERT_TRUE(cover.ok());
+    EXPECT_EQ(*cover, gc.cover) << "seed " << gc.seed;
+    EXPECT_EQ(*cover, testing::TextbookGreedySC(*inst, **model))
+        << "seed " << gc.seed;
   }
 }
 

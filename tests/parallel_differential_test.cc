@@ -5,6 +5,7 @@
 // single post) and variable-lambda models, and the batch metrics must
 // match the serial ground truth.
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "core/solver.h"
 #include "core/verifier.h"
 #include "gen/instance_gen.h"
+#include "greedy_oracle.h"
 #include "obs/metrics.h"
 #include "obs/stack_metrics.h"
 #include "parallel/batch_solver.h"
@@ -25,8 +27,7 @@ namespace mqd {
 namespace {
 
 const SolverKind kKinds[] = {SolverKind::kScan, SolverKind::kScanPlus,
-                             SolverKind::kGreedySC,
-                             SolverKind::kGreedySCLazy};
+                             SolverKind::kGreedySC};
 
 const int kThreadCounts[] = {1, 2, 8};
 
@@ -68,6 +69,9 @@ struct BatchCase {
     for (SolverKind kind : kKinds) {
       auto serial = CreateSolver(kind)->Solve(inst, model);
       ASSERT_TRUE(serial.ok()) << SolverKindName(kind);
+      if (kind == SolverKind::kGreedySC) {
+        ASSERT_EQ(*serial, testing::TextbookGreedySC(inst, model));
+      }
       jobs.push_back(
           BatchJob{.instance = &inst, .kind = kind, .lambda = lambda});
       expected.push_back(std::move(serial).value());
@@ -175,7 +179,7 @@ TEST(ParallelDifferentialTest, BatchSolverMatchesSerialPerJob) {
   std::vector<std::vector<PostId>> expected;
   for (size_t i = 0; i < instances.size(); ++i) {
     const Instance& inst = instances[i];
-    const SolverKind kind = kKinds[i % 4];
+    const SolverKind kind = kKinds[i % std::size(kKinds)];
     const double span = inst.max_value() - inst.min_value();
     for (double lambda : {0.0, 7.0, span + 1.0}) {
       jobs.push_back(
@@ -222,7 +226,7 @@ TEST(ParallelDifferentialTest, BatchMetricsMatchSerialGroundTruth) {
   double expected_cover_sum = 0.0;
   for (size_t i = 0; i < instances.size(); ++i) {
     const Instance& inst = instances[i];
-    const SolverKind kind = kKinds[i % 4];
+    const SolverKind kind = kKinds[i % std::size(kKinds)];
     jobs.push_back(BatchJob{.instance = &inst, .kind = kind, .lambda = 7.0});
     UniformLambda model(7.0);
     auto serial = CreateSolver(kind)->Solve(inst, model);

@@ -10,6 +10,7 @@
 #include "core/solver.h"
 #include "core/verifier.h"
 #include "gen/instance_gen.h"
+#include "greedy_oracle.h"
 #include "test_helpers.h"
 
 namespace mqd {
@@ -35,11 +36,14 @@ TEST_P(SolverPropertyTest, AllSolversEmitValidCovers) {
   UniformLambda model(p.lambda);
   for (SolverKind kind :
        {SolverKind::kScan, SolverKind::kScanPlus, SolverKind::kGreedySC,
-        SolverKind::kGreedySCLazy, SolverKind::kBranchAndBound}) {
+        SolverKind::kBranchAndBound}) {
     auto solver = CreateSolver(kind);
     auto z = solver->Solve(*inst, model);
     ASSERT_TRUE(z.ok()) << solver->name() << ": " << z.status();
     EXPECT_TRUE(IsCover(*inst, model, *z)) << solver->name();
+    if (kind == SolverKind::kGreedySC) {
+      EXPECT_EQ(*z, testing::TextbookGreedySC(*inst, model));
+    }
     // Output contract: sorted, duplicate-free.
     for (size_t i = 1; i < z->size(); ++i) {
       EXPECT_LT((*z)[i - 1], (*z)[i]) << solver->name();
@@ -137,6 +141,9 @@ TEST_P(DirectionalPropertyTest, SolversValidUnderVariableLambda) {
     ASSERT_TRUE(z.ok()) << solver->name();
     EXPECT_TRUE(IsCover(*inst, model, *z)) << solver->name();
     EXPECT_GE(z->size(), opt->size()) << solver->name();
+    if (kind == SolverKind::kGreedySC) {
+      EXPECT_EQ(*z, testing::TextbookGreedySC(*inst, model));
+    }
   }
 }
 
@@ -146,8 +153,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DirectionalPropertyTest,
 TEST(SolverFactoryTest, NamesAndCreation) {
   for (SolverKind kind :
        {SolverKind::kScan, SolverKind::kScanPlus, SolverKind::kGreedySC,
-        SolverKind::kGreedySCLazy, SolverKind::kOpt,
-        SolverKind::kBranchAndBound}) {
+        SolverKind::kOpt, SolverKind::kBranchAndBound}) {
     auto solver = CreateSolver(kind);
     ASSERT_NE(solver, nullptr);
     EXPECT_EQ(solver->name(), SolverKindName(kind));

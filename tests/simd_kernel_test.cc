@@ -68,41 +68,6 @@ std::vector<double> SortedValues(Rng& rng, size_t n) {
   return v;
 }
 
-TEST(SimdKernel, ArgmaxCompactMatchesScalar) {
-  SKIP_WITHOUT_AVX2();
-  const Tables t = BothTables();
-  Rng rng(1);
-  for (size_t n : kSizes) {
-    for (size_t off : kOffsets) {
-      for (int rep = 0; rep < 8; ++rep) {
-        const size_t universe = n + 16;
-        std::vector<int64_t> gains(universe);
-        for (int64_t& g : gains) {
-          // Mostly small with duplicates, some non-positive (dead
-          // entries the kernel must compact away).
-          g = rng.UniformInt(-2, 6);
-        }
-        std::vector<PostId> base(off + n);
-        for (size_t i = 0; i < n; ++i) {
-          base[off + i] = static_cast<PostId>(rng.Uniform(universe));
-        }
-        std::vector<PostId> ids_a = base;
-        std::vector<PostId> ids_b = base;
-        const kern::ArgmaxCompactResult ra =
-            t.scalar.argmax_compact(ids_a.data() + off, n, gains.data());
-        const kern::ArgmaxCompactResult rb =
-            t.avx2.argmax_compact(ids_b.data() + off, n, gains.data());
-        ASSERT_EQ(ra.size, rb.size) << "n=" << n << " off=" << off;
-        ASSERT_EQ(ra.best, rb.best) << "n=" << n << " off=" << off;
-        ASSERT_EQ(ra.best_gain, rb.best_gain);
-        for (size_t i = 0; i < ra.size; ++i) {
-          ASSERT_EQ(ids_a[off + i], ids_b[off + i]) << "slot " << i;
-        }
-      }
-    }
-  }
-}
-
 TEST(SimdKernel, ArgmaxDenseMatchesScalar) {
   SKIP_WITHOUT_AVX2();
   const Tables t = BothTables();
@@ -383,21 +348,18 @@ TEST(SimdDispatch, SolverCoversIdenticalAcrossTiers) {
   for (uint64_t seed : {11u, 29u, 47u}) {
     const Instance inst = MakeGoldenInstance(seed);
     const UniformLambda model(45.0);
-    for (GreedyEngine engine :
-         {GreedyEngine::kLinearArgmax, GreedyEngine::kLazyHeap}) {
-      const GreedySCSolver solver(engine);
-      auto scalar_cover = AtLevel(simd::Level::kScalar, [&] {
-        auto z = solver.Solve(inst, model);
-        MQD_CHECK(z.ok());
-        return *z;
-      });
-      auto avx2_cover = AtLevel(simd::Level::kAvx2, [&] {
-        auto z = solver.Solve(inst, model);
-        MQD_CHECK(z.ok());
-        return *z;
-      });
-      EXPECT_EQ(scalar_cover, avx2_cover) << "seed=" << seed;
-    }
+    const GreedySCSolver solver;
+    auto scalar_cover = AtLevel(simd::Level::kScalar, [&] {
+      auto z = solver.Solve(inst, model);
+      MQD_CHECK(z.ok());
+      return *z;
+    });
+    auto avx2_cover = AtLevel(simd::Level::kAvx2, [&] {
+      auto z = solver.Solve(inst, model);
+      MQD_CHECK(z.ok());
+      return *z;
+    });
+    EXPECT_EQ(scalar_cover, avx2_cover) << "seed=" << seed;
     const ScanPlusSolver scan_plus;
     auto scalar_scan = AtLevel(simd::Level::kScalar, [&] {
       auto z = scan_plus.Solve(inst, model);
@@ -430,21 +392,18 @@ TEST(SimdDispatch, VariableLambdaCoversIdenticalAcrossTiers) {
       });
     }
     const VariableLambda model(table, max_reach);
-    for (GreedyEngine engine :
-         {GreedyEngine::kLinearArgmax, GreedyEngine::kLazyHeap}) {
-      const GreedySCSolver solver(engine);
-      auto scalar_cover = AtLevel(simd::Level::kScalar, [&] {
-        auto z = solver.Solve(inst, model);
-        MQD_CHECK(z.ok());
-        return *z;
-      });
-      auto avx2_cover = AtLevel(simd::Level::kAvx2, [&] {
-        auto z = solver.Solve(inst, model);
-        MQD_CHECK(z.ok());
-        return *z;
-      });
-      EXPECT_EQ(scalar_cover, avx2_cover) << "seed=" << seed;
-    }
+    const GreedySCSolver solver;
+    auto scalar_cover = AtLevel(simd::Level::kScalar, [&] {
+      auto z = solver.Solve(inst, model);
+      MQD_CHECK(z.ok());
+      return *z;
+    });
+    auto avx2_cover = AtLevel(simd::Level::kAvx2, [&] {
+      auto z = solver.Solve(inst, model);
+      MQD_CHECK(z.ok());
+      return *z;
+    });
+    EXPECT_EQ(scalar_cover, avx2_cover) << "seed=" << seed;
   }
 }
 

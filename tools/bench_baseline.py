@@ -57,8 +57,8 @@ import sys
 import time
 
 MICRO_FILTER = (
-    "BM_GreedySelectPaperScale|BM_GreedyLazySelectPaperScale|"
-    "BM_ScanSelectPaperScale|BM_GreedyGainInit|BM_LabelPostsInRange|"
+    "BM_GreedySelectPaperScale|BM_ScanSelectPaperScale|"
+    "BM_GreedyGainInit|BM_LabelPostsInRange|"
     "BM_InstanceBuild|BM_Kernel"
 )
 
@@ -66,7 +66,6 @@ MICRO_FILTER = (
 # compare against. Keep in sync with bench/bench_micro.cc.
 REQUIRED_MICRO = [
     "BM_GreedySelectPaperScale",
-    "BM_GreedyLazySelectPaperScale",
     "BM_ScanSelectPaperScale",
     "BM_GreedyGainInit",
     "BM_LabelPostsInRange",
@@ -78,9 +77,8 @@ REQUIRED_MICRO = [
 # when the host can run them and silently absent otherwise (the
 # binary reports them as errored skips on non-AVX2 hardware).
 KERNELS = [
-    "ArgmaxCompact", "ArgmaxDense", "Materialize", "PrefixRuns",
-    "CoverRun", "CovererRun", "SumU8", "MaxCoverEnd", "LastCover",
-    "VarCover",
+    "ArgmaxDense", "Materialize", "PrefixRuns", "CoverRun",
+    "CovererRun", "SumU8", "MaxCoverEnd", "LastCover", "VarCover",
 ]
 REQUIRED_MICRO += [f"BM_Kernel{k}/scalar" for k in KERNELS]
 
@@ -162,10 +160,10 @@ def run_stream_micro(build_dir, sanity):
     return entries, speedups
 
 
-# One Figure 13 table row: lambda followed by the four per-post
+# One Figure 13 table row: lambda followed by the three per-post
 # timings and the two cover sizes (see bench/bench_fig13_time_mqdp.cc).
 ROW_RE = re.compile(
-    r"^\s*(\d+)\s+([\d.]+)\s+([\d.]+)\s+([\d.]+)\s+([\d.]+)\s+(\d+)\s+(\d+)\s*$"
+    r"^\s*(\d+)\s+([\d.]+)\s+([\d.]+)\s+([\d.]+)\s+(\d+)\s+(\d+)\s*$"
 )
 
 
@@ -191,9 +189,8 @@ def run_fig13(build_dir, scale):
                 "scan_us_per_post": float(row.group(2)),
                 "scan_plus_us_per_post": float(row.group(3)),
                 "greedy_us_per_post": float(row.group(4)),
-                "greedy_lazy_us_per_post": float(row.group(5)),
-                "scan_cover": int(row.group(6)),
-                "greedy_cover": int(row.group(7)),
+                "scan_cover": int(row.group(5)),
+                "greedy_cover": int(row.group(6)),
             })
     if not sections or any(not s["rows"] for s in sections):
         raise SystemExit("could not parse bench_fig13_time_mqdp output")

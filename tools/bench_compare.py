@@ -5,9 +5,9 @@ baselines and fails on regressions past a threshold.
 Compares every entry present in both documents, prints the full ratio
 table, and exits non-zero when any entry regressed by more than
 --threshold (a ratio: 2.0 means "twice as bad as the committed
-baseline"). Entries that exist on only one side — new benches, /avx2
-tiers absent on the current host — are reported but never fail the
-run.
+baseline"). Entries that exist on only one side — new benches, removed
+benches, /avx2 tiers absent on the current host — are reported but
+never fail the run.
 
 All five artifact schemas are understood:
   core/stream - google-benchmark entries, compared by cpu_time
@@ -109,7 +109,7 @@ def main():
         if name not in cur:
             value, unit = base[name]
             print(f"{name:<{width}}  {value:>10.0f}{unit:2}  "
-                  f"{'absent':>12}  (skipped here; ok)")
+                  f"{'absent':>12}  (removed or not run here; ok)")
             continue
         if name not in base:
             value, unit = cur[name]

@@ -66,12 +66,11 @@ Result<SolverKind> ParseSolverKind(const std::string& name) {
   if (name == "scan") return SolverKind::kScan;
   if (name == "scan+") return SolverKind::kScanPlus;
   if (name == "greedy") return SolverKind::kGreedySC;
-  if (name == "greedy-lazy") return SolverKind::kGreedySCLazy;
   if (name == "opt") return SolverKind::kOpt;
   if (name == "bnb") return SolverKind::kBranchAndBound;
   return Status::InvalidArgument(
       "unknown algorithm '" + name +
-      "' (scan, scan+, greedy, greedy-lazy, opt, bnb)");
+      "' (scan, scan+, greedy, opt, bnb)");
 }
 
 Result<StreamKind> ParseStreamKind(const std::string& name) {
@@ -222,7 +221,7 @@ int CmdGenerate(const std::vector<std::string>& args) {
 int CmdSolve(const std::vector<std::string>& args) {
   FlagParser flags;
   flags.Define("algorithm", "greedy",
-               "scan | scan+ | greedy | greedy-lazy | opt | bnb");
+               "scan | scan+ | greedy | opt | bnb");
   flags.Define("lambda", "60", "coverage threshold (dimension units)");
   flags.Define("out", "-", "cover output file ('-' = stdout)");
   flags.Define("budget-ms", "0",
@@ -333,7 +332,7 @@ int CmdSolve(const std::vector<std::string>& args) {
 int CmdSolveBatch(const std::vector<std::string>& args) {
   FlagParser flags;
   flags.Define("algorithm", "scan+",
-               "scan | scan+ | greedy | greedy-lazy | opt | bnb");
+               "scan | scan+ | greedy | opt | bnb");
   flags.Define("lambdas", "60",
                "comma-separated coverage thresholds; every instance is "
                "solved at every lambda");
