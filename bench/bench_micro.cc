@@ -4,8 +4,6 @@
 // index lookups and tokenization.
 #include <benchmark/benchmark.h>
 
-#include <cstring>
-
 #include "core/greedy_sc.h"
 #include "core/greedy_state.h"
 #include "core/kernels.h"
@@ -177,221 +175,31 @@ void BM_InstanceBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_InstanceBuild);
 
-// --- Per-kernel microbenches of the SIMD-dispatched primitives
-// (core/kernels.h), each registered in both tiers via
-// BENCHMARK_CAPTURE so BM_Kernel*/scalar and BM_Kernel*/avx2 sit side
-// by side in one run. These bench kern::Table(level) directly — no
-// global dispatch flip — so they are safe to mix with the solver
-// benches above.
+// --- The SIMD-dispatched dense argmax (core/kernels.h), registered
+// in both tiers via BENCHMARK_CAPTURE so BM_KernelArgmaxDense/scalar
+// and /avx2 sit side by side in one run. It benches
+// kern::ArgmaxDenseFor(level) directly — no global dispatch flip — so
+// it is safe to mix with the solver benches above.
 
 constexpr size_t kKernelN = 4096;
 
-const kern::KernelTable* KernelTableFor(benchmark::State& state,
-                                        simd::Level level) {
+void BM_KernelArgmaxDense(benchmark::State& state, simd::Level level) {
   if (level == simd::Level::kAvx2 && !simd::Avx2Available()) {
     state.SkipWithError("AVX2 tier unavailable on this host");
-    return nullptr;
+    return;
   }
-  return &kern::Table(level);
-}
-
-/// Sorted, duplicate-heavy value array shaped like a label's post
-/// values (seconds with sub-second spacing).
-std::vector<double> KernelValues() {
-  Rng rng(21);
-  std::vector<double> v(kKernelN);
-  double cur = 0.0;
-  for (double& x : v) {
-    if (rng.Uniform(8) != 0) cur += rng.NextDouble() * 1.5;
-    x = cur;
-  }
-  return v;
-}
-
-/// Rotating probe centers so the membership kernels see a different
-/// run each iteration instead of a branch-predicted constant.
-std::vector<double> KernelCenters(const std::vector<double>& values) {
-  Rng rng(22);
-  std::vector<double> centers(256);
-  for (double& c : centers) {
-    c = values[rng.Uniform(values.size())] + rng.NextDouble() - 0.5;
-  }
-  return centers;
-}
-
-void BM_KernelArgmaxDense(benchmark::State& state, simd::Level level) {
-  const kern::KernelTable* kt = KernelTableFor(state, level);
-  if (kt == nullptr) return;
+  const kern::ArgmaxDenseFn argmax = kern::ArgmaxDenseFor(level);
   Rng rng(24);
   std::vector<int64_t> gains(kKernelN);
   for (int64_t& g : gains) g = static_cast<int64_t>(rng.Uniform(64));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(kt->argmax_dense(gains.data(), gains.size()));
+    benchmark::DoNotOptimize(argmax(gains.data(), gains.size()));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kKernelN));
 }
 BENCHMARK_CAPTURE(BM_KernelArgmaxDense, scalar, simd::Level::kScalar);
 BENCHMARK_CAPTURE(BM_KernelArgmaxDense, avx2, simd::Level::kAvx2);
-
-void BM_KernelMaterialize(benchmark::State& state, simd::Level level) {
-  const kern::KernelTable* kt = KernelTableFor(state, level);
-  if (kt == nullptr) return;
-  Rng rng(25);
-  // Sparse range-add pattern: ~1 in 8 slots carries a +-1 boundary,
-  // like the gain difference arrays after a select round. The kernel
-  // zeroes delta, so each iteration re-seeds it from a template; the
-  // memcpy cost is identical across tiers.
-  std::vector<int32_t> tmpl(kKernelN, 0);
-  for (size_t i = 0; i < kKernelN / 8; ++i) {
-    tmpl[rng.Uniform(kKernelN)] += 1;
-    tmpl[rng.Uniform(kKernelN)] -= 1;
-  }
-  std::vector<int32_t> delta(kKernelN);
-  std::vector<PostId> ids(kKernelN);
-  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<PostId>(i);
-  std::vector<int64_t> gains(kKernelN, 0);
-  for (auto _ : state) {
-    std::memcpy(delta.data(), tmpl.data(), kKernelN * sizeof(int32_t));
-    kt->materialize(delta.data(), delta.size(), ids.data(), gains.data());
-    benchmark::DoNotOptimize(gains.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kKernelN));
-}
-BENCHMARK_CAPTURE(BM_KernelMaterialize, scalar, simd::Level::kScalar);
-BENCHMARK_CAPTURE(BM_KernelMaterialize, avx2, simd::Level::kAvx2);
-
-void BM_KernelPrefixRuns(benchmark::State& state, simd::Level level) {
-  const kern::KernelTable* kt = KernelTableFor(state, level);
-  if (kt == nullptr) return;
-  Rng rng(26);
-  std::vector<int32_t> tmpl(kKernelN, 0);
-  for (size_t i = 0; i < kKernelN / 8; ++i) {
-    tmpl[rng.Uniform(kKernelN)] += 1;
-    tmpl[rng.Uniform(kKernelN)] -= 1;
-  }
-  std::vector<int32_t> delta(kKernelN);
-  std::vector<int64_t> runs(kKernelN);
-  for (auto _ : state) {
-    std::memcpy(delta.data(), tmpl.data(), kKernelN * sizeof(int32_t));
-    kt->prefix_runs(delta.data(), delta.size(), runs.data());
-    benchmark::DoNotOptimize(runs.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kKernelN));
-}
-BENCHMARK_CAPTURE(BM_KernelPrefixRuns, scalar, simd::Level::kScalar);
-BENCHMARK_CAPTURE(BM_KernelPrefixRuns, avx2, simd::Level::kAvx2);
-
-void BM_KernelCoverRun(benchmark::State& state, simd::Level level) {
-  const kern::KernelTable* kt = KernelTableFor(state, level);
-  if (kt == nullptr) return;
-  const std::vector<double> values = KernelValues();
-  const std::vector<double> centers = KernelCenters(values);
-  size_t i = 0;
-  for (auto _ : state) {
-    const kern::RunBounds run = kt->cover_run(
-        values.data(), values.size(), centers[i++ & 255], 60.0);
-    benchmark::DoNotOptimize(run);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kKernelN));
-}
-BENCHMARK_CAPTURE(BM_KernelCoverRun, scalar, simd::Level::kScalar);
-BENCHMARK_CAPTURE(BM_KernelCoverRun, avx2, simd::Level::kAvx2);
-
-void BM_KernelCovererRun(benchmark::State& state, simd::Level level) {
-  const kern::KernelTable* kt = KernelTableFor(state, level);
-  if (kt == nullptr) return;
-  const std::vector<double> values = KernelValues();
-  const std::vector<double> centers = KernelCenters(values);
-  size_t i = 0;
-  for (auto _ : state) {
-    const kern::RunBounds run = kt->coverer_run(
-        values.data(), values.size(), centers[i++ & 255], 60.0);
-    benchmark::DoNotOptimize(run);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kKernelN));
-}
-BENCHMARK_CAPTURE(BM_KernelCovererRun, scalar, simd::Level::kScalar);
-BENCHMARK_CAPTURE(BM_KernelCovererRun, avx2, simd::Level::kAvx2);
-
-void BM_KernelSumU8(benchmark::State& state, simd::Level level) {
-  const kern::KernelTable* kt = KernelTableFor(state, level);
-  if (kt == nullptr) return;
-  Rng rng(27);
-  std::vector<uint8_t> flags(kKernelN);
-  for (uint8_t& f : flags) f = rng.Uniform(2) != 0 ? 1 : 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kt->sum_u8(flags.data(), flags.size()));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kKernelN));
-}
-BENCHMARK_CAPTURE(BM_KernelSumU8, scalar, simd::Level::kScalar);
-BENCHMARK_CAPTURE(BM_KernelSumU8, avx2, simd::Level::kAvx2);
-
-void BM_KernelMaxCoverEnd(benchmark::State& state, simd::Level level) {
-  const kern::KernelTable* kt = KernelTableFor(state, level);
-  if (kt == nullptr) return;
-  const std::vector<double> values = KernelValues();
-  const std::vector<double> centers = KernelCenters(values);
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        kt->max_cover_end(values.data(), values.size(), centers[i++ & 255],
-                          60.0, -1.0));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kKernelN));
-}
-BENCHMARK_CAPTURE(BM_KernelMaxCoverEnd, scalar, simd::Level::kScalar);
-BENCHMARK_CAPTURE(BM_KernelMaxCoverEnd, avx2, simd::Level::kAvx2);
-
-void BM_KernelLastCover(benchmark::State& state, simd::Level level) {
-  const kern::KernelTable* kt = KernelTableFor(state, level);
-  if (kt == nullptr) return;
-  const std::vector<double> values = KernelValues();
-  const std::vector<double> centers = KernelCenters(values);
-  size_t i = 0;
-  for (auto _ : state) {
-    const double center = centers[i++ & 255];
-    benchmark::DoNotOptimize(kt->last_cover(values.data(), values.size(),
-                                            center, 60.0, center + 120.0));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kKernelN));
-}
-BENCHMARK_CAPTURE(BM_KernelLastCover, scalar, simd::Level::kScalar);
-BENCHMARK_CAPTURE(BM_KernelLastCover, avx2, simd::Level::kAvx2);
-
-void BM_KernelVarCover(benchmark::State& state, simd::Level level) {
-  const kern::KernelTable* kt = KernelTableFor(state, level);
-  if (kt == nullptr) return;
-  Rng rng(28);
-  const std::vector<double> values = KernelValues();
-  const std::vector<double> centers = KernelCenters(values);
-  // Per-element radii like a VariableLambda reach row: same order of
-  // magnitude as the membership kernels' fixed 60.0 so the pass rate
-  // is comparable.
-  std::vector<double> reaches(kKernelN);
-  for (double& r : reaches) r = 20.0 + rng.NextDouble() * 40.0;
-  std::vector<PostId> ids(kKernelN);
-  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<PostId>(i);
-  std::vector<int64_t> gains(kKernelN, int64_t{1} << 40);
-  size_t i = 0;
-  for (auto _ : state) {
-    kt->cover_decrement(values.data(), reaches.data(), values.size(),
-                        centers[i++ & 255], ids.data(), gains.data());
-    benchmark::DoNotOptimize(gains.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kKernelN));
-}
-BENCHMARK_CAPTURE(BM_KernelVarCover, scalar, simd::Level::kScalar);
-BENCHMARK_CAPTURE(BM_KernelVarCover, avx2, simd::Level::kAvx2);
 
 void BM_VerifyCover(benchmark::State& state) {
   Instance inst = MakeBenchInstance(4, 120.0, 5);

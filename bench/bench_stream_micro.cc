@@ -101,41 +101,27 @@ void BM_StreamGreedyPlusRefReplayPaperScale(benchmark::State& state) {
 BENCHMARK(BM_StreamGreedyPlusRefReplayPaperScale)
     ->Unit(benchmark::kMillisecond);
 
-// --- Dispatch-tier replays: the same paper-scale replay with the
-// kernel table pinned to one tier, so the scalar and AVX2 hot paths
-// sit side by side in one run (BM_StreamGreedyReplayTier/scalar vs
-// /avx2). The bench binary is single-threaded, so flipping the
-// dispatch level around the measured loop is safe; the level is
-// restored before the next registered bench runs.
+// --- Dispatch-tier replays: the same paper-scale StreamGreedySC
+// replay with the dispatched argmax pinned to one tier, so the scalar
+// and AVX2 hot paths sit side by side in one run
+// (BM_StreamGreedyReplayTier/scalar vs /avx2). The bench binary is
+// single-threaded, so flipping the dispatch level around the measured
+// loop is safe; the level is restored before the next registered
+// bench runs.
 
-template <typename Processor>
-void TierReplayBench(benchmark::State& state, simd::Level level,
-                     bool variant_flag) {
+void BM_StreamGreedyReplayTier(benchmark::State& state, simd::Level level) {
   if (level == simd::Level::kAvx2 && !simd::Avx2Available()) {
     state.SkipWithError("AVX2 tier unavailable on this host");
     return;
   }
   const simd::Level prev = simd::Active();
   MQD_CHECK(simd::ForceLevelForTest(level));
-  ReplayBench<Processor>(state, 300.0, 300.0, variant_flag);
+  ReplayBench<StreamGreedyProcessor>(state, 300.0, 300.0, false);
   MQD_CHECK(simd::ForceLevelForTest(prev));
-}
-
-void BM_StreamGreedyReplayTier(benchmark::State& state, simd::Level level) {
-  TierReplayBench<StreamGreedyProcessor>(state, level, false);
 }
 BENCHMARK_CAPTURE(BM_StreamGreedyReplayTier, scalar, simd::Level::kScalar)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_StreamGreedyReplayTier, avx2, simd::Level::kAvx2)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_StreamScanPlusReplayTier(benchmark::State& state,
-                                 simd::Level level) {
-  TierReplayBench<StreamScanProcessor>(state, level, true);
-}
-BENCHMARK_CAPTURE(BM_StreamScanPlusReplayTier, scalar, simd::Level::kScalar)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_StreamScanPlusReplayTier, avx2, simd::Level::kAvx2)
     ->Unit(benchmark::kMillisecond);
 
 // --- Deadline-fire-heavy regime: tau = 0 turns every arrival into an

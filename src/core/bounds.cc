@@ -5,7 +5,6 @@
 #include <limits>
 #include <vector>
 
-#include "core/kernels.h"
 #include "core/types.h"
 
 namespace mqd {
@@ -18,7 +17,6 @@ size_t LabelStabbingCount(const Instance& inst, const CoverageModel& model,
   const std::span<const DimValue> values = inst.label_values(a);
   const DimValue max_reach = model.MaxReach();
   const bool uniform = model.IsUniform();
-  const kern::KernelTable& kt = kern::Active();
   size_t count = 0;
   DimValue covered_until = -std::numeric_limits<DimValue>::infinity();
   for (size_t i = 0; i < posts.size(); ++i) {
@@ -30,13 +28,15 @@ size_t LabelStabbingCount(const Instance& inst, const CoverageModel& model,
     // interval extends furthest right (optimal 1-D point cover).
     DimValue best_end = vx + model.Reach(inst, px, a);
     if (uniform) {
-      // Constant reach turns the fold into the masked-max kernel over
-      // the window's flat value run (same Covers expression, same
-      // max fold — max is order-insensitive on these NaN-free values).
+      // Constant reach turns the fold into a masked max over the
+      // window's flat value run (same Covers expression).
       const Instance::IndexRange r =
           inst.LabelRangeBounds(a, vx - max_reach, vx + max_reach);
-      best_end = kt.max_cover_end(values.data() + r.begin, r.size(), vx,
-                                  max_reach, best_end);
+      for (size_t j = r.begin; j < r.end; ++j) {
+        if (std::fabs(values[j] - vx) <= max_reach) {
+          best_end = std::max(best_end, values[j] + max_reach);
+        }
+      }
     } else {
       for (PostId z :
            inst.LabelPostsInRange(a, vx - max_reach, vx + max_reach)) {

@@ -2,6 +2,7 @@
 #define MQD_CORE_GREEDY_STATE_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -30,7 +31,7 @@ namespace mqd::internal {
 /// global first maximum, i.e. the smallest PostId among the posts of
 /// largest gain. Select() rebuilds only the blocks in the PostId span
 /// whose gains changed, so a round costs O(n/64 + touched span). Both
-/// levels are the argmax_dense kernel.
+/// levels run kern::ArgmaxDense, the one SIMD-dispatched kernel.
 ///
 /// Select() walks the newly covered positions of each label's run in
 /// ascending order, so the coverer windows [lo, hi) — the MaxReach
@@ -41,12 +42,12 @@ namespace mqd::internal {
 ///    so the posts losing this pair form one contiguous run of LP(a).
 ///    The decrement is an O(1) range-add into a per-label difference
 ///    array over CSR positions, materialized into gain_ once per label
-///    after its run is walked (the kern::materialize kernel).
+///    after its run is walked (one prefix-sum walk).
 ///  * Exact path (variable lambda): coverage is directional — whether
 ///    r covers (q, a) depends on r's own reach — so the losers are not
-///    contiguous and each candidate in the window is tested with the
-///    kern::cover_decrement kernel over a flat per-label reach row
-///    (Reach(r, a) materialized once per label on first touch).
+///    contiguous and each candidate in the window is tested against a
+///    flat per-label reach row (Reach(r, a) materialized once per
+///    label on first touch).
 /// Both paths leave gain_ in the identical state; the fast path is
 /// purely an algebraic regrouping of the same decrements.
 ///
@@ -125,12 +126,10 @@ class GreedyState {
   /// The post of maximum residual gain, ties toward the smallest
   /// PostId; kInvalidPost when every gain is zero.
   PostId Best() const {
-    const kern::KernelTable& kt = kern::Active();
-    const size_t b = kt.argmax_dense(block_max_.data(), block_max_.size());
+    const size_t b = kern::ArgmaxDense(block_max_.data(), block_max_.size());
     if (b == block_max_.size()) return kInvalidPost;
     const size_t base = b * kBlock;
-    const size_t at =
-        kt.argmax_dense(gain_.data() + base, BlockSize(base));
+    const size_t at = kern::ArgmaxDense(gain_.data() + base, BlockSize(base));
     MQD_DCHECK(at < kBlock);
     return static_cast<PostId>(base + at);
   }
@@ -148,7 +147,6 @@ class GreedyState {
   void Select(PostId p) {
     const DimValue max_reach = model_.MaxReach();
     const DimValue v = inst_.value(p);
-    const kern::KernelTable& kt = kern::Active();
     size_t touched_lo = inst_.num_posts();
     size_t touched_hi = 0;
     ForEachLabel(inst_.labels(p), [&](LabelId a) {
@@ -186,8 +184,10 @@ class GreedyState {
           ++delta_[delta_base(a) + hi];
           ++fastpath_updates_;
         } else {
-          kt.cover_decrement(values.data() + lo, reach_flat_.data() + base + lo,
-                             hi - lo, vq, ids.data() + lo, gain_.data());
+          const double* reaches = reach_flat_.data() + base;
+          for (size_t r = lo; r < hi; ++r) {
+            if (std::fabs(values[r] - vq) <= reaches[r]) --gain_[ids[r]];
+          }
           ++exact_updates_;
         }
       }
@@ -196,8 +196,12 @@ class GreedyState {
         // The windows are monotone, so the pending range-adds all lie
         // in [lo_first, hi); one prefix-sum walk applies them.
         int32_t* delta = delta_.data() + delta_base(a);
-        kt.materialize(delta + lo_first, hi - lo_first, ids.data() + lo_first,
-                       gain_.data());
+        int64_t sum = 0;
+        for (size_t i = lo_first; i < hi; ++i) {
+          sum += delta[i];
+          delta[i] = 0;
+          if (sum != 0) gain_[ids[i]] += sum;
+        }
         delta[hi] = 0;
       }
       touched_lo = std::min<size_t>(touched_lo, ids[lo_first]);
@@ -225,18 +229,17 @@ class GreedyState {
   /// Recomputes block_max_ for every block meeting PostIds [lo, hi).
   void RebuildBlocks(size_t lo, size_t hi) {
     if (lo >= hi) return;
-    const kern::KernelTable& kt = kern::Active();
     for (size_t b = lo / kBlock; b <= (hi - 1) / kBlock; ++b) {
       const size_t base = b * kBlock;
       const size_t size = BlockSize(base);
-      const size_t at = kt.argmax_dense(gain_.data() + base, size);
+      const size_t at = kern::ArgmaxDense(gain_.data() + base, size);
       block_max_[b] = at < size ? gain_[base + at] : 0;
     }
   }
 
   /// Materializes Reach(r, a) for every post of LP(a) into the flat
   /// reach row, position-aligned with label_values(a)/label_posts(a)
-  /// so the cover_decrement kernel streams three parallel arrays.
+  /// so the exact path streams three parallel arrays.
   void EnsureReachRow(LabelId a) {
     if (reach_ready_[a]) return;
     reach_ready_[a] = 1;

@@ -1,9 +1,6 @@
 #include "core/kernels.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <string_view>
 
 #include "util/logging.h"
@@ -14,17 +11,14 @@ namespace kern {
 
 namespace internal {
 // Defined in kernels_avx2.cc (compiled with -mavx2) when the build
-// carries AVX2 bodies.
-const KernelTable& Avx2Table();
+// carries the AVX2 body.
+size_t ArgmaxDenseAvx2(const int64_t* gains, size_t n);
 }  // namespace internal
 
-namespace scalar {
+namespace {
 
-// The scalar tier is the semantic reference: these bodies are the
-// original solver loops, verbatim. The AVX2 tier (kernels_avx2.cc)
-// must reproduce them bit-for-bit.
-
-size_t ArgmaxDense(const int64_t* gains, size_t n) {
+// The semantic reference; the AVX2 body must return the same index.
+size_t ArgmaxDenseScalar(const int64_t* gains, size_t n) {
   int64_t best_gain = 0;
   size_t best = n;
   for (size_t i = 0; i < n; ++i) {
@@ -36,92 +30,9 @@ size_t ArgmaxDense(const int64_t* gains, size_t n) {
   return best;
 }
 
-void Materialize(int32_t* delta, size_t n, const PostId* ids,
-                 int64_t* gains) {
-  int64_t run = 0;
-  for (size_t i = 0; i < n; ++i) {
-    run += delta[i];
-    delta[i] = 0;
-    if (run != 0) gains[ids[i]] += run;
-  }
-}
-
-void PrefixRuns(int32_t* delta, size_t n, int64_t* runs) {
-  int64_t run = 0;
-  for (size_t i = 0; i < n; ++i) {
-    run += delta[i];
-    delta[i] = 0;
-    runs[i] = run;
-  }
-}
-
-RunBounds CoverRun(const double* values, size_t n, double center,
-                   double reach) {
-  const double* lo = std::partition_point(
-      values, values + n,
-      [&](double v) { return v - center < -reach; });
-  const double* hi = std::partition_point(
-      lo, values + n, [&](double v) { return v - center <= reach; });
-  return {static_cast<size_t>(lo - values), static_cast<size_t>(hi - values)};
-}
-
-RunBounds CovererRun(const double* values, size_t n, double center,
-                     double reach) {
-  const double* lo = std::partition_point(
-      values, values + n,
-      [&](double v) { return v + reach < center; });
-  const double* hi = std::partition_point(
-      lo, values + n, [&](double v) { return v - reach <= center; });
-  return {static_cast<size_t>(lo - values), static_cast<size_t>(hi - values)};
-}
-
-uint64_t SumU8(const uint8_t* flags, size_t n) {
-  uint64_t total = 0;
-  for (size_t i = 0; i < n; ++i) total += flags[i];
-  return total;
-}
-
-double MaxCoverEnd(const double* values, size_t n, double center,
-                   double reach, double init) {
-  double acc = init;
-  for (size_t i = 0; i < n; ++i) {
-    if (std::fabs(values[i] - center) <= reach) {
-      acc = std::max(acc, values[i] + reach);
-    }
-  }
-  return acc;
-}
-
-size_t LastCover(const double* values, size_t n, double center, double reach,
-                 double limit) {
-  size_t last = kNoIndex;
-  for (size_t i = 0; i < n; ++i) {
-    if (values[i] > limit) break;
-    if (std::fabs(values[i] - center) <= reach) last = i;
-  }
-  return last;
-}
-
-void CoverDecrement(const double* values, const double* reaches, size_t n,
-                    double center, const PostId* ids, int64_t* gains) {
-  for (size_t i = 0; i < n; ++i) {
-    if (std::fabs(values[i] - center) <= reaches[i]) --gains[ids[i]];
-  }
-}
-
-}  // namespace scalar
-
-namespace {
-
-constexpr KernelTable kScalarTable{
-    scalar::ArgmaxDense, scalar::Materialize,    scalar::PrefixRuns,
-    scalar::CoverRun,    scalar::CovererRun,     scalar::SumU8,
-    scalar::MaxCoverEnd, scalar::LastCover,      scalar::CoverDecrement,
-};
-
 // Dispatch state. Written once at startup (or from single-threaded
-// test setup via ForceLevelForTest); read on every solve.
-const KernelTable* g_active_table = nullptr;
+// test setup via ForceLevelForTest); read on every call.
+ArgmaxDenseFn g_active_fn = nullptr;
 simd::Level g_active_level = simd::Level::kScalar;
 
 void DecideDispatch() {
@@ -136,7 +47,7 @@ void DecideDispatch() {
         level = simd::Level::kAvx2;
       } else {
         MQD_LOG(Warning) << "MQD_SIMD=avx2 requested but AVX2 is "
-                            "unavailable; staying on scalar kernels";
+                            "unavailable; staying on the scalar kernel";
         level = simd::Level::kScalar;
       }
     } else if (!want.empty()) {
@@ -145,11 +56,11 @@ void DecideDispatch() {
     }
   }
   g_active_level = level;
-  g_active_table = &Table(level);
+  g_active_fn = ArgmaxDenseFor(level);
 }
 
-// Thread-safe once-only dispatch (magic static); parallel solvers may
-// race the first kernel call from several workers.
+// Thread-safe once-only dispatch (magic static); BatchSolver and
+// `mqd serve` workers may race the first kernel call.
 void EnsureDispatch() {
   static const bool done = (DecideDispatch(), true);
   (void)done;
@@ -157,24 +68,24 @@ void EnsureDispatch() {
 
 }  // namespace
 
-const KernelTable& Table(simd::Level level) {
+ArgmaxDenseFn ArgmaxDenseFor(simd::Level level) {
 #ifdef MQD_HAVE_AVX2
   if (level == simd::Level::kAvx2) {
-    MQD_CHECK(simd::Avx2Available()) << "AVX2 kernels requested on a CPU "
+    MQD_CHECK(simd::Avx2Available()) << "AVX2 kernel requested on a CPU "
                                         "without AVX2";
-    return internal::Avx2Table();
+    return internal::ArgmaxDenseAvx2;
   }
 #else
   MQD_CHECK(level == simd::Level::kScalar)
-      << "this build carries no AVX2 kernel bodies";
+      << "this build carries no AVX2 kernel body";
 #endif
   (void)level;
-  return kScalarTable;
+  return ArgmaxDenseScalar;
 }
 
-const KernelTable& Active() {
+size_t ArgmaxDense(const int64_t* gains, size_t n) {
   EnsureDispatch();
-  return *g_active_table;
+  return g_active_fn(gains, n);
 }
 
 }  // namespace kern
@@ -209,7 +120,7 @@ bool ForceLevelForTest(Level level) {
   if (level == Level::kAvx2 && !Avx2Available()) return false;
   kern::EnsureDispatch();
   kern::g_active_level = level;
-  kern::g_active_table = &kern::Table(level);
+  kern::g_active_fn = kern::ArgmaxDenseFor(level);
   return true;
 }
 

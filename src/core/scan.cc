@@ -1,9 +1,9 @@
 #include "core/scan.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
-#include "core/kernels.h"
 #include "util/logging.h"
 
 namespace mqd {
@@ -22,7 +22,6 @@ void SweepLabel(const Instance& inst, const CoverageModel& model, LabelId a,
   const DimValue max_reach = model.MaxReach();
   const LabelMask abit = MaskOf(a);
   const bool uniform = model.IsUniform();
-  const kern::KernelTable& kt = kern::Active();
 
   size_t i = 0;
   while (true) {
@@ -44,13 +43,13 @@ void SweepLabel(const Instance& inst, const CoverageModel& model, LabelId a,
       // Constant reach makes every candidate's end value(z) + lambda,
       // weakly ascending over the sorted list, so the >=-fold below
       // reduces to "last candidate passing Covers before the window
-      // break" — exactly the SIMD last-cover kernel.
-      const size_t j = kt.last_cover(values.data() + i + 1,
-                                     values.size() - i - 1, vx, max_reach,
-                                     vx + max_reach);
-      if (j != kern::kNoIndex) {
-        best = posts[i + 1 + j];
-        best_end = inst.value(best) + max_reach;
+      // break", read off the flat value run.
+      for (size_t j = i + 1; j < values.size(); ++j) {
+        if (values[j] > vx + max_reach) break;
+        if (std::fabs(values[j] - vx) <= max_reach) {
+          best = posts[j];
+          best_end = values[j] + max_reach;
+        }
       }
     } else {
       for (size_t j = i + 1; j < posts.size(); ++j) {

@@ -94,6 +94,10 @@ void OnlineFeed::Drain(double now, std::vector<Output>* out) {
 
 Result<std::vector<OnlineFeed::Output>> OnlineFeed::Push(
     uint64_t post_id, double time, std::string_view text) {
+  if (!std::isfinite(time)) {
+    return Status::InvalidArgument(
+        StrFormat("non-finite post time %f", time));
+  }
   if (time < last_time_) {
     return Status::InvalidArgument(
         StrFormat("out-of-order post at t=%.3f after t=%.3f", time,
@@ -131,6 +135,9 @@ Result<std::vector<OnlineFeed::Output>> OnlineFeed::Push(
 }
 
 std::vector<OnlineFeed::Output> OnlineFeed::AdvanceTo(double now) {
+  // A NaN clock compares false against every deadline; firing nothing
+  // keeps it from draining the whole feed.
+  if (std::isnan(now)) return {};
   last_time_ = std::max(last_time_, now);
   std::vector<Output> outputs;
   Drain(now, &outputs);

@@ -42,15 +42,16 @@ class OnlineFeed {
 
   OnlineFeed(TopicMatcher matcher, Options options);
 
-  /// Pushes the next post (non-decreasing times required; out-of-order
-  /// posts are rejected). Returns the emissions this arrival (and the
-  /// clock advance to it) triggered — usually empty, occasionally one
-  /// or more posts whose deadlines fired.
+  /// Pushes the next post (finite, non-decreasing times required;
+  /// non-finite and out-of-order posts are rejected). Returns the
+  /// emissions this arrival (and the clock advance to it) triggered —
+  /// usually empty, occasionally one or more posts whose deadlines
+  /// fired.
   Result<std::vector<Output>> Push(uint64_t post_id, double time,
                                    std::string_view text);
 
   /// Advances the clock without an arrival (call periodically in quiet
-  /// streams so deadlines fire on time).
+  /// streams so deadlines fire on time). A NaN `now` is ignored.
   std::vector<Output> AdvanceTo(double now);
 
   /// Flushes every pending decision (end of stream / shutdown).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 
 #include "core/kernels.h"
 #include "obs/stack_metrics.h"
@@ -28,7 +29,6 @@ StreamGreedyProcessor::StreamGreedyProcessor(const Instance& inst,
       slot_uncovered_(&resource_),
       slot_gains_(&resource_),
       dirty_labels_(&resource_),
-      runs_(&resource_),
       metrics_(&obs::StreamMetricsFor(name())) {
   MQD_CHECK(tau >= 0.0) << "tau must be non-negative";
   const size_t num_labels = static_cast<size_t>(inst.num_labels());
@@ -107,23 +107,17 @@ void StreamGreedyProcessor::RangeAdd(LabelId a, size_t lo, size_t hi,
 }
 
 void StreamGreedyProcessor::MaterializePending() {
-  const kern::KernelTable& kt = kern::Active();
   for (LabelId a : dirty_labels_) {
     LabelList& list = by_label_[a];
-    const size_t lo = list.dirty_lo;
-    const size_t len = list.dirty_hi - lo;
-    // Prefix-run kernel over the dirty delta window (zeroing it), then
-    // a scalar scatter through the slot-id indirection: slot ids are
-    // ring-relative, so the fused materialize kernel's direct
-    // gains[id] scatter does not apply here.
-    if (runs_.size() < len) runs_.resize(len);
-    kt.prefix_runs(list.delta.data() + lo, len, runs_.data());
-    list.delta[list.dirty_hi] = 0;
-    for (size_t i = 0; i < len; ++i) {
-      if (runs_[i] != 0) {
-        slot_gains_[list.slots[lo + i] - slot_base_] += runs_[i];
-      }
+    // One prefix-sum walk over the dirty delta window (zeroing it),
+    // scattered through the ring-relative slot ids.
+    int64_t run = 0;
+    for (size_t i = list.dirty_lo; i < list.dirty_hi; ++i) {
+      run += list.delta[i];
+      list.delta[i] = 0;
+      if (run != 0) slot_gains_[list.slots[i] - slot_base_] += run;
     }
+    list.delta[list.dirty_hi] = 0;
     list.dirty_lo = kClean;
   }
   dirty_labels_.clear();
@@ -135,12 +129,10 @@ void StreamGreedyProcessor::AddPairGain(LabelId a, DimValue v) {
     // Coverers of the new pair under the reference's batch-init rule:
     // z counts the pair iff v lies in [value(z) - lambda, value(z) +
     // lambda]. Both interval ends are monotone in value(z), so the
-    // coverers form one contiguous run of the slot list — the
-    // coverer-side membership kernel.
-    const kern::RunBounds run = kern::Active().coverer_run(
-        list.values.data(), list.values.size(), v, model_.MaxReach());
-    if (run.lo != run.hi) {
-      RangeAdd(a, run.lo, run.hi, +1);
+    // coverers form one contiguous run of the slot list.
+    const auto [lo, hi] = CovererRun(list.values, v, model_.MaxReach());
+    if (lo != hi) {
+      RangeAdd(a, lo, hi, +1);
       ++gain_fastpath_;
     }
     return;
@@ -175,13 +167,12 @@ void StreamGreedyProcessor::AppendSlot(PostId post, LabelMask u) {
   // post's own uncov entry is still zero here, so its new pairs are
   // not double counted — AddPairGain below credits them to every
   // coverer, this post included.
-  const kern::KernelTable& kt = kern::Active();
   int64_t g = 0;
   ForEachLabel(inst_.labels(post), [&](LabelId a) {
     const DimValue reach = model_.Reach(inst_, post, a);
     auto [lo, hi] = SlotValueRange(a, v - reach, v + reach);
-    g += static_cast<int64_t>(
-        kt.sum_u8(by_label_[a].uncov.data() + lo, hi - lo));
+    const std::pmr::vector<uint8_t>& uncov = by_label_[a].uncov;
+    for (size_t i = lo; i < hi; ++i) g += uncov[i];
   });
   slot_gains_.back() = g;
   slot_uncovered_.back() = u;
@@ -224,7 +215,6 @@ void StreamGreedyProcessor::SelectSlot(uint32_t s, double when) {
   const PostId z = slot_posts_[SlotIndex(s)];
   const DimValue v = inst_.value(z);
   const DimValue max_reach = model_.MaxReach();
-  const kern::KernelTable& kt = kern::Active();
   ForEachLabel(inst_.labels(z), [&](LabelId a) {
     const DimValue reach = model_.Reach(inst_, z, a);
     auto [first, last] = SlotValueRange(a, v - reach, v + reach);
@@ -241,10 +231,11 @@ void StreamGreedyProcessor::SelectSlot(uint32_t s, double when) {
         // The reference decrements candidates in [vq ± max_reach]
         // that pass Covers; under a uniform lambda the passing set is
         // the contiguous run with value(r) - vq in [-lambda, lambda]
-        // — the coveree-side membership kernel over the window.
-        const kern::RunBounds run =
-            kt.cover_run(list.values.data() + rf, rl - rf, vq, max_reach);
-        RangeAdd(a, rf + run.lo, rf + run.hi, -1);
+        // inside the window.
+        const auto [lo, hi] = CoverRun(
+            std::span<const double>(list.values).subspan(rf, rl - rf), vq,
+            max_reach);
+        RangeAdd(a, rf + lo, rf + hi, -1);
         ++gain_fastpath_;
       } else {
         for (size_t r = rf; r < rl; ++r) {
@@ -265,7 +256,6 @@ void StreamGreedyProcessor::RunBatch(double when) {
   MQD_DCHECK(!slot_posts_.empty());
   // Fold arrivals' pending range-adds in before the first argmax.
   MaterializePending();
-  const kern::KernelTable& kt = kern::Active();
 
   // Greedy loop (linear argmax in window order, as in the paper's
   // implementation): the dense argmax kernel returns the first
@@ -275,8 +265,8 @@ void StreamGreedyProcessor::RunBatch(double when) {
         slot_uncovered_[SlotIndex(anchor_slot_)] == 0) {
       break;
     }
-    const size_t at = kt.argmax_dense(slot_gains_.data(),
-                                      slot_gains_.size());
+    const size_t at =
+        kern::ArgmaxDense(slot_gains_.data(), slot_gains_.size());
     MQD_CHECK(at < slot_gains_.size()) << "window greedy stalled";
     SelectSlot(slot_base_ + static_cast<uint32_t>(at), when);
   }

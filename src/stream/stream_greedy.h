@@ -32,8 +32,8 @@ namespace mqd {
 /// across consecutive batches instead of rebuilt from the retained
 /// buffer suffix. Buffered posts live in a structure-of-arrays slot
 /// ring (monotone slot ids, parallel post/mask/gain arrays) so the
-/// batch argmax and gain materialization run the SIMD-dispatched
-/// kernels of core/kernels.h over flat memory. Per-label slot lists,
+/// batch argmax (the SIMD-dispatched kern::ArgmaxDense) and gain
+/// materialization run over flat memory. Per-label slot lists,
 /// residual uncovered masks, emitted-coverage probes and greedy gains
 /// are all maintained incrementally at arrival time, so a batch only
 /// pays for its new posts. Gain maintenance mirrors
@@ -92,7 +92,7 @@ class StreamGreedyProcessor final : public StreamProcessor,
   /// stream window. `values` and `uncov` mirror the slots' post
   /// values and this label's residual uncovered bit position by
   /// position, so the hot membership runs and uncovered counts are
-  /// kernel calls over flat arrays instead of chasing slot ids.
+  /// loops over flat arrays instead of chasing slot ids.
   struct LabelList {
     explicit LabelList(std::pmr::memory_resource* mr)
         : slots(mr), values(mr), uncov(mr), delta(mr) {}
@@ -119,8 +119,8 @@ class StreamGreedyProcessor final : public StreamProcessor,
 
   /// True when label `a` of `post` is covered by an emitted post
   /// (binary-searched probe of emitted_per_label_[a]). Deliberately
-  /// scalar: the probe only examines the [v - reach, v + reach]
-  /// window, and a whole-list kernel pass could find a rounding-edge
+  /// windowed: the probe only examines the [v - reach, v + reach]
+  /// window, and a whole-list CoverRun could find a rounding-edge
   /// element outside that window — a bit-identity hazard.
   bool CoveredByEmitted(PostId post, LabelId a) const;
   /// Buffers `post` with residual uncovered mask `u`, registering it
@@ -169,8 +169,6 @@ class StreamGreedyProcessor final : public StreamProcessor,
   uint32_t slot_base_ = 0;
   std::vector<LabelList> by_label_;
   std::pmr::vector<LabelId> dirty_labels_;
-  /// Scratch for MaterializePending's prefix-run kernel output.
-  std::pmr::vector<int64_t> runs_;
   /// Uncovered (post, label) pairs among the buffered slots.
   size_t remaining_ = 0;
   PostId anchor_ = kInvalidPost;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/kernels.h"
 #include "obs/stack_metrics.h"
 #include "util/logging.h"
 
@@ -77,13 +76,12 @@ void StreamScanProcessor::Fire(LabelId a, double when) {
   // StreamScan+: the emitted post also covers pending posts of its
   // other labels. Covered(q) <=> |value(lu) - value(q)| <= Reach(lu,
   // b); IEEE subtraction is monotone over the value-sorted list, so
-  // the covered posts form one contiguous run — the cover_run
-  // membership kernel over the flat value mirror, erasing the same
-  // set the reference's linear remove_if drops, element for element.
+  // the covered posts form one contiguous run — CoverRun over the
+  // flat value mirror, erasing the same set the reference's linear
+  // remove_if drops, element for element.
   // (Reach is the emitted post's, constant across the probe, so this
   // holds for variable models too.)
   const DimValue v_lu = inst_.value(lu);
-  const kern::KernelTable& kt = kern::Active();
   ForEachLabel(inst_.labels(lu), [&](LabelId b) {
     if (b == a) return;
     LabelState& other = labels_[b];
@@ -93,11 +91,10 @@ void StreamScanProcessor::Fire(LabelId a, double when) {
     }
     if (other.uncovered.empty()) return;
     const DimValue reach = model_.Reach(inst_, lu, b);
-    const kern::RunBounds run = kt.cover_run(
-        other.values.data(), other.values.size(), v_lu, reach);
-    if (run.lo != run.hi) {
-      const auto first = static_cast<std::ptrdiff_t>(run.lo);
-      const auto last = static_cast<std::ptrdiff_t>(run.hi);
+    const auto [lo, hi] = CoverRun(other.values, v_lu, reach);
+    if (lo != hi) {
+      const auto first = static_cast<std::ptrdiff_t>(lo);
+      const auto last = static_cast<std::ptrdiff_t>(hi);
       other.uncovered.erase(other.uncovered.begin() + first,
                             other.uncovered.begin() + last);
       other.values.erase(other.values.begin() + first,

@@ -97,8 +97,8 @@ class StreamScanProcessor final : public StreamProcessor,
     /// (arrivals are value-ordered), so the Scan+ prune can erase the
     /// covered run via partition points. `values` mirrors the posts'
     /// dimension values flat, so deadline reads and the prune's
-    /// membership run (core/kernels.h cover_run) skip the post-table
-    /// indirection.
+    /// membership run (CoverRun, stream/stream_solver.h) skip the
+    /// post-table indirection.
     std::vector<PostId> uncovered;
     std::vector<DimValue> values;
     PostId lc = kInvalidPost;

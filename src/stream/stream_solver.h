@@ -1,8 +1,12 @@
 #ifndef MQD_STREAM_STREAM_SOLVER_H_
 #define MQD_STREAM_STREAM_SOLVER_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <limits>
+#include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/coverage.h"
@@ -30,6 +34,37 @@ inline constexpr double kNeverDeadline =
 /// driver's violation counter and delay_stats' contract checker so
 /// the two delay accountings cannot drift.
 inline constexpr double kTauSlack = 1e-9;
+
+/// Uniform-lambda membership runs over an ascending value array: the
+/// half-open position range [lo, hi) of the elements that pass. Each
+/// predicate is monotone in v, so the run is one partition-point pair.
+/// The two sides round differently and must not be merged; they agree
+/// in exact arithmetic but can split a rounding-edge element apart.
+///  * CoverRun, coveree side (the reference's Covers test): v passes
+///    iff fl(v - center) is in [-reach, reach].
+///  * CovererRun, coverer side (the reference's batch-init rule): v
+///    passes iff center is in [fl(v - reach), fl(v + reach)].
+inline std::pair<size_t, size_t> CoverRun(std::span<const double> values,
+                                          double center, double reach) {
+  auto lo = std::partition_point(values.begin(), values.end(), [&](double v) {
+    return v - center < -reach;
+  });
+  auto hi = std::partition_point(
+      lo, values.end(), [&](double v) { return v - center <= reach; });
+  return {static_cast<size_t>(lo - values.begin()),
+          static_cast<size_t>(hi - values.begin())};
+}
+
+inline std::pair<size_t, size_t> CovererRun(std::span<const double> values,
+                                            double center, double reach) {
+  auto lo = std::partition_point(values.begin(), values.end(), [&](double v) {
+    return v + reach < center;
+  });
+  auto hi = std::partition_point(
+      lo, values.end(), [&](double v) { return v - reach <= center; });
+  return {static_cast<size_t>(lo - values.begin()),
+          static_cast<size_t>(hi - values.begin())};
+}
 
 /// A StreamMQDP algorithm. The replay driver (stream/replay.h) feeds
 /// posts in timestamp order, advancing the simulated clock so that

@@ -1,3 +1,5 @@
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "gen/tweet_gen.h"
@@ -53,6 +55,35 @@ TEST(OnlineFeedTest, RejectsOutOfOrderPosts) {
   OnlineFeed feed = MakeFeed({});
   ASSERT_TRUE(feed.Push(1, 10.0, "obama").ok());
   EXPECT_FALSE(feed.Push(2, 5.0, "senate").ok());
+}
+
+TEST(OnlineFeedTest, RejectsNonFiniteTimes) {
+  OnlineFeed::Options options;
+  options.lambda = 10.0;
+  options.tau = 2.0;
+  options.dedup = false;
+  OnlineFeed feed = MakeFeed(options);
+  ASSERT_TRUE(feed.Push(1, 10.0, "obama").ok());
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    auto r = feed.Push(2, bad, "senate");
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  // The rejected pushes left the out-of-order check armed.
+  EXPECT_FALSE(feed.Push(3, 5.0, "senate").ok());
+
+  // A NaN clock fires nothing and does not move the clock: the
+  // pending post (deadline 12) still fires at its deadline.
+  EXPECT_TRUE(feed.AdvanceTo(std::numeric_limits<double>::quiet_NaN())
+                  .empty());
+  EXPECT_FALSE(feed.Push(4, 9.0, "senate").ok());
+  const auto fired = feed.AdvanceTo(12.0);
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(fired[0].post_id, 1u);
+  EXPECT_DOUBLE_EQ(fired[0].emit_time, 12.0);
+  EXPECT_EQ(feed.emitted(), 1u);
 }
 
 TEST(OnlineFeedTest, UnmatchedPostsIgnored) {

@@ -72,14 +72,11 @@ REQUIRED_MICRO = [
     "BM_InstanceBuild",
 ]
 
-# The per-kernel dispatch benches (core/kernels.h). Scalar variants
-# run everywhere and are required; the /avx2 variants are recorded
-# when the host can run them and silently absent otherwise (the
-# binary reports them as errored skips on non-AVX2 hardware).
-KERNELS = [
-    "ArgmaxDense", "Materialize", "PrefixRuns", "CoverRun",
-    "CovererRun", "SumU8", "MaxCoverEnd", "LastCover", "VarCover",
-]
+# The dispatched-kernel bench (core/kernels.h). The scalar variant
+# runs everywhere and is required; the /avx2 variant is recorded when
+# the host can run it and silently absent otherwise (the binary
+# reports it as an errored skip on non-AVX2 hardware).
+KERNELS = ["ArgmaxDense"]
 REQUIRED_MICRO += [f"BM_Kernel{k}/scalar" for k in KERNELS]
 
 
@@ -100,12 +97,10 @@ STREAM_PAIRS = [
 
 REQUIRED_STREAM = [name for pair in STREAM_PAIRS for name in pair]
 
-# Dispatch-tier replays: the paper-scale replay pinned to each kernel
-# tier. Scalar is required; /avx2 is recorded when runnable.
-STREAM_TIER_BENCHES = [
-    "BM_StreamGreedyReplayTier",
-    "BM_StreamScanPlusReplayTier",
-]
+# Dispatch-tier replay: the paper-scale StreamGreedySC replay pinned
+# to each kernel tier. Scalar is required; /avx2 is recorded when
+# runnable.
+STREAM_TIER_BENCHES = ["BM_StreamGreedyReplayTier"]
 REQUIRED_STREAM += [f"{name}/scalar" for name in STREAM_TIER_BENCHES]
 
 
