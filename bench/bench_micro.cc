@@ -10,7 +10,9 @@
 #include "core/scan.h"
 #include "core/verifier.h"
 #include "gen/instance_gen.h"
+#include "gen/tweet_gen.h"
 #include "index/inverted_index.h"
+#include "simhash/dedup.h"
 #include "simhash/simhash.h"
 #include "text/tokenizer.h"
 #include "util/arena.h"
@@ -223,6 +225,37 @@ void BM_SimHash(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimHash);
+
+/// SimHash fingerprints of a seeded 1-hour tweet stream (the posts_text
+/// rate of 600 tweets/min) pushed through a fresh detector per
+/// iteration. Generated tweets share a small vocabulary, so the
+/// fingerprints are low-entropy and some block buckets grow to hundreds
+/// of entries.
+void BM_NearDuplicateTweetStream(benchmark::State& state) {
+  TweetGenConfig config;
+  config.duration_seconds = 3600.0;
+  config.base_rate_per_minute = 600.0;
+  config.seed = 17;
+  auto tweets = GenerateTweetStream(config);
+  MQD_CHECK(tweets.ok());
+  Tokenizer tokenizer;
+  std::vector<uint64_t> fingerprints;
+  fingerprints.reserve(tweets->size());
+  for (const Tweet& tweet : *tweets) {
+    fingerprints.push_back(SimHash(tokenizer.Tokenize(tweet.text)));
+  }
+  for (auto _ : state) {
+    NearDuplicateDetector detector;
+    size_t duplicates = 0;
+    for (uint64_t fingerprint : fingerprints) {
+      duplicates += detector.IsDuplicate(fingerprint) ? 1 : 0;
+    }
+    benchmark::DoNotOptimize(duplicates);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(fingerprints.size()));
+}
+BENCHMARK(BM_NearDuplicateTweetStream)->Unit(benchmark::kMillisecond);
 
 void BM_Tokenize(benchmark::State& state) {
   Tokenizer tokenizer;

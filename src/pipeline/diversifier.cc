@@ -24,7 +24,7 @@ struct MatchedBatch {
 Result<MatchedBatch> MatchAndBuild(const TopicMatcher& matcher,
                                    const std::vector<Tweet>& tweets,
                                    bool dedup, bool use_sentiment) {
-  Tokenizer tokenizer;
+  const Tokenizer& tokenizer = matcher.tokenizer();
   SentimentScorer scorer;
   NearDuplicateDetector detector;
   InstanceBuilder builder(matcher.num_labels());

@@ -50,7 +50,7 @@ LabelMask TopicMatcher::MatchTokens(
     if (it != keyword_labels_.end()) mask |= it->second;
     // A hashtag also matches its bare keyword ("#obama" ~ "obama").
     if (!token.empty() && (token[0] == '#' || token[0] == '$')) {
-      auto bare = keyword_labels_.find(token.substr(1));
+      auto bare = keyword_labels_.find(std::string_view(token).substr(1));
       if (bare != keyword_labels_.end()) mask |= bare->second;
     }
   }

@@ -1,6 +1,8 @@
 #ifndef MQD_PIPELINE_MATCHER_H_
 #define MQD_PIPELINE_MATCHER_H_
 
+#include <functional>
+#include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -9,6 +11,7 @@
 #include "text/tokenizer.h"
 #include "topics/topic_model.h"
 #include "util/result.h"
+#include "util/string_util.h"
 
 namespace mqd {
 
@@ -30,12 +33,17 @@ class TopicMatcher {
   LabelMask Match(std::string_view text) const;
   LabelMask MatchTokens(const std::vector<std::string>& tokens) const;
 
+  /// The tokenizer keywords were normalized with; callers that match
+  /// pre-tokenized text must tokenize it with this one.
+  const Tokenizer& tokenizer() const { return tokenizer_; }
+
  private:
   TopicMatcher(std::vector<Topic> topics, TokenizerOptions options);
 
   std::vector<Topic> topics_;
   Tokenizer tokenizer_;
-  std::unordered_map<std::string, LabelMask> keyword_labels_;
+  std::unordered_map<std::string, LabelMask, StringHash, std::equal_to<>>
+      keyword_labels_;
 };
 
 }  // namespace mqd

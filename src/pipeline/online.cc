@@ -108,8 +108,7 @@ Result<std::vector<OnlineFeed::Output>> OnlineFeed::Push(
   std::vector<Output> outputs;
   Drain(time, &outputs);
 
-  const Tokenizer tokenizer;
-  const std::vector<std::string> tokens = tokenizer.Tokenize(text);
+  const std::vector<std::string> tokens = matcher_.tokenizer().Tokenize(text);
   const LabelMask mask = matcher_.MatchTokens(tokens);
   if (mask == 0) return outputs;
   ++matched_;

@@ -12,10 +12,13 @@ namespace mqd {
 /// the duplicate-detection method the paper delegates to): each token
 /// votes +1/-1 on every bit according to its hash; the sign of the
 /// per-bit sum is the fingerprint bit. Near-duplicate texts land
-/// within a small Hamming distance.
+/// within a small Hamming distance. The votes are tallied byte-sliced,
+/// 8 table lookups per token.
 uint64_t SimHash(const std::vector<std::string>& tokens);
 
-/// FNV-1a, the token hash SimHash mixes (exposed for tests).
+/// The token hash SimHash mixes: FNV-1a over the bytes, then a
+/// splitmix64 finalizer so every output bit depends on every input
+/// byte (exposed for tests).
 uint64_t HashToken(std::string_view token);
 
 int HammingDistance(uint64_t a, uint64_t b);

@@ -1,15 +1,20 @@
 #include "text/stopwords.h"
 
+#include <functional>
 #include <string>
 #include <unordered_set>
+
+#include "util/string_util.h"
 
 namespace mqd {
 
 namespace {
 
-const std::unordered_set<std::string>& StopwordSet() {
-  static const std::unordered_set<std::string>* const kSet =
-      new std::unordered_set<std::string>{
+using StopwordTable =
+    std::unordered_set<std::string, StringHash, std::equal_to<>>;
+
+const StopwordTable& StopwordSet() {
+  static const StopwordTable* const kSet = new StopwordTable{
           "a",       "about",  "above",   "after",  "again",  "against",
           "all",     "am",     "an",      "and",    "any",    "are",
           "as",      "at",     "be",      "because", "been",  "before",
@@ -38,7 +43,7 @@ const std::unordered_set<std::string>& StopwordSet() {
 }  // namespace
 
 bool IsStopword(std::string_view word) {
-  return StopwordSet().contains(std::string(word));
+  return StopwordSet().contains(word);
 }
 
 }  // namespace mqd

@@ -94,6 +94,22 @@ TEST(OnlineFeedTest, UnmatchedPostsIgnored) {
   EXPECT_TRUE(feed.Flush().empty());
 }
 
+TEST(OnlineFeedTest, UsesMatcherTokenizerOptions) {
+  // Posts must be tokenized the way the matcher normalized its
+  // keywords: a one-letter keyword survives only min_token_length 1.
+  Topic files;
+  files.name = "files";
+  files.keywords = {"x"};
+  TokenizerOptions tokenizer_options;
+  tokenizer_options.min_token_length = 1;
+  auto matcher = TopicMatcher::Create({files}, tokenizer_options);
+  ASSERT_TRUE(matcher.ok());
+  ASSERT_EQ(matcher->Match("x files"), MaskOf(0));
+  OnlineFeed feed(*std::move(matcher), {});
+  ASSERT_TRUE(feed.Push(1, 0.0, "x files").ok());
+  EXPECT_EQ(feed.matched(), 1u);
+}
+
 TEST(OnlineFeedTest, DedupDropsRetweets) {
   OnlineFeed::Options options;
   options.dedup = true;

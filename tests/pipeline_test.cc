@@ -100,6 +100,26 @@ TEST(DiversifierTest, DedupRemovesRetweets) {
   EXPECT_EQ(result->instance.num_posts(), 1u);
 }
 
+TEST(DiversifierTest, UsesMatcherTokenizerOptions) {
+  // Posts must be tokenized the way the matcher normalized its
+  // keywords: a one-letter keyword survives only min_token_length 1.
+  Topic files;
+  files.name = "files";
+  files.keywords = {"x"};
+  TokenizerOptions tokenizer_options;
+  tokenizer_options.min_token_length = 1;
+  auto matcher = TopicMatcher::Create({files}, tokenizer_options);
+  ASSERT_TRUE(matcher.ok());
+  ASSERT_EQ(matcher->Match("x files"), MaskOf(0));
+  PipelineConfig config;
+  config.lambda = 10.0;
+  Diversifier diversifier(*std::move(matcher), config);
+  auto result = diversifier.Run({MakeTweet(1, 0.0, "x files")});
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->matched, 1u);
+  EXPECT_EQ(result->instance.num_posts(), 1u);
+}
+
 TEST(DiversifierTest, SentimentDimension) {
   std::vector<Tweet> tweets;
   tweets.push_back(MakeTweet(1, 0.0, "obama great amazing win"));

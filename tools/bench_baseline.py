@@ -4,8 +4,10 @@
 Three suites:
   core    - the pinned-seed select microbenches of bench_micro (the
             BM_*PaperScale / BM_GreedyGainInit / BM_LabelPostsInRange /
-            BM_InstanceBuild entries) plus the Figure 13 end-to-end
-            timing bench, written to BENCH_core.json.
+            BM_InstanceBuild entries), its text front-end benches
+            (BM_Tokenize / BM_SimHash / BM_NearDuplicateTweetStream)
+            plus the Figure 13 end-to-end timing bench, written to
+            BENCH_core.json.
   stream  - the bench_stream_micro per-arrival replay benches at the
             Figure 14-15 paper scale (optimized processors side by
             side with their pre-overhaul references, plus the
@@ -59,7 +61,8 @@ import time
 MICRO_FILTER = (
     "BM_GreedySelectPaperScale|BM_ScanSelectPaperScale|"
     "BM_GreedyGainInit|BM_LabelPostsInRange|"
-    "BM_InstanceBuild|BM_Kernel"
+    "BM_InstanceBuild|BM_Kernel|BM_Tokenize$|BM_SimHash$|"
+    "BM_NearDuplicateTweetStream"
 )
 
 # Required micro-bench entries: the regression trackers future PRs
@@ -70,6 +73,10 @@ REQUIRED_MICRO = [
     "BM_GreedyGainInit",
     "BM_LabelPostsInRange",
     "BM_InstanceBuild",
+    # The text front end (tokenizer, SimHash, near-duplicate filter).
+    "BM_Tokenize",
+    "BM_SimHash",
+    "BM_NearDuplicateTweetStream",
 ]
 
 # The dispatched-kernel bench (core/kernels.h). The scalar variant
@@ -543,7 +550,10 @@ def write_core(args, scale):
         "sanity_mode": args.sanity,
         "workload": {
             "micro": "bench_micro paper-scale selects (|L|=20, 1h @ "
-                     "118 posts/min, overlap 1.4, seed 13, lambda 60)",
+                     "118 posts/min, overlap 1.4, seed 13, lambda 60); "
+                     "text front end: one tweet through Tokenize / "
+                     "SimHash, and a 1h @ 600 tweets/min seed-17 "
+                     "stream through a fresh NearDuplicateDetector",
             "fig13": f"bench_fig13_time_mqdp at MQD_BENCH_SCALE={scale}",
         },
         "bench_micro": run_micro(args.build_dir, args.sanity),
