@@ -12,9 +12,11 @@
 //     u32   last doc id
 //     u64   raw payload size, bytes (varint deltas, as in memory)
 //   u64     FNV-1a checksum over everything after the magic
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 
 #include "index/inverted_index.h"
@@ -95,6 +97,36 @@ class Reader {
   Checksum checksum_;
 };
 
+/// Every DocId is a uint32, so an index holds at most 2^32 documents.
+constexpr uint64_t kMaxDocs = uint64_t{std::numeric_limits<DocId>::max()} + 1;
+
+/// A uint32 varint spans at most five bytes.
+constexpr uint64_t kMaxVarintBytes = 5;
+
+/// True iff `data` is exactly `count` varint-delta postings whose ids
+/// increase strictly, stay below `num_docs` and end at `last_doc` --
+/// the invariants PostingList::Iterator relies on without checking.
+bool ValidPostings(const std::vector<uint8_t>& data, uint64_t count,
+                   uint32_t last_doc, uint64_t num_docs) {
+  size_t offset = 0;
+  uint64_t doc = 0;
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t value = 0;
+    for (uint64_t shift = 0;; shift += 7) {
+      if (offset == data.size() || shift == 7 * kMaxVarintBytes) {
+        return false;
+      }
+      const uint8_t byte = data[offset++];
+      value |= static_cast<uint64_t>(byte & 0x7f) << shift;
+      if ((byte & 0x80) == 0) break;
+    }
+    if (i > 0 && value == 0) return false;  // ids must strictly increase
+    doc = i == 0 ? value : doc + value;
+    if (doc >= num_docs) return false;
+  }
+  return offset == data.size() && (count == 0 || doc == last_doc);
+}
+
 }  // namespace
 
 Status InvertedIndex::Save(std::ostream& os) const {
@@ -131,19 +163,31 @@ Result<InvertedIndex> InvertedIndex::Load(std::istream& is) {
   if (!reader.U64(&num_docs)) {
     return Status::InvalidArgument("truncated index header");
   }
-  index.timestamps_.resize(num_docs);
-  index.external_ids_.resize(num_docs);
-  for (double& t : index.timestamps_) {
-    if (!reader.F64(&t)) return Status::InvalidArgument("truncated docs");
+  if (num_docs > kMaxDocs) {
+    return Status::InvalidArgument("document count exceeds the DocId range");
   }
-  for (uint64_t& id : index.external_ids_) {
+  // The header counts are untrusted: vectors grow only as records
+  // actually arrive, so a forged count fails on truncation instead of
+  // sizing an allocation.
+  for (uint64_t d = 0; d < num_docs; ++d) {
+    double t = 0.0;
+    if (!reader.F64(&t)) return Status::InvalidArgument("truncated docs");
+    if (!std::isfinite(t) ||
+        (!index.timestamps_.empty() && t < index.timestamps_.back())) {
+      return Status::InvalidArgument(
+          "document timestamps must be finite and non-decreasing");
+    }
+    index.timestamps_.push_back(t);
+  }
+  for (uint64_t d = 0; d < num_docs; ++d) {
+    uint64_t id = 0;
     if (!reader.U64(&id)) return Status::InvalidArgument("truncated docs");
+    index.external_ids_.push_back(id);
   }
   uint64_t num_terms = 0;
   if (!reader.U64(&num_terms)) {
     return Status::InvalidArgument("truncated dictionary");
   }
-  index.postings_.reserve(num_terms);
   for (uint64_t t = 0; t < num_terms; ++t) {
     std::string word;
     uint64_t count = 0;
@@ -153,9 +197,18 @@ Result<InvertedIndex> InvertedIndex::Load(std::istream& is) {
         !reader.U32(&last_doc) || !reader.U64(&payload)) {
       return Status::InvalidArgument("truncated term record");
     }
+    // Each posting is one varint of 1..kMaxVarintBytes bytes; with
+    // count <= num_docs the payload is bounded by bytes already read.
+    if (count > num_docs || payload < count ||
+        payload > count * kMaxVarintBytes) {
+      return Status::InvalidArgument("posting list size out of range");
+    }
     std::vector<uint8_t> data(payload);
     if (payload > 0 && !reader.Raw(data.data(), payload)) {
       return Status::InvalidArgument("truncated postings payload");
+    }
+    if (!ValidPostings(data, count, last_doc, num_docs)) {
+      return Status::InvalidArgument("malformed posting list");
     }
     const TermId id = index.vocab_.Intern(word);
     if (id != t) {

@@ -1,6 +1,7 @@
 #include "index/inverted_index.h"
 
 #include <algorithm>
+#include <cmath>
 #include <queue>
 
 #include "util/string_util.h"
@@ -13,6 +14,12 @@ InvertedIndex::InvertedIndex(TokenizerOptions tokenizer_options)
 Result<DocId> InvertedIndex::AddDocument(uint64_t external_id,
                                          double timestamp,
                                          std::string_view text) {
+  // NaN compares false against everything, so it would slip past the
+  // ordering check below and unsort the timestamp column.
+  if (!std::isfinite(timestamp)) {
+    return Status::InvalidArgument(
+        StrFormat("non-finite document timestamp %f", timestamp));
+  }
   if (!timestamps_.empty() && timestamp < timestamps_.back()) {
     return Status::InvalidArgument(StrFormat(
         "document timestamps must be non-decreasing (%.3f after %.3f)",

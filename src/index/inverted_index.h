@@ -25,8 +25,9 @@ class InvertedIndex {
  public:
   explicit InvertedIndex(TokenizerOptions tokenizer_options = {});
 
-  /// Ingests a document. Fails when `timestamp` precedes the previous
-  /// document (microblog streams are time-ordered).
+  /// Ingests a document. Fails when `timestamp` is not finite or
+  /// precedes the previous document (microblog streams are
+  /// time-ordered).
   Result<DocId> AddDocument(uint64_t external_id, double timestamp,
                             std::string_view text);
 
@@ -52,7 +53,9 @@ class InvertedIndex {
   size_t postings_byte_size() const;
 
   /// Binary persistence (versioned, FNV-checksummed; see
-  /// index/index_io.cc). Load validates magic, version and checksum.
+  /// index/index_io.cc). Load validates magic, version and checksum,
+  /// and checks every count, timestamp and posting list it reads, so a
+  /// forged file with a correct checksum is rejected, not trusted.
   Status Save(std::ostream& os) const;
   static Result<InvertedIndex> Load(std::istream& is);
   Status SaveToFile(const std::string& path) const;

@@ -1,6 +1,7 @@
 #include "pipeline/diversifier.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "obs/stack_metrics.h"
 #include "obs/trace.h"
@@ -94,34 +95,6 @@ Result<PipelineResult> Diversifier::Run(
                        solver->Solve(result.instance, *model));
   result.selected_tweet_ids = ToTweetIds(result.instance, result.selection);
   return result;
-}
-
-BatchDiversifier::BatchDiversifier(std::vector<Diversifier> users,
-                                   int num_threads)
-    : users_(std::move(users)) {
-  const int total = ResolveNumThreads(num_threads);
-  if (total > 1) pool_ = std::make_unique<ThreadPool>(total - 1);
-}
-
-BatchDiversifier::~BatchDiversifier() = default;
-
-std::vector<BatchPipelineOutcome> BatchDiversifier::RunAll(
-    const std::vector<Tweet>& tweets) const {
-  std::vector<BatchPipelineOutcome> outcomes(users_.size());
-  // One chunk per user; slot i is written only by the thread that
-  // claimed user i, so outcomes stay in construction order.
-  ParallelFor(pool_.get(), users_.size(), /*grain=*/1,
-              [&](size_t begin, size_t end) {
-                for (size_t i = begin; i < end; ++i) {
-                  Result<PipelineResult> r = users_[i].Run(tweets);
-                  if (r.ok()) {
-                    outcomes[i].result = std::move(r).value();
-                  } else {
-                    outcomes[i].status = r.status();
-                  }
-                }
-              });
-  return outcomes;
 }
 
 StreamingDiversifier::StreamingDiversifier(TopicMatcher matcher,

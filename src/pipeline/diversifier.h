@@ -1,7 +1,6 @@
 #ifndef MQD_PIPELINE_DIVERSIFIER_H_
 #define MQD_PIPELINE_DIVERSIFIER_H_
 
-#include <memory>
 #include <vector>
 
 #include "core/proportional.h"
@@ -11,8 +10,6 @@
 #include "stream/factory.h"
 #include "stream/replay.h"
 #include "util/result.h"
-#include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace mqd {
 
@@ -54,39 +51,6 @@ class Diversifier {
  private:
   TopicMatcher matcher_;
   PipelineConfig config_;
-};
-
-/// Outcome of one user's pipeline inside a batch run; `result` is
-/// meaningful iff `status.ok()`.
-struct BatchPipelineOutcome {
-  Status status;
-  PipelineResult result;
-};
-
-/// The digest service's fan-out: each subscribed user brings their own
-/// query set (matcher) and pipeline configuration, and every user's
-/// digest over the same tweet window is computed concurrently on one
-/// work-stealing pool. Outcomes align index-for-index with the users
-/// passed at construction, and each equals what that user's
-/// Diversifier::Run would produce serially.
-class BatchDiversifier {
- public:
-  /// `num_threads` total threads (the calling thread counts as one;
-  /// 0 = all hardware threads, 1 = serial).
-  BatchDiversifier(std::vector<Diversifier> users, int num_threads);
-  ~BatchDiversifier();
-
-  BatchDiversifier(const BatchDiversifier&) = delete;
-  BatchDiversifier& operator=(const BatchDiversifier&) = delete;
-
-  size_t num_users() const { return users_.size(); }
-
-  std::vector<BatchPipelineOutcome> RunAll(
-      const std::vector<Tweet>& tweets) const;
-
- private:
-  std::vector<Diversifier> users_;
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 /// Streaming configuration (Figure 1's second input path).

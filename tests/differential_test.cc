@@ -13,8 +13,6 @@
 #include "core/solver.h"
 #include "core/verifier.h"
 #include "gen/instance_gen.h"
-#include "index/inverted_index.h"
-#include "index/realtime_index.h"
 #include "util/logging.h"
 
 namespace mqd {
@@ -122,31 +120,6 @@ TEST(DifferentialTest, OptMatchesBnBOnCnfGadget) {
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->size(), b->size());
   EXPECT_TRUE(IsCover(out->instance, model, *a));
-}
-
-TEST(DifferentialTest, RealtimeIndexInterleavedMatchesMonolithic) {
-  // Query after every few inserts — segments in all fill states.
-  RealtimeIndex realtime(/*active_budget_docs=*/7);
-  InvertedIndex monolithic;
-  Rng rng(44);
-  const std::vector<std::string> words{"alpha", "beta", "gamma",
-                                       "delta", "epsilon"};
-  for (int i = 0; i < 300; ++i) {
-    std::string text;
-    const int len = 1 + static_cast<int>(rng.Uniform(4));
-    for (int w = 0; w < len; ++w) {
-      text += words[rng.Uniform(words.size())] + " ";
-    }
-    ASSERT_TRUE(
-        realtime.AddDocument(static_cast<uint64_t>(i), i, text).ok());
-    ASSERT_TRUE(
-        monolithic.AddDocument(static_cast<uint64_t>(i), i, text).ok());
-    if (i % 5 == 0) {
-      const std::string& term = words[rng.Uniform(words.size())];
-      EXPECT_EQ(realtime.MatchAny({term}), monolithic.MatchAny({term}))
-          << "after doc " << i;
-    }
-  }
 }
 
 }  // namespace

@@ -1,14 +1,23 @@
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "index/inverted_index.h"
+#include "index_forge.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
 namespace mqd {
 namespace {
+
+using testing::ForgedIndex;
+
+Result<InvertedIndex> LoadBytes(const std::string& bytes) {
+  std::stringstream buffer(bytes);
+  return InvertedIndex::Load(buffer);
+}
 
 InvertedIndex BuildSample(int docs, uint64_t seed) {
   InvertedIndex index;
@@ -91,6 +100,88 @@ TEST(IndexIoTest, RejectsBitFlip) {
   bytes[bytes.size() / 2] ^= 0x40;  // corrupt the payload
   std::stringstream corrupted(bytes);
   EXPECT_FALSE(InvertedIndex::Load(corrupted).ok());
+}
+
+// The forged files below all carry a correct checksum, so only Load's
+// own checks stand between them and an index that trusts them.
+
+TEST(IndexIoTest, RejectsForgedCounts) {
+  // No header or record count may size an allocation before the bytes
+  // it claims have arrived.
+  const std::vector<std::pair<const char*, std::string>> files{
+      {"2^40 documents", ForgedIndex().U64(uint64_t{1} << 40).Seal()},
+      {"2^32 documents, none present",
+       ForgedIndex().U64(uint64_t{1} << 32).Seal()},
+      {"2^60 terms", ForgedIndex().U64(0).U64(uint64_t{1} << 60).Seal()},
+      // One document and one (empty) term whose payload claims 2^40
+      // bytes.
+      {"2^40 payload bytes", ForgedIndex()
+                                 .U64(1).F64(0.0).U64(7).U64(1)
+                                 .U32(0).U64(1).U32(0).U64(uint64_t{1} << 40)
+                                 .Seal()},
+  };
+  for (const auto& [what, bytes] : files) {
+    auto loaded = LoadBytes(bytes);
+    ASSERT_FALSE(loaded.ok()) << what;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << what;
+  }
+}
+
+TEST(IndexIoTest, RejectsForgedTimestamps) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<double, double>> bad{
+      {0.0, nan}, {nan, 0.0}, {0.0, inf}, {-inf, 0.0}, {2.0, 1.0}};
+  for (const auto& [t0, t1] : bad) {
+    ForgedIndex forged;
+    forged.U64(2).F64(t0).F64(t1).U64(10).U64(11).U64(0);
+    auto loaded = LoadBytes(forged.Seal());
+    ASSERT_FALSE(loaded.ok()) << t0 << ", " << t1;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(IndexIoTest, RejectsForgedPostings) {
+  // Two documents and one term; each case forges (count, last_doc,
+  // payload) for that term.
+  struct Case {
+    const char* what;
+    uint64_t count;
+    uint32_t last_doc;
+    std::string payload;
+  };
+  auto load = [](const Case& c) {
+    ForgedIndex forged;
+    forged.U64(2).F64(1.0).F64(2.0).U64(10).U64(11).U64(1);
+    forged.Term("zebra", c.count, c.last_doc, c.payload);
+    return LoadBytes(forged.Seal());
+  };
+
+  // The well-formed list {0, 1} loads and answers queries.
+  auto good = load({"valid", 2, 1, std::string("\x00\x01", 2)});
+  ASSERT_TRUE(good.ok()) << good.status();
+  EXPECT_EQ(good->MatchAny({"zebra"}), (std::vector<DocId>{0, 1}));
+
+  const std::vector<Case> cases{
+      {"ids past the payload", 2, 5, std::string("\x05\x81", 2)},
+      {"id beyond num_documents", 1, 5, std::string("\x05", 1)},
+      {"32-bit overflow", 1, 0, std::string("\xff\xff\xff\xff\x7f", 5)},
+      {"repeated id", 2, 0, std::string("\x00\x00", 2)},
+      {"more varints than count", 1, 1, std::string("\x00\x01", 2)},
+      {"fewer varints than count", 2, 1, std::string("\x81\x00", 2)},
+      {"truncated varint", 1, 0, std::string("\x80", 1)},
+      {"varint over five bytes", 1, 0,
+       std::string("\x80\x80\x80\x80\x80\x00", 6)},
+      {"last_doc mismatch", 1, 1, std::string("\x00", 1)},
+      {"count above num_documents", 3, 2, std::string("\x00\x01\x01", 3)},
+      {"payload without postings", 0, 0, std::string("\x00", 1)},
+  };
+  for (const Case& c : cases) {
+    auto loaded = load(c);
+    ASSERT_FALSE(loaded.ok()) << c.what;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << c.what;
+  }
 }
 
 TEST(IndexIoTest, FileRoundTrip) {

@@ -1,3 +1,5 @@
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "index/inverted_index.h"
@@ -71,6 +73,20 @@ TEST(InvertedIndexTest, RejectsOutOfOrderTimestamps) {
   InvertedIndex index;
   ASSERT_TRUE(index.AddDocument(1, 5.0, "abc def").ok());
   EXPECT_FALSE(index.AddDocument(2, 4.0, "ghi jkl").ok());
+}
+
+TEST(InvertedIndexTest, RejectsNonFiniteTimestamps) {
+  // A NaN compares false against everything, so without its own check
+  // it passes the ordering test and lets any later time in after it.
+  InvertedIndex index;
+  ASSERT_TRUE(index.AddDocument(1, 1.0, "zebra").ok());
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    EXPECT_FALSE(index.AddDocument(2, bad, "zebra").ok()) << bad;
+  }
+  EXPECT_FALSE(index.AddDocument(3, 0.5, "zebra").ok());
+  EXPECT_EQ(index.num_documents(), 1u);
+  EXPECT_TRUE(index.MatchAnyInRange({"zebra"}, 0.0, 0.75).empty());
 }
 
 TEST(InvertedIndexTest, DuplicateTokensIndexedOnce) {

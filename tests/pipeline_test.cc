@@ -162,55 +162,6 @@ TEST(DiversifierTest, ProportionalMode) {
   EXPECT_FALSE(result->selection.empty());
 }
 
-TEST(BatchDiversifierTest, ManyUsersMatchSerialRunsAtAnyThreadCount) {
-  // A shared tweet window served to users with different query sets
-  // and solver configs; the batch fan-out must reproduce each user's
-  // serial digest exactly, at every thread count.
-  std::vector<Tweet> tweets;
-  const char* texts[] = {"obama speech in congress", "nasdaq rally today",
-                         "senate votes on stocks bill",
-                         "earnings beat estimates"};
-  for (int i = 0; i < 200; ++i) {
-    tweets.push_back(MakeTweet(static_cast<uint64_t>(i), i * 3.0,
-                               texts[i % 4]));
-  }
-
-  auto make_users = [&] {
-    std::vector<Diversifier> users;
-    const SolverKind kinds[] = {SolverKind::kScan, SolverKind::kScanPlus,
-                                SolverKind::kGreedySC};
-    for (int u = 0; u < 6; ++u) {
-      auto matcher = TopicMatcher::Create(TwoTopics());
-      EXPECT_TRUE(matcher.ok());
-      PipelineConfig config;
-      config.lambda = 20.0 + 10.0 * u;
-      config.solver = kinds[u % 3];
-      users.emplace_back(std::move(matcher).value(), config);
-    }
-    return users;
-  };
-
-  // Serial reference: each user's own Run.
-  std::vector<Diversifier> reference_users = make_users();
-  std::vector<std::vector<uint64_t>> reference;
-  for (const Diversifier& user : reference_users) {
-    auto r = user.Run(tweets);
-    ASSERT_TRUE(r.status().ok());
-    reference.push_back(r->selected_tweet_ids);
-  }
-
-  for (int threads : {1, 2, 8}) {
-    BatchDiversifier batch(make_users(), threads);
-    const std::vector<BatchPipelineOutcome> outcomes = batch.RunAll(tweets);
-    ASSERT_EQ(outcomes.size(), reference.size());
-    for (size_t u = 0; u < outcomes.size(); ++u) {
-      ASSERT_TRUE(outcomes[u].status.ok()) << "user " << u;
-      ASSERT_EQ(outcomes[u].result.selected_tweet_ids, reference[u])
-          << "user " << u << " diverged at " << threads << " threads";
-    }
-  }
-}
-
 TEST(StreamingDiversifierTest, EndToEndCoversAndRespectsTau) {
   TweetGenConfig gen;
   gen.duration_seconds = 1200.0;
