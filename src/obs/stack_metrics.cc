@@ -192,10 +192,6 @@ const TenantMetrics& GetTenantMetrics() {
         &reg.MustCounter("mqd_tenant_evictions_total"),
         &reg.MustCounter("mqd_tenant_restores_total"),
         &reg.MustCounter("mqd_tenant_quarantined_total"),
-        &reg.MustCounter("mqd_tenant_near_identical_attaches_total"),
-        &reg.MustCounter("mqd_tenant_rep_grows_total"),
-        &reg.MustCounter("mqd_tenant_residual_corrections_total"),
-        &reg.MustCounter("mqd_tenant_residual_filtered_fires_total"),
     };
   }();
   return *metrics;

@@ -146,13 +146,6 @@ struct TenantMetrics {
   Counter* evictions;          // mqd_tenant_evictions_total
   Counter* restores;           // mqd_tenant_restores_total
   Counter* quarantines;        // mqd_tenant_quarantined_total
-  // Near-identical clustering (DESIGN.md §16): attaches/grows count
-  // representative sharing, and the residual counters track the
-  // fire-log mask-filter corrections it pays at derive time.
-  Counter* near_attaches;      // mqd_tenant_near_identical_attaches_total
-  Counter* rep_grows;          // mqd_tenant_rep_grows_total
-  Counter* residual_corrections;  // mqd_tenant_residual_corrections_total
-  Counter* residual_filtered;  // mqd_tenant_residual_filtered_fires_total
 };
 
 const TenantMetrics& GetTenantMetrics();

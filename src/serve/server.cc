@@ -316,6 +316,12 @@ ServeResponse Server::DoSolve(const QueuedRequest& item) {
 }
 
 ServeResponse Server::DoFeed(const ServeRequest& req) {
+  if (finished_) {
+    // Finish already fired every deadline; feeding the processor again
+    // would advance it past +inf.
+    return ServeResponse::Error(
+        req.id, Status::FailedPrecondition("stream already finished"));
+  }
   const PostId num_posts = static_cast<PostId>(inst_.num_posts());
   const PostId begin = cursor_.load(std::memory_order_relaxed);
   const PostId end = static_cast<PostId>(
@@ -343,6 +349,7 @@ ServeResponse Server::DoFeed(const ServeRequest& req) {
 }
 
 ServeResponse Server::DoFinish(const ServeRequest& req) {
+  finished_ = true;
   if (config_.tenant_mode) {
     tenants_->Finish();
     std::string body;
@@ -361,7 +368,7 @@ ServeResponse Server::DoSubscribe(const ServeRequest& req) {
     return ServeResponse::Error(
         req.id,
         Status::FailedPrecondition("subscribe requires tenant mode "
-                                   "(--max-tenants > 0)"));
+                                   "(--tenant-mode)"));
   }
   const size_t cap = config_.admission.max_tenants;
   if (cap > 0 && tenants_->active_tenants() >= cap) {

@@ -32,9 +32,9 @@ struct ServeConfig {
   /// Deliberate minimum service time per batch solve (load-drill
   /// knob: makes overload reproducible on any machine). 0 = off.
   double service_floor_ms = 0.0;
-  /// > 0 switches to tenant mode: feed drives a MultiTenantStream and
+  /// true switches to tenant mode: feed drives a MultiTenantStream and
   /// subscribe/unsubscribe/emissions manage per-tenant profiles, with
-  /// subscribe shed once `admission.max_tenants` are active.
+  /// subscribe shed once `admission.max_tenants` (> 0) are active.
   bool tenant_mode = false;
   /// Single-stream mode: drain checkpoints the replay state here
   /// (PR 5 snapshot format) and Create restores from it when the file
@@ -141,6 +141,9 @@ class Server {
   std::mutex drain_mu_;
   bool drained_ = false;
   bool restored_ = false;
+  /// Set by finish; only stream-lane requests (one in service at a
+  /// time) touch it.
+  bool finished_ = false;
 
   std::atomic<uint32_t> cursor_{0};
   std::atomic<uint64_t> emitted_{0};

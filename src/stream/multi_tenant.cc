@@ -26,11 +26,6 @@ constexpr char kTenantMagic[8] = {'M', 'Q', 'D', 'T', 'N', 'T', '0', '1'};
 constexpr uint32_t kTenantFormatVersion = 1;
 constexpr uint8_t kTierShared = 0;
 constexpr uint8_t kTierCluster = 1;
-/// Plain-scan cluster tenants: header-only snapshot. The representative
-/// replay is deterministic from (mask, join), and rebuilding regenerates
-/// the fire log — which an embedded checkpoint could not, since fire
-/// logs are not checkpointed.
-constexpr uint8_t kTierScanCluster = 2;
 
 /// CoverageModel of a TenantView: every query is answered by the
 /// parent model under the local→global post/label mappings, so the
@@ -136,10 +131,6 @@ Result<std::unique_ptr<MultiTenantStream>> MultiTenantStream::Create(
       new MultiTenantStream(inst, model, kind, tau));
 }
 
-void MultiTenantStream::set_cluster_slack(int k) {
-  cluster_slack_ = k < 0 ? 0 : k;
-}
-
 Status MultiTenantStream::ValidateMask(LabelMask mask) const {
   if (mask == 0) {
     return Status::InvalidArgument("tenant label mask is empty");
@@ -164,22 +155,10 @@ Result<std::unique_ptr<MultiTenantStream::Cluster>>
 MultiTenantStream::BuildCluster(LabelMask mask, PostId join) const {
   auto cluster = std::make_unique<Cluster>();
   cluster->mask = mask;
-  cluster->members_intersection = mask;
   cluster->join_cursor = join;
   MQD_ASSIGN_OR_RETURN(cluster->view,
                        BuildTenantView(inst_, model_, mask, join));
   switch (kind_) {
-    case StreamKind::kStreamScan: {
-      // Plain-scan representative: fire log on, so near-identical
-      // members can derive their residual-corrected sequences.
-      auto scan = std::make_unique<StreamScanProcessor>(
-          cluster->view.sub, *cluster->view.model, tau_,
-          /*cross_label_pruning=*/false);
-      scan->EnableFireLog();
-      cluster->scan = scan.get();
-      cluster->processor = std::move(scan);
-      break;
-    }
     case StreamKind::kStreamGreedy:
     case StreamKind::kStreamGreedyPlus:
       // Greedy representative: carried windows on a per-cluster bump
@@ -233,78 +212,6 @@ Result<uint32_t> MultiTenantStream::AttachCluster(LabelMask mask,
   return RegisterCluster(std::move(cluster));
 }
 
-Result<uint32_t> MultiTenantStream::AttachScanCluster(LabelMask mask,
-                                                      PostId join) {
-  const auto it = cluster_index_.find({mask, join});
-  if (it != cluster_index_.end()) {
-    Cluster& cluster = *clusters_[it->second];
-    if (!cluster.health.ok()) return cluster.health;
-    ++cluster.refcount;
-    cluster.members_intersection &= mask;
-    return it->second;
-  }
-  if (cluster_slack_ > 0) {
-    // Near-identical sharing: adopt (or widen to) a superset
-    // representative at the SAME join cursor — a representative joined
-    // earlier would carry pre-join uncovered posts the tenant must
-    // never see, and one joined later would have missed posts. Scan
-    // ascending by cluster id so the choice is deterministic.
-    for (uint32_t c = 0; c < clusters_.size(); ++c) {
-      Cluster* cl = clusters_[c].get();
-      if (cl == nullptr || cl->scan == nullptr || !cl->health.ok()) continue;
-      if (cl->join_cursor != join) continue;
-      if ((mask & ~cl->mask) == 0) {
-        // Subset attach: the representative already covers the tenant.
-        if (MaskCount(cl->mask & ~mask) > cluster_slack_) continue;
-        ++cl->refcount;
-        cl->members_intersection &= mask;
-        ++near_identical_attaches_;
-        obs::GetTenantMetrics().near_attaches->Increment();
-        return c;
-      }
-      const LabelMask grown = cl->mask | mask;
-      // Widen only if EVERY member (existing, witnessed conservatively
-      // by the mask intersection, and the newcomer) stays within slack
-      // of the widened mask, and the widened key is free.
-      if (MaskCount(grown & ~(cl->members_intersection & mask)) >
-          cluster_slack_) {
-        continue;
-      }
-      if (cluster_index_.count({grown, join}) != 0) continue;
-      MQD_RETURN_NOT_OK(GrowScanCluster(c, grown));
-      Cluster& cluster = *clusters_[c];
-      ++cluster.refcount;
-      cluster.members_intersection &= mask;
-      ++near_identical_attaches_;
-      obs::GetTenantMetrics().near_attaches->Increment();
-      return c;
-    }
-  }
-  MQD_ASSIGN_OR_RETURN(std::unique_ptr<Cluster> cluster,
-                       BuildCluster(mask, join));
-  CatchUp(*cluster);
-  cluster->refcount = 1;
-  return RegisterCluster(std::move(cluster));
-}
-
-Status MultiTenantStream::GrowScanCluster(uint32_t index, LabelMask grown) {
-  Cluster& old = *clusters_[index];
-  MQD_ASSIGN_OR_RETURN(std::unique_ptr<Cluster> replacement,
-                       BuildCluster(grown, old.join_cursor));
-  replacement->members_intersection = old.members_intersection;
-  replacement->refcount = old.refcount;
-  // Replay the widened sub-stream from the join point: deterministic,
-  // and it regenerates the whole fire log, so existing members'
-  // residual derivations keep working over the wider mask.
-  CatchUp(*replacement);
-  cluster_index_.erase({old.mask, old.join_cursor});
-  cluster_index_[{grown, replacement->join_cursor}] = index;
-  clusters_[index] = std::move(replacement);
-  ++rep_grows_;
-  obs::GetTenantMetrics().rep_grows->Increment();
-  return Status::OK();
-}
-
 void MultiTenantStream::DetachCluster(uint32_t index) {
   Cluster& cluster = *clusters_[index];
   MQD_DCHECK(cluster.refcount > 0);
@@ -330,9 +237,6 @@ Result<TenantId> MultiTenantStream::Subscribe(LabelMask labels) {
     // so one full-universe engine serves every epoch-0 subscriber.
     EnsureSharedScan();
     ++shared_tier_tenants_;
-  } else if (kind_ == StreamKind::kStreamScan) {
-    // Mid-stream plain-scan joiner: near-identical clustering applies.
-    MQD_ASSIGN_OR_RETURN(rec.cluster, AttachScanCluster(labels, cursor_));
   } else {
     MQD_ASSIGN_OR_RETURN(rec.cluster, AttachCluster(labels, cursor_));
   }
@@ -471,44 +375,6 @@ std::vector<Emission> MultiTenantStream::DeriveSharedEmissions(
   return out;
 }
 
-std::vector<Emission> MultiTenantStream::DeriveClusterEmissions(
-    const Cluster& cluster, LabelMask mask) const {
-  // Residual correction for a near-identical member: same fire-log
-  // machinery as the shared tier, scoped to the representative. Map
-  // the tenant's global labels onto the cluster's dense local ids
-  // (monotone, so the filtered fire order IS the tenant's private
-  // (deadline, label) order), filter, first-occurrence dedup.
-  LabelMask local_mask = 0;
-  int local = 0;
-  ForEachLabel(cluster.mask, [&](LabelId a) {
-    if (MaskHas(mask, a)) local_mask |= MaskOf(static_cast<LabelId>(local));
-    ++local;
-  });
-  std::vector<Emission> out;
-  SolveScratch::Session session(SolveScratch::ThreadLocal());
-  std::span<uint8_t> seen = session.arena().AllocZeroedSpan<uint8_t>(
-      cluster.view.sub.num_posts());
-  uint64_t filtered = 0;
-  for (const StreamScanProcessor::LabelFire& fire : cluster.scan->fire_log()) {
-    if (!MaskHas(local_mask, fire.label)) {
-      ++filtered;
-      continue;
-    }
-    if (seen[fire.post]) continue;
-    seen[fire.post] = 1;
-    out.push_back(
-        Emission{cluster.view.global_of_local[fire.post], fire.time});
-  }
-  ++residual_corrections_;
-  residual_filtered_fires_ += filtered;
-  const obs::TenantMetrics& metrics = obs::GetTenantMetrics();
-  metrics.residual_corrections->Increment();
-  if (filtered > 0) {
-    metrics.residual_filtered->Increment(static_cast<double>(filtered));
-  }
-  return out;
-}
-
 Result<std::vector<Emission>> MultiTenantStream::TenantEmissions(
     TenantId tenant) const {
   if (tenant >= tenants_.size() || !tenants_[tenant].active) {
@@ -519,9 +385,6 @@ Result<std::vector<Emission>> MultiTenantStream::TenantEmissions(
   if (rec.cluster == kNoCluster) return DeriveSharedEmissions(rec.mask);
   const Cluster& cluster = *clusters_[rec.cluster];
   if (!cluster.health.ok()) return cluster.health;
-  if (cluster.scan != nullptr && cluster.mask != rec.mask) {
-    return DeriveClusterEmissions(cluster, rec.mask);
-  }
   std::vector<Emission> out;
   out.reserve(cluster.processor->emissions().size());
   for (const Emission& e : cluster.processor->emissions()) {
@@ -598,16 +461,11 @@ Status MultiTenantStream::EvictTenant(TenantId tenant, std::ostream& os) {
   } else {
     const Cluster& cluster = *clusters_[rec.cluster];
     if (!cluster.health.ok()) return cluster.health;
-    if (cluster.scan != nullptr) {
-      // Plain-scan cluster: header-only (see kTierScanCluster above).
-      body.U8(kTierScanCluster);
-    } else {
-      body.U8(kTierCluster);
-      std::ostringstream inner;
-      MQD_RETURN_NOT_OK(SaveStreamCheckpoint(*cluster.processor,
-                                             cluster.next_local, inner));
-      body.Str(inner.str());
-    }
+    body.U8(kTierCluster);
+    std::ostringstream inner;
+    MQD_RETURN_NOT_OK(SaveStreamCheckpoint(*cluster.processor,
+                                           cluster.next_local, inner));
+    body.Str(inner.str());
   }
 
   os.write(kTenantMagic, sizeof(kTenantMagic));
@@ -683,6 +541,10 @@ Result<TenantId> MultiTenantStream::RestoreTenant(std::istream& is) {
   rec.active = true;
 
   if (tier == kTierShared) {
+    if (kind_ != StreamKind::kStreamScan) {
+      return Status::InvalidArgument(
+          "shared-tier tenant snapshot under a non-StreamScan algorithm");
+    }
     if (reader.remaining() != 0) {
       return Status::InvalidArgument(
           "tenant snapshot carries trailing bytes");
@@ -699,39 +561,17 @@ Result<TenantId> MultiTenantStream::RestoreTenant(std::istream& is) {
       EnsureSharedScan();
     }
     ++shared_tier_tenants_;
-  } else if (tier == kTierScanCluster) {
-    if (reader.remaining() != 0) {
-      return Status::InvalidArgument(
-          "tenant snapshot carries trailing bytes");
-    }
-    if (kind_ != StreamKind::kStreamScan) {
-      return Status::InvalidArgument(
-          "scan-cluster tenant snapshot under a non-scan algorithm");
-    }
-    // Header-only: re-attach (possibly to a near-identical superset
-    // representative) or rebuild-and-replay — either way the tenant's
-    // derived sequence is exactly the evicted run continued.
-    MQD_ASSIGN_OR_RETURN(rec.cluster, AttachScanCluster(mask, join));
   } else if (tier == kTierCluster) {
-    if (kind_ == StreamKind::kStreamScan) {
-      return Status::InvalidArgument(
-          "plain-scan tenant snapshots are header-only; embedded "
-          "checkpoint tier is not valid here");
-    }
     const std::string payload = reader.Str();
     MQD_RETURN_NOT_OK(reader.status());
     if (reader.remaining() != 0) {
       return Status::InvalidArgument(
           "tenant snapshot carries trailing bytes");
     }
-    const auto it = cluster_index_.find({mask, join});
-    if (it != cluster_index_.end()) {
+    if (cluster_index_.count({mask, join}) != 0) {
       // A live representative with the same (mask, join) has replayed
       // the identical sub-stream deterministically: re-attach.
-      Cluster& cluster = *clusters_[it->second];
-      if (!cluster.health.ok()) return cluster.health;
-      ++cluster.refcount;
-      rec.cluster = it->second;
+      MQD_ASSIGN_OR_RETURN(rec.cluster, AttachCluster(mask, join));
     } else {
       MQD_ASSIGN_OR_RETURN(std::unique_ptr<Cluster> cluster,
                            BuildCluster(mask, join));

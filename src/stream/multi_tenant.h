@@ -68,23 +68,14 @@ Result<TenantView> BuildTenantView(const Instance& inst,
 ///    O(s log |L|) regardless of tenant count.
 ///
 ///  * Cluster tier (Scan+/Greedy± — whose cross-label coupling makes
-///    label states interact — and any mid-stream joiner). Tenants with
-///    the same (mask, join point) share one representative processor
-///    over the restricted TenantView. For plain StreamScan mid-stream
-///    joiners the same per-label independence that powers the shared
-///    tier extends sharing to NEAR-IDENTICAL profiles: tenants whose
-///    masks differ by at most `cluster_slack()` labels share one
-///    superset-mask representative (fire log enabled), and each
-///    tenant's true sequence is recovered at derive time by a residual
-///    correction — mask-filter plus first-occurrence dedup against the
-///    tenant's own labels, the identical machinery the epoch-0 tier
-///    uses. Exact because dense renumbering is monotone in global
-///    label order, so the (deadline, label) fire order of the shared
-///    representative filters to precisely the tenant's private order.
-///    The representative's clock only advances when a matching post
-///    arrives (or at Finish) — exact, because AdvanceTo fires all
-///    pending deadlines in (deadline, label) order with emission times
-///    taken from the deadlines themselves, not the call instant.
+///    label states interact — and any mid-stream joiner of any kind).
+///    Tenants with the same (mask, join point) share one representative
+///    processor over the restricted TenantView, whose emissions are the
+///    tenants' own. The representative's clock only advances when a
+///    matching post arrives (or at Finish) — exact, because AdvanceTo
+///    fires all pending deadlines in (deadline, label) order with
+///    emission times taken from the deadlines themselves, not the call
+///    instant.
 ///
 /// Sweep: per RunUntil batch the live clusters are advanced in
 /// ascending cluster id order on the calling thread. Independent
@@ -92,7 +83,7 @@ Result<TenantView> BuildTenantView(const Instance& inst,
 ///
 /// Allocation: greedy representatives bump-allocate their carried
 /// windows from a per-cluster Arena (`arena_stats()` aggregates the
-/// fleet) and residual derivations borrow the thread's SolveScratch,
+/// fleet) and shared-tier derivations borrow the thread's SolveScratch,
 /// so steady-state fan-out performs zero heap allocations.
 ///
 /// Churn: Subscribe after the first arrival joins at the current
@@ -116,14 +107,6 @@ class MultiTenantStream {
   static Result<std::unique_ptr<MultiTenantStream>> Create(
       const Instance& inst, const CoverageModel& model, StreamKind kind,
       double tau);
-
-  /// Near-identical clustering slack for plain-StreamScan mid-stream
-  /// joiners: a tenant shares a superset representative when the
-  /// representative carries at most `k` labels outside the tenant's
-  /// own mask (k = 0 degenerates to exact (mask, join) clustering).
-  /// Applies to subsequent Subscribe/RestoreTenant calls.
-  void set_cluster_slack(int k);
-  int cluster_slack() const { return cluster_slack_; }
 
   /// Registers a tenant subscribed to `labels` (non-empty, within the
   /// instance's label universe) joining at the current cursor.
@@ -152,9 +135,8 @@ class MultiTenantStream {
 
   /// Serializes the tenant's state to `os` (versioned, checksummed;
   /// embeds the representative's stream checkpoint for cluster-tier
-  /// tenants — scan-cluster tenants serialize header-only, their
-  /// replay being deterministic from (mask, join)) and unsubscribes
-  /// it. Rejected after Finish and for quarantined tenants.
+  /// tenants) and unsubscribes it. Rejected after Finish and for
+  /// quarantined tenants.
   Status EvictTenant(TenantId tenant, std::ostream& os);
   /// Readmits an evicted tenant: validates magic/checksum/version/
   /// algorithm/tau/instance fingerprint, rebuilds or re-attaches the
@@ -183,19 +165,6 @@ class MultiTenantStream {
   double fanout_amplification() const;
   /// Fraction of delivery work absorbed by the shared tier.
   double shared_hit_rate() const;
-  /// Subscribes/restores absorbed by an existing near-identical
-  /// representative (subset attach or grow attach).
-  uint64_t near_identical_attaches() const {
-    return near_identical_attaches_;
-  }
-  /// Representative rebuilds that widened a scan cluster's mask.
-  uint64_t rep_grows() const { return rep_grows_; }
-  /// Residual-corrected derivations served, and fire-log entries the
-  /// mask filter dropped across them.
-  uint64_t residual_corrections() const { return residual_corrections_; }
-  uint64_t residual_filtered_fires() const {
-    return residual_filtered_fires_;
-  }
   /// Aggregate allocator stats over the per-cluster representative
   /// arenas (greedy kinds). Steady-state fan-out holds block_allocs
   /// flat — the zero-allocation regression checks watch this.
@@ -210,12 +179,7 @@ class MultiTenantStream {
   };
 
   struct Cluster {
-    /// Union of the member tenants' masks (== every member's mask for
-    /// exact clusters; a superset under near-identical sharing).
-    LabelMask mask = 0;
-    /// Intersection of the member tenants' masks: the conservative
-    /// witness that every member is within slack of the union.
-    LabelMask members_intersection = 0;
+    LabelMask mask = 0;  // every member tenant's mask
     PostId join_cursor = 0;
     TenantView view;
     /// Carried-window storage for greedy representatives; null for
@@ -223,9 +187,6 @@ class MultiTenantStream {
     /// pmr containers die first.
     std::unique_ptr<Arena> arena;
     std::unique_ptr<StreamProcessor> processor;  // after view: refs it
-    /// Non-owning alias of `processor` for plain-scan representatives
-    /// (fire log enabled); null otherwise.
-    StreamScanProcessor* scan = nullptr;
     uint32_t next_local = 0;  // local id of the next view post to deliver
     uint32_t refcount = 0;
     Status health = Status::OK();  // !ok() => quarantined by a fault
@@ -238,17 +199,8 @@ class MultiTenantStream {
 
   Status ValidateMask(LabelMask mask) const;
   /// Finds or creates the representative for exactly (mask, join);
-  /// bumps its refcount. Non-scan kinds.
+  /// bumps its refcount.
   Result<uint32_t> AttachCluster(LabelMask mask, PostId join);
-  /// Plain-scan attach with near-identical sharing: exact key hit,
-  /// else subset attach / grow attach within slack at the same join,
-  /// else a fresh cluster caught up to the engine cursor.
-  Result<uint32_t> AttachScanCluster(LabelMask mask, PostId join);
-  /// Rebuilds cluster `index`'s representative over the widened
-  /// `grown` mask and replays it back to the engine cursor (the fire
-  /// log is regenerated whole, so members' residual derivations keep
-  /// working). The cluster id is stable.
-  Status GrowScanCluster(uint32_t index, LabelMask grown);
   /// Builds a cluster shell (view + processor) without registering it.
   Result<std::unique_ptr<Cluster>> BuildCluster(LabelMask mask,
                                                 PostId join) const;
@@ -268,19 +220,12 @@ class MultiTenantStream {
   void SweepClusters(PostId end);
   void EnsureSharedScan();
   std::vector<Emission> DeriveSharedEmissions(LabelMask mask) const;
-  /// Residual correction for a scan-cluster tenant: the cluster's
-  /// fire log filtered to the tenant's own labels, first-occurrence
-  /// deduped, mapped back to global posts.
-  std::vector<Emission> DeriveClusterEmissions(const Cluster& cluster,
-                                               LabelMask mask) const;
   void Deactivate(TenantId tenant);
 
   const Instance& inst_;
   const CoverageModel& model_;
   StreamKind kind_;
   double tau_;
-  int cluster_slack_ = kDefaultClusterSlack;
-  static constexpr int kDefaultClusterSlack = 4;
 
   PostId cursor_ = 0;
   bool finished_ = false;
@@ -301,11 +246,6 @@ class MultiTenantStream {
   uint64_t arrivals_ = 0;
   uint64_t fanout_deliveries_ = 0;
   uint64_t shared_tier_hits_ = 0;
-  uint64_t near_identical_attaches_ = 0;
-  uint64_t rep_grows_ = 0;
-  /// Derive-side counters mutate under const queries.
-  mutable uint64_t residual_corrections_ = 0;
-  mutable uint64_t residual_filtered_fires_ = 0;
   uint64_t flushed_arrivals_ = 0;
   uint64_t flushed_fanout_deliveries_ = 0;
   uint64_t flushed_shared_tier_hits_ = 0;

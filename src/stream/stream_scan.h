@@ -59,9 +59,10 @@ class StreamScanProcessor final : public StreamProcessor,
   /// simulated time `time`. Unlike the emission log — which dedupes a
   /// post across labels — the fire log keeps every (label, post)
   /// event, in exactly the (deadline, label) order the heap fired
-  /// them. The multi-tenant fan-out engine (stream/multi_tenant.h)
-  /// derives each tenant's emission sequence from this log: filter to
-  /// the tenant's label mask, then first-occurrence-dedupe posts.
+  /// them. The multi-tenant fan-out engine's shared tier
+  /// (stream/multi_tenant.h) derives each of its tenants' emission
+  /// sequences from this log: filter to the tenant's label mask, then
+  /// first-occurrence-dedupe posts.
   struct LabelFire {
     double time;
     LabelId label;

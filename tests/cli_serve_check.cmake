@@ -3,17 +3,22 @@
 # and asserts on both the per-request response lines (stdout) and the
 # final "serve done:" summary (stderr).
 #
-# Two modes:
+# Three modes:
 #   nominal  - default queue caps, no service floor: every request
 #              must complete, zero sheds on either lane.
 #   overload - one worker, batch queue cap 2, 20 ms service floor,
 #              a 30-solve burst: the batch lane must shed (queue_full
 #              with a retry-after hint) while the stream lane and the
 #              final drain still answer cleanly.
+#   tenant   - --tenant-mode with plain StreamScan: one subscribe
+#              before the first post (shared per-label tier), two
+#              after it (cluster tier), feed, finish; a feed after
+#              finish must fail with FailedPrecondition while every
+#              tenant's emissions still answer.
 #
 # Usage:
 #   cmake -DCLI=<path/to/mqd_cli> -DINSTANCE=<instance.mqdp>
-#         -DMODE=<nominal|overload> -DWORK=<scratch-dir>
+#         -DMODE=<nominal|overload|tenant> -DWORK=<scratch-dir>
 #         -P cli_serve_check.cmake
 cmake_minimum_required(VERSION 3.20)
 
@@ -48,6 +53,23 @@ elseif(MODE STREQUAL "overload")
   file(WRITE "${script}" "${lines}")
   set(cmd "${CLI}" serve "${INSTANCE}" --workers 1 --queue-cap 2
       --service-floor-ms 20)
+elseif(MODE STREQUAL "tenant")
+  # The stream lane serves one request at a time in arrival order, so
+  # tenant ids are 0, 1, 2 and the late feed lands after finish.
+  file(WRITE "${script}"
+       "t0 subscribe mask=3\n"
+       "f1 feed posts=8\n"
+       "t1 subscribe mask=1\n"
+       "t2 subscribe mask=2\n"
+       "f2 feed posts=40\n"
+       "fin finish\n"
+       "f3 feed posts=8\n"
+       "e0 emissions tenant=0\n"
+       "e1 emissions tenant=1\n"
+       "e2 emissions tenant=2\n"
+       "d1 drain\n")
+  set(cmd "${CLI}" serve "${INSTANCE}" --workers 2 --tenant-mode
+      --algorithm stream-scan)
 else()
   message(FATAL_ERROR "unknown MODE '${MODE}'")
 endif()
@@ -84,6 +106,17 @@ if(MODE STREQUAL "nominal")
       message(FATAL_ERROR "no ok response for '${id}':\n${stdout}")
     endif()
   endforeach()
+elseif(MODE STREQUAL "tenant")
+  foreach(id t0 f1 t1 t2 f2 fin e0 e1 e2 d1)
+    if(NOT stdout MATCHES "${id} ok")
+      message(FATAL_ERROR "no ok response for '${id}':\n${stdout}")
+    endif()
+  endforeach()
+  if(NOT stdout MATCHES "f3 error FailedPrecondition")
+    message(FATAL_ERROR
+        "feed after finish did not fail with FailedPrecondition:\n"
+        "${stdout}")
+  endif()
 else()
   if(batch_shed EQUAL 0)
     message(FATAL_ERROR

@@ -534,6 +534,67 @@ TEST(ServeServerTest, CheckpointKillRestoreMatchesUninterruptedRun) {
   std::remove(path.c_str());
 }
 
+/// `finish` fires every remaining deadline, so a later `feed` must not
+/// advance the processor again: both modes answer FailedPrecondition
+/// and leave the cursor and emissions alone, even once every post has
+/// been delivered. A repeated `finish` stays a no-op. Outside tenant
+/// mode, `subscribe` names the switch that enables it.
+TEST(ServeServerTest, FeedAfterFinishIsRejectedInBothModes) {
+  const Instance inst = TestInstance();
+  for (const bool tenant_mode : {false, true}) {
+    for (const uint32_t posts : {100u, 100000u}) {
+      const std::string context = std::string("tenant_mode=") +
+                                  (tenant_mode ? "1" : "0") +
+                                  " posts=" + std::to_string(posts);
+      ServeConfig config;
+      config.stream_kind = StreamKind::kStreamScan;
+      config.tenant_mode = tenant_mode;
+      auto server = MustCreate(inst, config);
+      const std::string emissions =
+          tenant_mode ? "e emissions tenant=0" : "e emissions";
+      if (tenant_mode) {
+        ASSERT_EQ(server->Call(MustParse("s subscribe mask=3")).outcome,
+                  ServeOutcome::kOk)
+            << context;
+      } else {
+        const ServeResponse sub = server->Call(MustParse("s subscribe mask=3"));
+        EXPECT_EQ(sub.outcome, ServeOutcome::kError) << context;
+        EXPECT_EQ(sub.status.code(), StatusCode::kFailedPrecondition);
+        EXPECT_NE(sub.status.message().find("--tenant-mode"),
+                  std::string::npos)
+            << sub.Format();
+      }
+      const ServeResponse feed = server->Call(
+          MustParse("f1 feed posts=" + std::to_string(posts)));
+      ASSERT_EQ(feed.outcome, ServeOutcome::kOk) << context << feed.Format();
+      const uint64_t cursor = BodyValue(feed.body, "cursor");
+      ASSERT_EQ(server->Call(MustParse("fin1 finish")).outcome,
+                ServeOutcome::kOk)
+          << context;
+      const ServeResponse before = server->Call(MustParse(emissions));
+      ASSERT_EQ(before.outcome, ServeOutcome::kOk) << context;
+
+      const ServeResponse late = server->Call(MustParse("f2 feed posts=100"));
+      EXPECT_EQ(late.outcome, ServeOutcome::kError)
+          << context << " " << late.Format();
+      EXPECT_EQ(late.status.code(), StatusCode::kFailedPrecondition)
+          << context << " " << late.Format();
+      EXPECT_EQ(late.status.message(), "stream already finished") << context;
+      EXPECT_EQ(server->Stats().cursor, cursor) << context;
+
+      EXPECT_EQ(server->Call(MustParse("fin2 finish")).outcome,
+                ServeOutcome::kOk)
+          << context;
+      const ServeResponse after = server->Call(MustParse(emissions));
+      ASSERT_EQ(after.outcome, ServeOutcome::kOk) << context;
+      EXPECT_EQ(BodyValue(after.body, "emitted"),
+                BodyValue(before.body, "emitted"))
+          << context;
+      ASSERT_TRUE(server->Drain().ok());
+    }
+  }
+}
+
 TEST(ServeServerTest, TenantModeCapsSubscriptionsDeterministically) {
   const Instance inst = TestInstance();
   ServeConfig config;

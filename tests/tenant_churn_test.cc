@@ -11,6 +11,7 @@
 #include "core/instance.h"
 #include "core/types.h"
 #include "gen/instance_gen.h"
+#include "stream/checkpoint.h"
 #include "stream/factory.h"
 #include "stream/multi_tenant.h"
 #include "stream/replay.h"
@@ -367,6 +368,88 @@ TEST(TenantChurnTest, MismatchedRestoreTargetsAreRejected) {
   expect_rejected(behind->get(), "snapshot ahead of stream");
 }
 
+/// A header-only tenant snapshot (magic, body, checksum) in the layout
+/// EvictTenant writes, sealed with a recomputed checksum, so it passes
+/// every integrity check and reaches the tier dispatch.
+std::string SealHeaderOnlySnapshot(const Instance& inst, StreamKind kind,
+                                   double tau, LabelMask mask, PostId join,
+                                   PostId cursor, uint8_t tier) {
+  SnapshotWriter body;
+  body.U32(1);  // tenant format version
+  body.U8(static_cast<uint8_t>(kind));
+  body.F64(tau);
+  body.U64(InstanceFingerprint(inst));
+  body.U64(mask);
+  body.U32(join);
+  body.U32(cursor);
+  body.U8(tier);
+  const uint64_t checksum = SnapshotChecksum(body.bytes());
+  std::string blob = "MQDTNT01" + body.bytes();
+  blob.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+  return blob;
+}
+
+/// Well-sealed snapshots naming a tier the engine cannot serve: the
+/// shared tier (0) exists only under plain StreamScan, and tier 2 is
+/// not a tier. Each is rejected as InvalidArgument with the registry
+/// untouched; the same seal for a StreamScan tier-0 tenant restores
+/// and replays exactly, so the forgeries fail on the tier alone.
+TEST(TenantChurnTest, SnapshotsOfForeignTiersAreRejected) {
+  const double tau = 2.0;
+  const double lambda = 6.0;
+  const Instance inst = TestInstance(9);
+  const LabelMask mask = MaskOf(0) | MaskOf(1) | MaskOf(2);
+  const LabelMask bystander_mask = MaskOf(3) | MaskOf(5);
+  UniformLambda model(lambda);
+  struct Forgery {
+    StreamKind kind;
+    uint8_t tier;
+  };
+  for (const Forgery forgery :
+       {Forgery{StreamKind::kStreamScanPlus, 0},
+        Forgery{StreamKind::kStreamGreedyPlus, 0},
+        Forgery{StreamKind::kStreamScan, 2}}) {
+    const std::string context =
+        std::string(StreamKindName(forgery.kind)) +
+        " tier=" + std::to_string(forgery.tier);
+    auto engine = MultiTenantStream::Create(inst, model, forgery.kind, tau);
+    ASSERT_TRUE(engine.ok());
+    const TenantId bystander = *(*engine)->Subscribe(bystander_mask);
+    const size_t active_before = (*engine)->active_tenants();
+    const size_t shared_before = (*engine)->shared_tier_tenants();
+    const size_t clusters_before = (*engine)->num_clusters();
+
+    std::istringstream in(SealHeaderOnlySnapshot(
+        inst, forgery.kind, tau, mask, 0, 0, forgery.tier));
+    auto restored = (*engine)->RestoreTenant(in);
+    EXPECT_FALSE(restored.ok()) << context;
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument)
+        << context << ": " << restored.status().ToString();
+    EXPECT_EQ((*engine)->active_tenants(), active_before) << context;
+    EXPECT_EQ((*engine)->shared_tier_tenants(), shared_before) << context;
+    EXPECT_EQ((*engine)->num_clusters(), clusters_before) << context;
+
+    ASSERT_TRUE((*engine)->RunToEnd().ok());
+    ExpectEmissionsEqual(
+        *(*engine)->TenantEmissions(bystander),
+        RunSolo(inst, bystander_mask, 0, forgery.kind, tau, lambda),
+        context + " bystander");
+  }
+
+  auto scan = MultiTenantStream::Create(inst, model,
+                                        StreamKind::kStreamScan, tau);
+  ASSERT_TRUE(scan.ok());
+  std::istringstream in(SealHeaderOnlySnapshot(
+      inst, StreamKind::kStreamScan, tau, mask, 0, 0, /*tier=*/0));
+  auto restored = (*scan)->RestoreTenant(in);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ASSERT_TRUE((*scan)->RunToEnd().ok());
+  ExpectEmissionsEqual(
+      *(*scan)->TenantEmissions(*restored),
+      RunSolo(inst, mask, 0, StreamKind::kStreamScan, tau, lambda),
+      "genuine StreamScan shared-tier seal");
+}
+
 /// Registry guard rails: invalid masks, dead ids, out-of-range replay
 /// bounds and post-Finish operations are typed errors.
 TEST(TenantChurnTest, EngineGuards) {
@@ -402,14 +485,12 @@ TEST(TenantChurnTest, EngineGuards) {
       << "queries stay valid after Finish";
 }
 
-/// Mid-stream plain-scan tenants live in scan clusters whose snapshots
-/// are header-only (the fire-log replay is deterministic from
-/// (mask, join)). Evict/restore through that tier must be exact on
-/// both sides of the cluster lifecycle: sole member (evict destroys
-/// the representative, restore rebuilds and replays it) and shared
-/// member (a near-identical twin keeps the widened representative
-/// alive, restore re-attaches within slack and derives through the
-/// residual correction).
+/// Mid-stream plain-scan tenants live in exact (mask, join) clusters
+/// whose snapshots embed the representative's StreamScan checkpoint,
+/// like every other kind's. Evict/restore through that tier must be
+/// exact whether the victim's cluster dies with it (restore rebuilds
+/// the representative from the checkpoint and catches it up) or a
+/// twin one label wider, with its own cluster, stays live beside it.
 TEST(TenantChurnTest, ScanClusterEvictRestoreIsExact) {
   const double tau = 3.0;
   const double lambda = 7.0;
@@ -444,9 +525,8 @@ TEST(TenantChurnTest, ScanClusterEvictRestoreIsExact) {
         auto t = (*engine)->Subscribe(twin_mask);
         ASSERT_TRUE(t.ok()) << context;
         twin = *t;
-        // The twin widened the shared representative in place.
-        EXPECT_GT((*engine)->rep_grows(), 0u) << context;
-        EXPECT_EQ((*engine)->num_clusters(), 1u) << context;
+        // A different mask never shares the victim's representative.
+        EXPECT_EQ((*engine)->num_clusters(), 2u) << context;
       }
       ASSERT_TRUE((*engine)->RunUntil(evict_at).ok());
       std::ostringstream snapshot;

@@ -400,17 +400,15 @@ TEST(TenantWindowedRunTest, WindowedRunWithJoinersMatchesSingleTenant) {
 }
 
 // ---------------------------------------------------------------------------
-// Near-identical profile clustering: plain-scan mid-stream joiners
-// within `cluster_slack` labels of each other share one superset
-// representative, and the residual correction recovers each tenant's
-// private sequence exactly.
+// Exact clustering of plain-scan mid-stream joiners: every distinct
+// (mask, join) gets its own representative, even among profiles one
+// label apart, and each tenant's sequence equals its private replay.
 // ---------------------------------------------------------------------------
 
 /// Base masks plus one-label neighbors (one label added, one removed)
-/// for each — every neighbor is within slack 1 of its base, so the
-/// default slack must fold each family onto a shared representative.
-std::vector<LabelMask> NearIdenticalProfiles(int num_labels,
-                                             uint64_t seed) {
+/// and a duplicate of each base, so the battery mixes distinct
+/// neighboring masks with pure refcount attaches.
+std::vector<LabelMask> NeighborProfiles(int num_labels, uint64_t seed) {
   Rng rng(seed * 913 + 3);
   auto bases = GenerateLabelMaskProfiles(num_labels, 3, 6, &rng);
   EXPECT_TRUE(bases.ok());
@@ -435,7 +433,7 @@ std::vector<LabelMask> NearIdenticalProfiles(int num_labels,
   return profiles;
 }
 
-TEST(TenantNearIdenticalTest, SlackSharingIsExactAndReal) {
+TEST(TenantExactClusterTest, MidStreamScanJoinersGetOneClusterPerMask) {
   InstanceGenConfig cfg;
   cfg.num_labels = 12;
   cfg.duration = 700.0;
@@ -452,8 +450,7 @@ TEST(TenantNearIdenticalTest, SlackSharingIsExactAndReal) {
   UniformLambda uniform(lambda);
   VariableLambda variable(table, lambda);
 
-  const std::vector<LabelMask> profiles =
-      NearIdenticalProfiles(cfg.num_labels, 1);
+  const std::vector<LabelMask> profiles = NeighborProfiles(cfg.num_labels, 1);
   const size_t distinct =
       std::set<LabelMask>(profiles.begin(), profiles.end()).size();
   ASSERT_GE(distinct, 10u);
@@ -462,64 +459,39 @@ TEST(TenantNearIdenticalTest, SlackSharingIsExactAndReal) {
     const CoverageModel& model =
         use_variable ? static_cast<const CoverageModel&>(variable)
                      : static_cast<const CoverageModel&>(uniform);
-    for (const int slack : {4, 0}) {
-      const std::string context =
-          std::string(use_variable ? "variable" : "uniform") +
-          " slack=" + std::to_string(slack);
-      auto engine = MultiTenantStream::Create(*inst, model,
-                                              StreamKind::kStreamScan, tau);
-      ASSERT_TRUE(engine.ok());
-      (*engine)->set_cluster_slack(slack);
-      ASSERT_TRUE((*engine)->RunUntil(cut).ok());
-      std::vector<TenantId> ids;
-      for (LabelMask mask : profiles) {
-        auto id = (*engine)->Subscribe(mask);
-        ASSERT_TRUE(id.ok()) << context;
-        ids.push_back(*id);
-      }
-      // Continue in windows so the representatives advance live, then
-      // flush the remaining deadlines.
-      PostId cursor = cut;
-      const PostId n = static_cast<PostId>(inst->num_posts());
-      while (cursor < n) {
-        cursor = std::min<PostId>(n, cursor + 89);
-        ASSERT_TRUE((*engine)->RunUntil(cursor).ok()) << context;
-      }
-      (*engine)->Finish();
-
-      if (slack > 0) {
-        // Sharing must be real: fewer representatives than distinct
-        // masks, attaches absorbed, and at least one mask-widening
-        // rebuild (every base is subscribed before its superset).
-        EXPECT_LT((*engine)->num_clusters(), distinct) << context;
-        EXPECT_GT((*engine)->near_identical_attaches(), 0u) << context;
-        EXPECT_GT((*engine)->rep_grows(), 0u) << context;
-      } else {
-        // Slack 0 degenerates to exact (mask, join) clustering.
-        EXPECT_EQ((*engine)->num_clusters(), distinct) << context;
-        EXPECT_EQ((*engine)->near_identical_attaches(), 0u) << context;
-        EXPECT_EQ((*engine)->rep_grows(), 0u) << context;
-      }
-
-      size_t compared = 0;
-      for (size_t i = 0; i < profiles.size(); ++i) {
-        compared += ExpectTenantMatchesSingleTenant(
-            **engine, ids[i], *inst, profiles[i], /*join=*/cut,
-            StreamKind::kStreamScan, tau, lambda,
-            use_variable ? &table : nullptr, lambda,
-            context + " tenant=" + std::to_string(i));
-        if (::testing::Test::HasFailure()) return;
-      }
-      EXPECT_GT(compared, 0u) << context;
-      if (slack > 0) {
-        // Tenants narrower than their shared representative must have
-        // taken the residual-correction derive path.
-        EXPECT_GT((*engine)->residual_corrections(), 0u) << context;
-        EXPECT_GT((*engine)->residual_filtered_fires(), 0u) << context;
-      } else {
-        EXPECT_EQ((*engine)->residual_corrections(), 0u) << context;
-      }
+    const std::string context = use_variable ? "variable" : "uniform";
+    auto engine = MultiTenantStream::Create(*inst, model,
+                                            StreamKind::kStreamScan, tau);
+    ASSERT_TRUE(engine.ok());
+    ASSERT_TRUE((*engine)->RunUntil(cut).ok());
+    std::vector<TenantId> ids;
+    for (LabelMask mask : profiles) {
+      auto id = (*engine)->Subscribe(mask);
+      ASSERT_TRUE(id.ok()) << context;
+      ids.push_back(*id);
     }
+    // Continue in windows so the representatives advance live, then
+    // flush the remaining deadlines.
+    PostId cursor = cut;
+    const PostId n = static_cast<PostId>(inst->num_posts());
+    while (cursor < n) {
+      cursor = std::min<PostId>(n, cursor + 89);
+      ASSERT_TRUE((*engine)->RunUntil(cursor).ok()) << context;
+    }
+    (*engine)->Finish();
+
+    EXPECT_EQ((*engine)->num_clusters(), distinct) << context;
+
+    size_t compared = 0;
+    for (size_t i = 0; i < profiles.size(); ++i) {
+      compared += ExpectTenantMatchesSingleTenant(
+          **engine, ids[i], *inst, profiles[i], /*join=*/cut,
+          StreamKind::kStreamScan, tau, lambda,
+          use_variable ? &table : nullptr, lambda,
+          context + " tenant=" + std::to_string(i));
+      if (::testing::Test::HasFailure()) return;
+    }
+    EXPECT_GT(compared, 0u) << context;
   }
 }
 
