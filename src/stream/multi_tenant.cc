@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <istream>
 #include <iterator>
 #include <ostream>
-#include <span>
 #include <sstream>
 #include <string>
 
-#include "core/solve_scratch.h"
 #include "obs/stack_metrics.h"
 #include "stream/checkpoint.h"
 #include "stream/stream_greedy.h"
@@ -149,6 +148,16 @@ void MultiTenantStream::EnsureSharedScan() {
   shared_scan_ = std::make_unique<StreamScanProcessor>(
       inst_, model_, tau_, /*cross_label_pruning=*/false);
   shared_scan_->EnableFireLog();
+  fires_by_label_.resize(static_cast<size_t>(inst_.num_labels()));
+}
+
+void MultiTenantStream::IndexNewFires() {
+  const std::vector<StreamScanProcessor::LabelFire>& log =
+      shared_scan_->fire_log();
+  for (size_t i = indexed_fires_; i < log.size(); ++i) {
+    fires_by_label_[log[i].label].push_back(static_cast<uint32_t>(i));
+  }
+  indexed_fires_ = log.size();
 }
 
 Result<std::unique_ptr<MultiTenantStream::Cluster>>
@@ -323,6 +332,7 @@ Status MultiTenantStream::RunUntil(PostId end) {
       shared_scan_->AdvanceTo(inst_.value(p));
       shared_scan_->OnArrival(p);
     }
+    IndexNewFires();
     shared_tier_hits_ += end - cursor_;
   }
   SweepClusters(end);
@@ -332,7 +342,10 @@ Status MultiTenantStream::RunUntil(PostId end) {
 
 void MultiTenantStream::Finish() {
   if (finished_) return;
-  if (shared_scan_) shared_scan_->Finish();
+  if (shared_scan_) {
+    shared_scan_->Finish();
+    IndexNewFires();
+  }
   for (const std::unique_ptr<Cluster>& cluster : clusters_) {
     if (cluster && cluster->health.ok()) cluster->processor->Finish();
   }
@@ -356,22 +369,36 @@ Status MultiTenantStream::RunToEnd() {
 
 std::vector<Emission> MultiTenantStream::DeriveSharedEmissions(
     LabelMask mask) const {
-  // Filter the engine's per-label fire log to the tenant's labels and
-  // drop repeat posts: exactly the Emit() sequence of a private
+  // Merge the tenant's per-label fire positions back into log order
+  // and drop repeat posts: exactly the Emit() sequence of a private
   // StreamScan over the tenant's sub-stream, because per-label state
   // is independent and fires happen in (deadline, label) order on
-  // both sides. The seen bitmap borrows the thread's solve scratch,
-  // so repeated derivations are allocation-free.
+  // both sides. Both buffers are thread-local and reused; `seen` is
+  // all-zero between calls because only the entries set here are
+  // cleared on the way out, so a query touches O(tenant fires), never
+  // O(log) or O(num_posts).
+  thread_local std::vector<uint32_t> merged;
+  thread_local std::vector<uint8_t> seen;
+  merged.clear();
+  ForEachLabel(mask, [&](LabelId a) {
+    const std::vector<uint32_t>& fires = fires_by_label_[a];
+    const auto mid = static_cast<std::ptrdiff_t>(merged.size());
+    merged.insert(merged.end(), fires.begin(), fires.end());
+    std::inplace_merge(merged.begin(), merged.begin() + mid, merged.end());
+  });
+  if (seen.size() < inst_.num_posts()) seen.resize(inst_.num_posts());
+
+  const std::vector<StreamScanProcessor::LabelFire>& log =
+      shared_scan_->fire_log();
   std::vector<Emission> out;
-  SolveScratch::Session session(SolveScratch::ThreadLocal());
-  std::span<uint8_t> seen =
-      session.arena().AllocZeroedSpan<uint8_t>(inst_.num_posts());
-  for (const StreamScanProcessor::LabelFire& fire :
-       shared_scan_->fire_log()) {
-    if (!MaskHas(mask, fire.label) || seen[fire.post]) continue;
+  out.reserve(merged.size());
+  for (uint32_t position : merged) {
+    const StreamScanProcessor::LabelFire& fire = log[position];
+    if (seen[fire.post]) continue;
     seen[fire.post] = 1;
     out.push_back(Emission{fire.post, fire.time});
   }
+  for (const Emission& e : out) seen[e.post] = 0;
   return out;
 }
 

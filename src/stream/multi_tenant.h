@@ -62,10 +62,13 @@ Result<TenantView> BuildTenantView(const Instance& inst,
 ///  * Shared per-label tier (plain StreamScan, tenants subscribed
 ///    before the first arrival). StreamScan's per-label state is
 ///    independent across labels, so ONE full-universe scan engine is
-///    the union of every tenant's engine; a tenant's emission sequence
-///    is derived on demand from the engine's per-label fire log by
-///    mask-filtering and first-occurrence dedup. Per-arrival cost is
-///    O(s log |L|) regardless of tenant count.
+///    the union of every tenant's engine. The engine indexes the
+///    scan's fire log by label (ascending log positions per label,
+///    extended after each RunUntil and at Finish); a tenant's emission
+///    sequence is derived on demand by merging its labels' position
+///    lists back into log order and keeping each post's first
+///    occurrence, so a query costs O(tenant fires), not O(log).
+///    Per-arrival cost is O(s log |L|) regardless of tenant count.
 ///
 ///  * Cluster tier (Scan+/Greedy± — whose cross-label coupling makes
 ///    label states interact — and any mid-stream joiner of any kind).
@@ -83,8 +86,10 @@ Result<TenantView> BuildTenantView(const Instance& inst,
 ///
 /// Allocation: greedy representatives bump-allocate their carried
 /// windows from a per-cluster Arena (`arena_stats()` aggregates the
-/// fleet) and shared-tier derivations borrow the thread's SolveScratch,
-/// so steady-state fan-out performs zero heap allocations.
+/// fleet), so steady-state cluster sweeps hold the arenas' block count
+/// flat. The shared tier's fire log and its per-label index grow by
+/// amortized appends (4 index bytes per fire), and each derivation
+/// allocates the returned vector plus std::inplace_merge's buffer.
 ///
 /// Churn: Subscribe after the first arrival joins at the current
 /// cursor (equal to a fresh tenant whose stream starts there);
@@ -126,7 +131,16 @@ class MultiTenantStream {
   Status RunToEnd();
 
   /// The tenant's emission sequence so far, in emission order, as
-  /// global PostIds — exactly what its private processor would hold.
+  /// global PostIds. After Finish this is exactly what its private
+  /// processor would hold. Mid-stream (cursor c) the two tiers answer
+  /// on different clocks:
+  ///  * shared tier: the private StreamScan over the tenant's view
+  ///    driven on the global clock, i.e. AdvanceTo(value(p)) for every
+  ///    global p < c, plus OnArrival for the tenant's own posts;
+  ///  * cluster tier: the representative's state, whose clock moves
+  ///    only at matching arrivals, so fires whose deadline has passed
+  ///    on the stream clock since the tenant's last matching post are
+  ///    not yet in the answer.
   Result<std::vector<Emission>> TenantEmissions(TenantId tenant) const;
   /// The tenant's output Z as sorted global PostIds.
   Result<std::vector<PostId>> TenantCover(TenantId tenant) const;
@@ -219,6 +233,8 @@ class MultiTenantStream {
   /// probes while the injector is armed.
   void SweepClusters(PostId end);
   void EnsureSharedScan();
+  /// Appends the fire log's unindexed tail to `fires_by_label_`.
+  void IndexNewFires();
   std::vector<Emission> DeriveSharedEmissions(LabelMask mask) const;
   void Deactivate(TenantId tenant);
 
@@ -238,6 +254,11 @@ class MultiTenantStream {
   /// enabled. Created when the first epoch-0 scan tenant subscribes
   /// and kept running for later restores even if all of them leave.
   std::unique_ptr<StreamScanProcessor> shared_scan_;
+  /// Per label, the ascending positions of its fires in
+  /// `shared_scan_->fire_log()`; covers the first `indexed_fires_`
+  /// entries of the log.
+  std::vector<std::vector<uint32_t>> fires_by_label_;
+  size_t indexed_fires_ = 0;
 
   std::vector<std::unique_ptr<Cluster>> clusters_;  // tombstone = null
   size_t live_clusters_ = 0;

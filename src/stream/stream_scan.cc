@@ -4,6 +4,7 @@
 
 #include "obs/stack_metrics.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace mqd {
 
@@ -144,7 +145,8 @@ Status StreamScanProcessor::RestoreStreamState(SnapshotReader* reader) {
         "snapshot was taken by a different StreamScan variant");
   }
   std::vector<LabelState> restored(labels_.size());
-  for (LabelState& state : restored) {
+  for (LabelId a = 0; a < restored.size(); ++a) {
+    LabelState& state = restored[a];
     state.lc = reader->U32();
     const uint64_t count = reader->U64();
     if (reader->failed()) return reader->status();
@@ -158,10 +160,21 @@ Status StreamScanProcessor::RestoreStreamState(SnapshotReader* reader) {
     if (state.lc != kInvalidPost && state.lc >= inst_.num_posts()) {
       return Status::InvalidArgument("snapshot lc out of range");
     }
+    // Coverage radii are looked up per (post, label), and only labels
+    // the post carries have one: lc and every uncovered post of label
+    // a must carry a.
+    if (state.lc != kInvalidPost && !MaskHas(inst_.labels(state.lc), a)) {
+      return Status::InvalidArgument(
+          StrFormat("snapshot lc of label %u lacks that label", a));
+    }
     for (size_t i = 0; i < state.uncovered.size(); ++i) {
       if (state.uncovered[i] >= inst_.num_posts()) {
         return Status::InvalidArgument(
             "snapshot uncovered post out of range");
+      }
+      if (!MaskHas(inst_.labels(state.uncovered[i]), a)) {
+        return Status::InvalidArgument(StrFormat(
+            "snapshot uncovered post of label %u lacks that label", a));
       }
       // The list must stay ascending by value (front = P_ou, back =
       // P_lu); posts are value-sorted, so ascending ids suffice.

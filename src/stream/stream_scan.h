@@ -61,8 +61,9 @@ class StreamScanProcessor final : public StreamProcessor,
   /// event, in exactly the (deadline, label) order the heap fired
   /// them. The multi-tenant fan-out engine's shared tier
   /// (stream/multi_tenant.h) derives each of its tenants' emission
-  /// sequences from this log: filter to the tenant's label mask, then
-  /// first-occurrence-dedupe posts.
+  /// sequences from this log: it indexes the log by label (ascending
+  /// positions per label), merges the tenant's labels' position lists
+  /// back into log order, and keeps each post's first occurrence.
   struct LabelFire {
     double time;
     LabelId label;

@@ -2,11 +2,13 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/coverage.h"
@@ -267,6 +269,122 @@ TEST(CheckpointTest, MismatchedRestoreIsRejected) {
     std::istringstream is(blob);
     auto r = RestoreStreamCheckpoint(other.get(), *other_inst, is);
     EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+  }
+}
+
+/// Overwrites the u32 at `offset` of a checkpoint's algorithm payload
+/// (`payload_size` bytes) and recomputes the envelope checksum, so the
+/// forgery passes every byte-level check. The payload is the body's
+/// last field: it ends where the trailing checksum begins.
+std::string ResealPayloadU32(const std::string& blob, size_t payload_size,
+                             size_t offset, uint32_t value) {
+  constexpr size_t kMagicSize = 8;
+  constexpr size_t kChecksumSize = sizeof(uint64_t);
+  std::string forged = blob;
+  const size_t payload_start = forged.size() - kChecksumSize - payload_size;
+  std::memcpy(&forged[payload_start + offset], &value, sizeof(value));
+  const std::string_view body(forged.data() + kMagicSize,
+                              forged.size() - kMagicSize - kChecksumSize);
+  const uint64_t checksum = SnapshotChecksum(body);
+  std::memcpy(&forged[forged.size() - kChecksumSize], &checksum,
+              kChecksumSize);
+  return forged;
+}
+
+/// A checksum-valid StreamScan checkpoint whose per-label state names a
+/// post lacking that label — as lc or as an uncovered entry — must be
+/// rejected: resuming it would look up a coverage radius the post does
+/// not have (out of bounds under VariableLambda).
+TEST(CheckpointTest, ForgedScanStateWithForeignLabelIsRejected) {
+  InstanceGenConfig cfg;
+  cfg.num_labels = 4;
+  cfg.duration = 600.0;
+  cfg.posts_per_minute = 60.0;
+  cfg.overlap_rate = 1.6;
+  cfg.burst_fraction = 0.3;
+  cfg.seed = 7101;
+  auto inst = GenerateInstance(cfg);
+  ASSERT_TRUE(inst.ok());
+  const auto n = static_cast<PostId>(inst->num_posts());
+  const PostId cut = n / 2;
+  VariableLambda model = MakeVariableModel(*inst, 8.0, 1);
+  const double tau = 4.0;
+  // First post at or after `from` that lacks label `a`.
+  auto foreign_post = [&](LabelId a, PostId from) {
+    PostId p = from;
+    while (p < n && MaskHas(inst->labels(p), a)) ++p;
+    return p;
+  };
+
+  for (StreamKind kind :
+       {StreamKind::kStreamScan, StreamKind::kStreamScanPlus}) {
+    const std::string context(StreamKindName(kind));
+    auto victim = CreateStreamProcessor(kind, *inst, model, tau);
+    RunPrefix(*inst, victim.get(), cut);
+    std::stringstream snapshot;
+    ASSERT_TRUE(SaveStreamCheckpoint(*victim, cut, snapshot).ok());
+    const std::string blob = snapshot.str();
+
+    // Walk the payload to find each label's lc and uncovered fields.
+    SnapshotWriter payload;
+    dynamic_cast<const CheckpointableStream&>(*victim).SaveStreamState(
+        &payload);
+    const std::string& bytes = payload.bytes();
+    SnapshotReader reader(bytes);
+    auto offset = [&] { return bytes.size() - reader.remaining(); };
+    reader.U8();
+    const uint64_t num_labels = reader.U64();
+    ASSERT_EQ(num_labels, 4u) << context;
+    std::vector<size_t> lc_at(num_labels);
+    std::vector<PostId> lc(num_labels);
+    std::vector<size_t> uncovered_at(num_labels);
+    std::vector<std::vector<PostId>> uncovered(num_labels);
+    for (size_t a = 0; a < num_labels; ++a) {
+      lc_at[a] = offset();
+      lc[a] = reader.U32();
+      const uint64_t count = reader.U64();
+      uncovered_at[a] = offset();
+      for (uint64_t i = 0; i < count; ++i) {
+        uncovered[a].push_back(reader.U32());
+      }
+    }
+    ASSERT_TRUE(reader.status().ok()) << context;
+
+    auto restore = [&](const std::string& forged) {
+      auto fresh = CreateStreamProcessor(kind, *inst, model, tau);
+      std::istringstream is(forged);
+      return RestoreStreamCheckpoint(fresh.get(), *inst, is).status();
+    };
+    // The reseal itself is sound: rewriting a field with its own value
+    // restores fine.
+    ASSERT_TRUE(restore(ResealPayloadU32(blob, bytes.size(), lc_at[3],
+                                         lc[3])).ok())
+        << context;
+
+    // Forged lc: label 3's latest output becomes a post without label 3.
+    const PostId foreign_lc = foreign_post(3, 0);
+    ASSERT_LT(foreign_lc, n) << context;
+    EXPECT_EQ(restore(ResealPayloadU32(blob, bytes.size(), lc_at[3],
+                                       foreign_lc)).code(),
+              StatusCode::kInvalidArgument)
+        << context << ": forged lc accepted";
+
+    // Forged uncovered entry: some label's P_lu becomes a later post
+    // without that label (the list stays ascending).
+    size_t b = 0;
+    while (b < num_labels && uncovered[b].empty()) ++b;
+    ASSERT_LT(b, num_labels) << context << ": no pending label at the cut";
+    const std::vector<PostId>& list = uncovered[b];
+    const PostId after = list.size() >= 2 ? list[list.size() - 2] + 1 : 0;
+    const PostId foreign_lu = foreign_post(static_cast<LabelId>(b), after);
+    ASSERT_LT(foreign_lu, n) << context;
+    const size_t lu_at =
+        uncovered_at[b] + sizeof(uint32_t) * (list.size() - 1);
+    EXPECT_EQ(restore(ResealPayloadU32(blob, bytes.size(), lu_at,
+                                       foreign_lu)).code(),
+              StatusCode::kInvalidArgument)
+        << context << ": forged uncovered entry of label " << b
+        << " accepted";
   }
 }
 

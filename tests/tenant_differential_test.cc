@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "stream/factory.h"
 #include "stream/multi_tenant.h"
 #include "stream/replay.h"
+#include "stream/stream_scan.h"
 #include "util/rng.h"
 
 namespace mqd {
@@ -493,6 +495,163 @@ TEST(TenantExactClusterTest, MidStreamScanJoinersGetOneClusterPerMask) {
     }
     EXPECT_GT(compared, 0u) << context;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Shared-tier derivation mid-stream: the per-label fire index is
+// extended window by window, so every window boundary is a query point.
+// ---------------------------------------------------------------------------
+
+/// A private StreamScan over one shared-tier tenant's view, driven on
+/// the global clock: every global post advances its clock, and only the
+/// tenant's own posts arrive. That is what the shared engine holds for
+/// the tenant at any cursor.
+struct GlobalClockReplay {
+  TenantView view;
+  std::unique_ptr<StreamScanProcessor> processor;
+  PostId next_global = 0;
+  uint32_t next_local = 0;
+
+  void AdvanceTo(const Instance& inst, PostId cursor) {
+    for (; next_global < cursor; ++next_global) {
+      processor->AdvanceTo(inst.value(next_global));
+      if (next_local < view.global_of_local.size() &&
+          view.global_of_local[next_local] == next_global) {
+        processor->OnArrival(next_local++);
+      }
+    }
+  }
+
+  std::vector<Emission> GlobalEmissions() const {
+    std::vector<Emission> out;
+    for (const Emission& e : processor->emissions()) {
+      out.push_back(Emission{view.global_of_local[e.post], e.emit_time});
+    }
+    return out;
+  }
+};
+
+TEST(TenantSharedTierTest, MidStreamDerivationMatchesGlobalClockReplay) {
+  size_t checks = 0;
+  for (uint64_t seed = 1; seed <= 2; ++seed) {
+    InstanceGenConfig cfg;
+    cfg.num_labels = 10;
+    cfg.duration = 600.0;
+    cfg.posts_per_minute = 80.0;
+    cfg.overlap_rate = 1.5;
+    cfg.burst_fraction = 0.3;
+    cfg.seed = 9300 + seed;
+    auto inst = GenerateInstance(cfg);
+    ASSERT_TRUE(inst.ok());
+    const auto n = static_cast<PostId>(inst->num_posts());
+
+    Rng rng(seed * 31 + 7);
+    auto fuzzed = GenerateLabelMaskProfiles(cfg.num_labels, 3, 40, &rng);
+    ASSERT_TRUE(fuzzed.ok());
+    std::vector<LabelMask> masks = *fuzzed;
+    masks.push_back((LabelMask{1} << cfg.num_labels) - 1);  // every label
+
+    const double lambda = 6.0;
+    const auto table = MakeVariableTable(*inst, lambda, seed);
+    UniformLambda uniform(lambda);
+    VariableLambda variable(table, lambda);
+    for (const bool use_variable : {false, true}) {
+      const CoverageModel& model =
+          use_variable ? static_cast<const CoverageModel&>(variable)
+                       : static_cast<const CoverageModel&>(uniform);
+      for (double tau : {0.0, 4.0}) {
+        const std::string context =
+            "seed=" + std::to_string(seed) + " tau=" + std::to_string(tau) +
+            (use_variable ? " variable" : " uniform");
+        auto engine = MultiTenantStream::Create(*inst, model,
+                                                StreamKind::kStreamScan, tau);
+        ASSERT_TRUE(engine.ok()) << context;
+        std::vector<TenantId> ids;
+        std::vector<GlobalClockReplay> oracles(masks.size());
+        for (size_t i = 0; i < masks.size(); ++i) {
+          auto id = (*engine)->Subscribe(masks[i]);
+          ASSERT_TRUE(id.ok()) << context;
+          ids.push_back(*id);
+          auto view = BuildTenantView(*inst, model, masks[i], 0);
+          ASSERT_TRUE(view.ok()) << context;
+          oracles[i].view = std::move(*view);
+          oracles[i].processor = std::make_unique<StreamScanProcessor>(
+              oracles[i].view.sub, *oracles[i].view.model, tau);
+        }
+        ASSERT_EQ((*engine)->shared_tier_tenants(), masks.size()) << context;
+
+        // Every tenant twice, ascending then descending, so a seen
+        // array left dirty by one query shows up in the next.
+        auto check_all = [&](const std::string& where) {
+          for (int pass = 0; pass < 2; ++pass) {
+            for (size_t k = 0; k < masks.size(); ++k) {
+              const size_t i = pass == 0 ? k : masks.size() - 1 - k;
+              auto got = (*engine)->TenantEmissions(ids[i]);
+              ASSERT_TRUE(got.ok()) << context << where;
+              ASSERT_EQ(*got, oracles[i].GlobalEmissions())
+                  << context << where << " tenant " << i << " pass "
+                  << pass;
+              ++checks;
+            }
+          }
+        };
+
+        check_all(" before the first arrival");
+        for (size_t i = 0; i < masks.size(); ++i) {
+          auto got = (*engine)->TenantEmissions(ids[i]);
+          ASSERT_TRUE(got.ok() && got->empty()) << context;
+        }
+
+        const size_t evicted = 7;
+        const PostId evict_at = n / 2;
+        bool restored = false;
+        PostId cursor = 0;
+        while (cursor < n) {
+          cursor = std::min<PostId>(n, cursor + 97);
+          ASSERT_TRUE((*engine)->RunUntil(cursor).ok()) << context;
+          for (GlobalClockReplay& oracle : oracles) {
+            oracle.AdvanceTo(*inst, cursor);
+          }
+          const std::string where = " cursor=" + std::to_string(cursor);
+          check_all(where);
+          if (::testing::Test::HasFailure()) return;
+
+          if (!restored && cursor >= evict_at) {
+            // A zero-length window changes nothing.
+            ASSERT_TRUE((*engine)->RunUntil(cursor).ok()) << context;
+            check_all(where + " after an empty RunUntil");
+            // Evict and restore one epoch-0 tenant: it rejoins the
+            // shared tier and derives exactly what it did before.
+            const std::vector<Emission> before =
+                *(*engine)->TenantEmissions(ids[evicted]);
+            std::stringstream snapshot;
+            ASSERT_TRUE(
+                (*engine)->EvictTenant(ids[evicted], snapshot).ok())
+                << context;
+            auto id = (*engine)->RestoreTenant(snapshot);
+            ASSERT_TRUE(id.ok()) << context << ": "
+                                 << id.status().ToString();
+            ids[evicted] = *id;
+            ASSERT_EQ((*engine)->shared_tier_tenants(), masks.size())
+                << context;
+            EXPECT_EQ(*(*engine)->TenantEmissions(ids[evicted]), before)
+                << context << where << " restored tenant";
+            check_all(where + " after evict/restore");
+            restored = true;
+          }
+        }
+        ASSERT_TRUE(restored) << context;
+
+        (*engine)->Finish();
+        for (GlobalClockReplay& oracle : oracles) {
+          oracle.processor->Finish();
+        }
+        check_all(" after Finish");
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+  EXPECT_GE(checks, 3000u) << "mid-stream battery under-sampled";
 }
 
 }  // namespace
