@@ -1,7 +1,9 @@
 #include "core/instance.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -35,6 +37,84 @@ Instance::IndexRange Instance::LabelRangeBounds(LabelId a, DimValue lo,
   auto last = std::upper_bound(first, values.end(), hi);
   return {static_cast<size_t>(first - values.begin()),
           static_cast<size_t>(last - values.begin())};
+}
+
+Instance Instance::Restrict(std::span<const LabelId> labels,
+                            PostId from_post,
+                            std::vector<PostId>* global_of_local) const {
+  MQD_CHECK(!labels.empty()) << "Restrict needs at least one label";
+  MQD_CHECK(from_post <= posts_.size())
+      << "from_post " << from_post << " past the " << posts_.size()
+      << "-post instance";
+  for (size_t i = 0; i < labels.size(); ++i) {
+    MQD_CHECK(labels[i] < static_cast<LabelId>(num_labels_) &&
+              (i == 0 || labels[i - 1] < labels[i]))
+        << "Restrict labels must be ascending inside the universe";
+  }
+  const size_t k = labels.size();
+
+  // Mark: every id of each LP(labels[i]) suffix as one bit over
+  // [from_post, num_posts). LP(a) is ascending in PostId, so the
+  // suffix starts at a lower bound.
+  std::vector<size_t> begin(k);
+  std::vector<uint64_t> bits((posts_.size() - from_post + 63) / 64, 0);
+  for (size_t i = 0; i < k; ++i) {
+    const std::span<const PostId> lp = label_posts(labels[i]);
+    begin[i] = static_cast<size_t>(
+        std::lower_bound(lp.begin(), lp.end(), from_post) - lp.begin());
+    for (size_t j = begin[i]; j < lp.size(); ++j) {
+      const PostId d = lp[j] - from_post;
+      bits[d >> 6] |= uint64_t{1} << (d & 63);
+    }
+  }
+
+  // Rank: rank[w] marked ids below word w, so the local id of offset d
+  // is rank[d / 64] + (marked bits below d inside its word).
+  std::vector<PostId> rank(bits.size() + 1, 0);
+  for (size_t w = 0; w < bits.size(); ++w) {
+    rank[w + 1] = rank[w] + static_cast<PostId>(std::popcount(bits[w]));
+  }
+
+  Instance out;
+  out.num_labels_ = static_cast<int>(k);
+  out.posts_.resize(rank.back());
+  global_of_local->resize(rank.back());
+  out.label_offsets_.resize(k + 1);
+  for (size_t i = 0; i < k; ++i) {
+    out.label_offsets_[i + 1] = out.label_offsets_[i] +
+                                label_posts(labels[i]).size() - begin[i];
+  }
+  out.label_ids_.resize(out.label_offsets_[k]);
+  out.label_values_.resize(out.label_offsets_[k]);
+
+  // Fill: one more walk of each suffix. A post reached through several
+  // labels gets the same value and id each time and ORs in its bit, so
+  // the loop has no data-dependent branch.
+  for (size_t i = 0; i < k; ++i) {
+    const std::span<const PostId> lp = label_posts(labels[i]);
+    const std::span<const DimValue> values = label_values(labels[i]);
+    const LabelMask bit = MaskOf(static_cast<LabelId>(i));
+    size_t at = out.label_offsets_[i];
+    for (size_t j = begin[i]; j < lp.size(); ++j, ++at) {
+      const PostId global = lp[j];
+      const PostId d = global - from_post;
+      const uint64_t below = bits[d >> 6] & ((uint64_t{1} << (d & 63)) - 1);
+      const PostId local =
+          rank[d >> 6] + static_cast<PostId>(std::popcount(below));
+      Post& post = out.posts_[local];
+      post.value = values[j];
+      post.labels |= bit;
+      post.external_id = global;
+      (*global_of_local)[local] = global;
+      out.label_ids_[at] = local;
+      out.label_values_[at] = values[j];
+    }
+  }
+  for (const Post& p : out.posts_) {
+    out.max_labels_per_post_ =
+        std::max(out.max_labels_per_post_, MaskCount(p.labels));
+  }
+  return out;
 }
 
 InstanceBuilder::InstanceBuilder(int num_labels) : num_labels_(num_labels) {

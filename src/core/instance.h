@@ -103,6 +103,25 @@ class Instance {
     return {label_ids_.data() + label_offsets_[a] + r.begin, r.size()};
   }
 
+  /// The sub-instance of posts with id >= `from_post` that carry at
+  /// least one of `labels`, with each mask intersected and renumbered
+  /// densely: local label i is global label labels[i]. Local post ids
+  /// keep the parent's (value, tie) order, `external_id` of local post
+  /// j is its global PostId, and `*global_of_local` (resized) maps
+  /// local ids to global ones. Equal, field by field, to feeding those
+  /// posts through InstanceBuilder in global order.
+  ///
+  /// Built straight from the suffixes of LP(labels[i]) without
+  /// re-validating or sorting: mark the suffix ids in a bitmap over
+  /// [from_post, num_posts), rank them by prefix popcount, then walk
+  /// each suffix once more to fill posts and CSR arrays. Cost
+  /// O(sum_i |suffix of LP(labels[i])| + (num_posts - from_post) / 64).
+  ///
+  /// Requires `labels` non-empty, strictly ascending, inside
+  /// [0, num_labels), and from_post <= num_posts (checked).
+  Instance Restrict(std::span<const LabelId> labels, PostId from_post,
+                    std::vector<PostId>* global_of_local) const;
+
  private:
   friend class InstanceBuilder;
 

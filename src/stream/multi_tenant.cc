@@ -29,19 +29,22 @@ constexpr uint8_t kTierCluster = 1;
 /// CoverageModel of a TenantView: every query is answered by the
 /// parent model under the local→global post/label mappings, so the
 /// restricted run computes with the identical doubles (and the same
-/// IsUniform fast-path choice) as a run on the full model.
+/// IsUniform fast-path choice) as a run on the full model. The global
+/// post is read from the queried instance's `external_id`, so the
+/// model must be queried with its own view's `sub` and no other
+/// instance.
 class RestrictedCoverage final : public CoverageModel {
  public:
   RestrictedCoverage(const Instance& parent_inst, const CoverageModel& parent,
-                     std::vector<LabelId> global_label,
-                     std::vector<PostId> global_post)
+                     std::vector<LabelId> global_label)
       : parent_inst_(parent_inst),
         parent_(parent),
-        global_label_(std::move(global_label)),
-        global_post_(std::move(global_post)) {}
+        global_label_(std::move(global_label)) {}
 
-  DimValue Reach(const Instance&, PostId coverer, LabelId a) const override {
-    return parent_.Reach(parent_inst_, global_post_[coverer],
+  DimValue Reach(const Instance& sub, PostId coverer,
+                 LabelId a) const override {
+    return parent_.Reach(parent_inst_,
+                         static_cast<PostId>(sub.post(coverer).external_id),
                          global_label_[a]);
   }
   DimValue MaxReach() const override { return parent_.MaxReach(); }
@@ -51,7 +54,6 @@ class RestrictedCoverage final : public CoverageModel {
   const Instance& parent_inst_;
   const CoverageModel& parent_;
   std::vector<LabelId> global_label_;
-  std::vector<PostId> global_post_;
 };
 
 /// First local post id of `view` whose global id is >= `global`.
@@ -78,34 +80,18 @@ Result<TenantView> BuildTenantView(const Instance& inst,
         StrFormat("tenant mask uses label %u outside the %d-label universe",
                   global_labels.back(), inst.num_labels()));
   }
-
-  InstanceBuilder builder(static_cast<int>(global_labels.size()));
-  std::vector<PostId> global_of_local;
-  for (PostId p = from_post; p < inst.num_posts(); ++p) {
-    const LabelMask hit = inst.labels(p) & mask;
-    if (hit == 0) continue;
-    // Compress the global mask onto the dense local label ids. The
-    // mapping is monotone (ascending global label -> ascending local
-    // id), which preserves the (deadline, label) heap tie order.
-    LabelMask local = 0;
-    for (size_t i = 0; i < global_labels.size(); ++i) {
-      if (MaskHas(hit, global_labels[i])) {
-        local |= MaskOf(static_cast<LabelId>(i));
-      }
-    }
-    builder.Add(inst.value(p), local, /*external_id=*/p);
-    global_of_local.push_back(p);
+  if (from_post > inst.num_posts()) {
+    return Status::InvalidArgument(
+        StrFormat("tenant join point %u is past the %zu-post stream",
+                  from_post, inst.num_posts()));
   }
 
+  // Local label i is global_labels[i]: the mapping is monotone, which
+  // preserves the (deadline, label) heap tie order.
   TenantView view;
-  MQD_ASSIGN_OR_RETURN(view.sub, builder.Build());
-  // Posts enter the builder in global (value, tie) order and values
-  // are non-decreasing, so the stable Build keeps insertion order and
-  // local ids are monotone in global ids.
-  MQD_DCHECK(view.sub.num_posts() == global_of_local.size());
-  view.model = std::make_unique<RestrictedCoverage>(
-      inst, model, global_labels, global_of_local);
-  view.global_of_local = std::move(global_of_local);
+  view.sub = inst.Restrict(global_labels, from_post, &view.global_of_local);
+  view.model = std::make_unique<RestrictedCoverage>(inst, model,
+                                                    global_labels);
   return view;
 }
 

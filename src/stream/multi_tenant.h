@@ -36,17 +36,26 @@ inline constexpr TenantId kInvalidTenant = static_cast<TenantId>(-1);
 /// ones.
 struct TenantView {
   Instance sub;
+  /// Global PostId of each local post (the same ids as the sub-posts'
+  /// `external_id`, kept contiguous for the delivery sweep).
   std::vector<PostId> global_of_local;
   /// Coverage restricted to the view: forwards Reach/MaxReach/
   /// IsUniform to the parent model under the local→global mappings,
   /// so every radius is the identical double the tenant would see
-  /// running alone on the full model.
+  /// running alone on the full model. It reads the global post from
+  /// the queried instance's `external_id`, so query it only with this
+  /// view's `sub`.
   std::unique_ptr<CoverageModel> model;
 };
 
 /// Builds the restricted view of `mask`-relevant posts with global ids
-/// in [from_post, num_posts). `model` and `inst` must outlive the
-/// returned view (its coverage wrapper references both).
+/// in [from_post, num_posts) through Instance::Restrict, straight from
+/// the suffixes of the mask's posting lists: cost O(view pairs +
+/// (num_posts - from_post) / 64), no scan of other posts, no sort.
+/// InvalidArgument for an empty mask, a label outside the universe or
+/// from_post > num_posts; from_post == num_posts gives an empty view.
+/// `model` and `inst` must outlive the returned view (its coverage
+/// wrapper references both).
 Result<TenantView> BuildTenantView(const Instance& inst,
                                    const CoverageModel& model,
                                    LabelMask mask, PostId from_post);

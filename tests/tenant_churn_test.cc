@@ -485,6 +485,26 @@ TEST(TenantChurnTest, EngineGuards) {
       << "queries stay valid after Finish";
 }
 
+TEST(TenantChurnTest, BuildTenantViewGuards) {
+  const Instance inst = TestInstance(8);
+  UniformLambda model(5.0);
+  const auto n = static_cast<PostId>(inst.num_posts());
+
+  EXPECT_FALSE(BuildTenantView(inst, model, 0, 0).ok());
+  EXPECT_FALSE(BuildTenantView(inst, model, MaskOf(60), 0).ok());
+  auto past = BuildTenantView(inst, model, MaskOf(0), n + 1);
+  ASSERT_FALSE(past.ok()) << "join past the stream must fail";
+  EXPECT_EQ(past.status().code(), StatusCode::kInvalidArgument);
+
+  // Joining exactly at the end is legal and sees nothing.
+  auto at_end = BuildTenantView(inst, model, MaskOf(0) | MaskOf(1), n);
+  ASSERT_TRUE(at_end.ok()) << at_end.status().ToString();
+  EXPECT_EQ(at_end->sub.num_posts(), 0u);
+  EXPECT_EQ(at_end->sub.num_labels(), 2);
+  EXPECT_EQ(at_end->sub.num_pairs(), 0u);
+  EXPECT_TRUE(at_end->global_of_local.empty());
+}
+
 /// Mid-stream plain-scan tenants live in exact (mask, join) clusters
 /// whose snapshots embed the representative's StreamScan checkpoint,
 /// like every other kind's. Evict/restore through that tier must be

@@ -654,5 +654,147 @@ TEST(TenantSharedTierTest, MidStreamDerivationMatchesGlobalClockReplay) {
   EXPECT_GE(checks, 3000u) << "mid-stream battery under-sampled";
 }
 
+// ---------------------------------------------------------------------------
+// View construction: Instance::Restrict (behind BuildTenantView) must
+// equal the InstanceBuilder loop of BuildSingleTenant in every field,
+// and the view's coverage must answer with the parent's radii.
+// ---------------------------------------------------------------------------
+
+/// Compares the view of (mask, from) with the builder oracle: per post
+/// value, local mask and external_id; per label offset, posting list
+/// and values; pair count, max labels per post and global_of_local.
+/// Then every (local post, local label) radius of the view's model
+/// against `model` on the parent. Returns the number of views checked.
+size_t ExpectViewMatchesOracle(const Instance& inst,
+                               const CoverageModel& model, LabelMask mask,
+                               PostId from, const std::string& context) {
+  const SingleTenant want = BuildSingleTenant(inst, mask, from, 1.0,
+                                              nullptr, 1.0);
+  auto got = BuildTenantView(inst, model, mask, from);
+  EXPECT_TRUE(got.ok()) << context << ": " << got.status().ToString();
+  if (!got.ok()) return 0;
+  const Instance& g = got->sub;
+  const Instance& w = want.sub;
+  EXPECT_EQ(g.num_posts(), w.num_posts()) << context;
+  EXPECT_EQ(g.num_labels(), w.num_labels()) << context;
+  EXPECT_EQ(g.num_pairs(), w.num_pairs()) << context;
+  EXPECT_EQ(g.max_labels_per_post(), w.max_labels_per_post()) << context;
+  EXPECT_EQ(got->global_of_local, want.global_of_local) << context;
+  if (::testing::Test::HasFailure()) return 0;
+  for (PostId p = 0; p < static_cast<PostId>(g.num_posts()); ++p) {
+    EXPECT_EQ(g.value(p), w.value(p)) << context << " post " << p;
+    EXPECT_EQ(g.labels(p), w.labels(p)) << context << " post " << p;
+    EXPECT_EQ(g.post(p).external_id, w.post(p).external_id)
+        << context << " post " << p;
+    if (::testing::Test::HasFailure()) return 0;
+  }
+  for (LabelId a = 0; a < static_cast<LabelId>(g.num_labels()); ++a) {
+    EXPECT_EQ(g.label_offset(a), w.label_offset(a))
+        << context << " label " << a;
+    const auto gp = g.label_posts(a);
+    const auto wp = w.label_posts(a);
+    EXPECT_EQ(std::vector<PostId>(gp.begin(), gp.end()),
+              std::vector<PostId>(wp.begin(), wp.end()))
+        << context << " label " << a;
+    const auto gv = g.label_values(a);
+    const auto wv = w.label_values(a);
+    EXPECT_EQ(std::vector<DimValue>(gv.begin(), gv.end()),
+              std::vector<DimValue>(wv.begin(), wv.end()))
+        << context << " label " << a;
+    if (::testing::Test::HasFailure()) return 0;
+  }
+  const std::vector<LabelId> global_labels = MaskToLabels(mask);
+  for (PostId p = 0; p < static_cast<PostId>(g.num_posts()); ++p) {
+    ForEachLabel(g.labels(p), [&](LabelId a) {
+      EXPECT_EQ(got->model->Reach(g, p, a),
+                model.Reach(inst, got->global_of_local[p],
+                            global_labels[a]))
+          << context << " post " << p << " label " << a;
+    });
+    if (::testing::Test::HasFailure()) return 0;
+  }
+  return 1;
+}
+
+/// Every mask at the join points around the bitmap's word edges.
+size_t ExpectViewsMatchOracle(const Instance& inst,
+                              const CoverageModel& model,
+                              const std::vector<LabelMask>& masks,
+                              const std::string& context) {
+  const auto n = static_cast<PostId>(inst.num_posts());
+  const std::set<PostId> joins = {0, 1, 63, 64, 65, n / 2,
+                                  n == 0 ? 0 : n - 1, n};
+  size_t views = 0;
+  for (PostId from : joins) {
+    if (from > n) continue;
+    for (LabelMask mask : masks) {
+      views += ExpectViewMatchesOracle(
+          inst, model, mask, from,
+          context + " mask=" + std::to_string(mask) +
+              " from=" + std::to_string(from));
+      if (::testing::Test::HasFailure()) return views;
+    }
+  }
+  return views;
+}
+
+TEST(TenantViewTest, RestrictMatchesBuilderOracle) {
+  size_t views = 0;
+  const double lambda = 6.0;
+  // Generated streams: fuzzed 6-label masks, every label and one label
+  // on 12 labels; label 63 alone and beside label 0 on 64 labels.
+  for (const int num_labels : {12, 64}) {
+    for (uint64_t seed = 1; seed <= 2; ++seed) {
+      InstanceGenConfig cfg;
+      cfg.num_labels = num_labels;
+      cfg.duration = 600.0;
+      cfg.posts_per_minute = 60.0;
+      cfg.overlap_rate = 2.0;
+      cfg.burst_fraction = 0.3;
+      cfg.seed = 9500 + seed;
+      auto inst = GenerateInstance(cfg);
+      ASSERT_TRUE(inst.ok());
+      Rng rng(seed * 13 + 1);
+      auto fuzzed = GenerateLabelMaskProfiles(num_labels, 6, 12, &rng);
+      ASSERT_TRUE(fuzzed.ok());
+      std::vector<LabelMask> masks = *fuzzed;
+      masks.push_back(num_labels == kMaxLabels
+                          ? ~LabelMask{0}
+                          : (LabelMask{1} << num_labels) - 1);
+      masks.push_back(MaskOf(static_cast<LabelId>(seed * 5 % num_labels)));
+      if (num_labels == kMaxLabels) {
+        masks.push_back(MaskOf(63));
+        masks.push_back(MaskOf(0) | MaskOf(63));
+      }
+      const auto table = MakeVariableTable(*inst, lambda, seed);
+      VariableLambda model(table, lambda);
+      views += ExpectViewsMatchOracle(
+          *inst, model, masks,
+          "labels=" + std::to_string(num_labels) +
+              " seed=" + std::to_string(seed));
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  // Tiny instances whose values tie heavily (value_range 0..6), so the
+  // view must keep the parent's tie order, and whose external ids are
+  // not the PostIds the view must carry.
+  for (int value_range = 0; value_range <= 6; ++value_range) {
+    Rng rng(static_cast<uint64_t>(value_range) + 71);
+    auto inst = GenerateTinyInstance(150 + 10 * value_range, 8, 4,
+                                     value_range, &rng);
+    ASSERT_TRUE(inst.ok());
+    auto fuzzed = GenerateLabelMaskProfiles(8, 6, 6, &rng);
+    ASSERT_TRUE(fuzzed.ok());
+    std::vector<LabelMask> masks = *fuzzed;
+    masks.push_back((LabelMask{1} << 8) - 1);
+    masks.push_back(MaskOf(static_cast<LabelId>(value_range)));
+    UniformLambda model(lambda);
+    views += ExpectViewsMatchOracle(
+        *inst, model, masks, "tiny value_range=" + std::to_string(value_range));
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GE(views, 500u) << "view battery under-sampled";
+}
+
 }  // namespace
 }  // namespace mqd
