@@ -19,9 +19,6 @@ namespace mqd::bench {
 /// paper reports, so the console output is self-describing.
 inline void PrintHeader(std::string_view artifact, std::string_view setup,
                         std::string_view paper_expectation) {
-  // Benches report thread-pool activity like the CLI does; the
-  // instrumentation cost is a few relaxed atomics per pool task.
-  obs::InstallThreadPoolMetrics();
   obs::InstallArenaMetrics();
   std::cout << "==========================================================\n"
             << "Reproduction of " << artifact << "\n"
@@ -56,7 +53,7 @@ void MaybeWriteCsv(std::string_view artifact, const TablePrinter& table);
 /// Writes a metrics-registry snapshot as
 /// `<MQD_METRICS_JSON_DIR>/<artifact>.metrics.json` when the env var
 /// is set; silently does nothing otherwise. Call at the end of a bench
-/// to keep solver/stream/pool metrics next to the CSV artifacts.
+/// to keep solver/stream/batch metrics next to the CSV artifacts.
 void MaybeWriteMetrics(std::string_view artifact);
 
 }  // namespace mqd::bench

@@ -4,14 +4,14 @@
 // lambda = tau = 300s), plus deadline-fire-heavy (tau = 0) and
 // batch-solve-heavy (large tau) regimes. Every optimized processor is
 // benched side by side with its verbatim pre-overhaul reference
-// (stream/reference.h), so the before/after of the deadline-heap +
-// incremental-window overhaul lives in one binary. The *PaperScale
+// (tests/oracle/stream_reference.h), so the before/after of the
+// deadline-heap + incremental-window overhaul lives in one binary. The *PaperScale
 // entries are what tools/bench_baseline.py records into
 // BENCH_stream.json; keep their names stable.
 #include <benchmark/benchmark.h>
 
 #include "gen/instance_gen.h"
-#include "stream/reference.h"
+#include "oracle/stream_reference.h"
 #include "stream/replay.h"
 #include "stream/stream_greedy.h"
 #include "stream/stream_scan.h"

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "util/arena.h"
-#include "util/thread_pool.h"
 
 namespace mqd::obs {
 
@@ -23,7 +22,6 @@ LinearBuckets ReplaySecondsBuckets() { return LinearBuckets(0.0, 2.0, 40); }
 LinearBuckets DigestSecondsBuckets() { return LinearBuckets(0.0, 2.0, 40); }
 LinearBuckets RenderSecondsBuckets() { return LinearBuckets(0.0, 0.5, 50); }
 LinearBuckets FanoutBuckets() { return LinearBuckets(0.0, 64.0, 64); }
-LinearBuckets TaskSecondsBuckets() { return LinearBuckets(0.0, 0.25, 50); }
 
 /// Per-algorithm handle cache. The structs (and the cache itself) are
 /// reachable from the static, so LeakSanitizer is content, and handles
@@ -125,21 +123,6 @@ const BatchMetrics& GetBatchMetrics() {
         &reg.MustHistogram("mqd_batch_job_seconds", SolveSecondsBuckets()),
         &reg.MustHistogram("mqd_batch_cover_size", CoverSizeBuckets()),
         &reg.MustGauge("mqd_batch_last_batch_jobs"),
-    };
-  }();
-  return *metrics;
-}
-
-const ThreadPoolMetrics& GetThreadPoolMetrics() {
-  static const ThreadPoolMetrics* const metrics = [] {
-    MetricsRegistry& reg = MetricsRegistry::Global();
-    return new ThreadPoolMetrics{
-        &reg.MustCounter("mqd_threadpool_tasks_submitted_total"),
-        &reg.MustCounter("mqd_threadpool_tasks_completed_total"),
-        &reg.MustCounter("mqd_threadpool_steals_total"),
-        &reg.MustGauge("mqd_threadpool_queue_depth"),
-        &reg.MustHistogram("mqd_threadpool_task_seconds",
-                           TaskSecondsBuckets()),
     };
   }();
   return *metrics;
@@ -278,41 +261,6 @@ Counter& DegradedTotalFor(std::string_view rung) {
             "mqd_robust_degraded_total", rung_labels)};
       });
   return *family->For(rung).counter;
-}
-
-namespace {
-
-class RegistryThreadPoolObserver : public ThreadPoolObserver {
- public:
-  explicit RegistryThreadPoolObserver(const ThreadPoolMetrics& metrics)
-      : metrics_(metrics) {}
-
-  void OnTaskSubmitted(size_t queue_depth) override {
-    metrics_.tasks_submitted->Increment();
-    metrics_.queue_depth->Set(static_cast<double>(queue_depth));
-  }
-
-  void OnTaskStolen() override { metrics_.steals->Increment(); }
-
-  void OnTaskDone(size_t queue_depth, double seconds) override {
-    metrics_.tasks_completed->Increment();
-    metrics_.queue_depth->Set(static_cast<double>(queue_depth));
-    metrics_.task_seconds->Observe(seconds);
-  }
-
- private:
-  const ThreadPoolMetrics& metrics_;
-};
-
-}  // namespace
-
-void InstallThreadPoolMetrics() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    // Reachable via the observer global; intentionally never freed.
-    SetThreadPoolObserver(
-        new RegistryThreadPoolObserver(GetThreadPoolMetrics()));
-  });
 }
 
 const ArenaMetrics& GetArenaMetrics() {

@@ -83,19 +83,6 @@ struct BatchMetrics {
 
 const BatchMetrics& GetBatchMetrics();
 
-/// Thread-pool metrics, fed through the ThreadPoolObserver hook of
-/// util/thread_pool (the util layer cannot depend on obs, so the pool
-/// publishes through that interface instead of using these directly).
-struct ThreadPoolMetrics {
-  Counter* tasks_submitted;      // mqd_threadpool_tasks_submitted_total
-  Counter* tasks_completed;      // mqd_threadpool_tasks_completed_total
-  Counter* steals;               // mqd_threadpool_steals_total
-  Gauge* queue_depth;            // mqd_threadpool_queue_depth
-  LatencyHistogram* task_seconds;     // mqd_threadpool_task_seconds
-};
-
-const ThreadPoolMetrics& GetThreadPoolMetrics();
-
 /// Robustness metrics (core/degrade ladder, hardened ingestion, stream
 /// checkpointing). The `DegradedTotalFor` family is labeled with the
 /// ladder rung that produced the answer ("GreedySC", "Scan+", "Scan",
@@ -180,16 +167,11 @@ struct ServeMetrics {
 
 const ServeMetrics& GetServeMetrics();
 
-/// Installs the registry-backed ThreadPoolObserver so every ThreadPool
-/// reports into GetThreadPoolMetrics(). Idempotent and thread safe;
-/// call once near process start (mqd_cli and bench_common do).
-void InstallThreadPoolMetrics();
-
 /// Solve-arena metrics, fed through the ArenaObserver hook of
-/// util/arena (same layering as the thread pool: util cannot depend
-/// on obs). bytes_peak tracks the largest high-water mark any arena
-/// has reported; the counters let the zero-allocation regression test
-/// assert that steady-state solves stop growing the arenas
+/// util/arena (util cannot depend on obs, so the arena publishes
+/// through that interface). bytes_peak tracks the largest high-water
+/// mark any arena has reported; the counters let the zero-allocation
+/// regression test assert that steady-state solves stop growing the arenas
 /// (block_allocs flat while resets climb).
 struct ArenaMetrics {
   Gauge* bytes_peak;             // mqd_arena_bytes_peak

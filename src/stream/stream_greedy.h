@@ -42,8 +42,8 @@ namespace mqd {
 /// materialized before each argmax); VariableLambda keeps the
 /// reference's exact per-candidate Covers scan. Emission sequences
 /// (posts and times) are bit-identical to
-/// StreamGreedyReferenceProcessor (stream/reference.h), which the
-/// differential tests enforce under both dispatch tiers.
+/// StreamGreedyReferenceProcessor (tests/oracle/stream_reference.h),
+/// which the differential tests enforce under both dispatch tiers.
 ///
 /// Every window container draws from one bump Arena through the pmr
 /// adapter. Replay harnesses pass a shared Arena and Reset() it

@@ -37,7 +37,8 @@ namespace mqd {
 /// cross-label prune therefore erases one contiguous run found by two
 /// binary searches instead of a linear remove_if. Both changes are
 /// emission-sequence-identical to StreamScanReferenceProcessor
-/// (stream/reference.h), which the differential tests enforce.
+/// (tests/oracle/stream_reference.h), which the differential tests
+/// enforce.
 ///
 /// Approximation: s for tau >= lambda (identical output to Scan), 2s
 /// for 0 <= tau < lambda (Section 5.1).

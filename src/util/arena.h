@@ -20,8 +20,7 @@ namespace mqd {
 /// stream replays — stops touching malloc entirely after the first
 /// few cycles. Stats counters are compiled in unconditionally (they
 /// are two adds per alloc) and feed mqd_arena_* metrics through the
-/// ArenaObserver hook (util cannot depend on obs; see
-/// ThreadPoolObserver for the same pattern).
+/// ArenaObserver hook (util cannot depend on obs).
 ///
 /// Not thread safe: one Arena belongs to one solver/processor/thread
 /// (SolveScratch::ThreadLocal() hands each thread its own).

@@ -199,8 +199,8 @@ Status FaultInjector::MaybeInject(std::string_view site) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     // A Disarm may have raced the armed() fast check above (e.g. a
-    // late thread-pool helper task probing pool.task while the chaos
-    // harness re-arms the next schedule).
+    // batch helper thread probing pool.task while another thread
+    // re-arms the schedule).
     if (!armed_.load(std::memory_order_relaxed)) return Status::OK();
     Site* entry = Find(site);
     if (entry == nullptr) return Status::OK();

@@ -22,8 +22,8 @@ struct FaultSpec {
   /// Error returned on fire. kOk means latency-only faults.
   StatusCode code = StatusCode::kInternal;
   /// Fire as a thrown std::runtime_error instead of a Status — models
-  /// misbehaving third-party code (the thread-pool contract tests use
-  /// this).
+  /// misbehaving third-party code (the chaos test's pool.task
+  /// schedules use this).
   bool throw_exception = false;
 };
 
@@ -36,7 +36,9 @@ struct FaultSpec {
 /// carry the sites for free.
 ///
 /// Built-in sites: io.read_instance, index.load, stream.replay,
-/// pool.task, io.write_checkpoint (probed between the flushed tmp
+/// pool.task (probed once by each BatchSolver helper thread before it
+/// claims work; a fire ends that helper and the caller finishes the
+/// batch), io.write_checkpoint (probed between the flushed tmp
 /// write and the rename in WriteStreamCheckpointToFile; a fire models
 /// a torn write — the previous on-disk snapshot survives), the
 /// multi-tenant pair tenant.fanout (probed on each per-cluster
@@ -56,9 +58,8 @@ struct FaultSpec {
 /// same faults, which is what lets the chaos harness shrink failures.
 ///
 /// Thread safety: fully safe. Arm/Disarm/SetFault may race
-/// MaybeInject from other threads (e.g. a late thread-pool helper
-/// task probing pool.task while the test harness re-arms the next
-/// schedule); the armed path serializes on an internal mutex, and the
+/// MaybeInject from other threads (e.g. a batch helper thread
+/// probing pool.task while another thread re-arms the schedule); the armed path serializes on an internal mutex, and the
 /// disarmed fast path stays a single relaxed atomic load. Hit
 /// counters are atomic so concurrent passes through a site each get a
 /// distinct hit index.

@@ -22,7 +22,6 @@
 #include "util/fault_injection.h"
 #include "util/logging.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace mqd {
@@ -47,8 +46,8 @@ Instance SmallInstance(uint64_t seed) {
 }
 
 /// One fuzzed fault schedule: a random probability per site. `throw`
-/// mode only where the architecture contains it (the thread pool's
-/// task wrapper); the Status sites unwind through Result plumbing.
+/// mode only where the architecture contains it (the batch helper's
+/// pool.task probe); the Status sites unwind through Result plumbing.
 std::string FuzzSpec(Rng& rng) {
   std::string spec;
   auto add = [&](const char* site, bool allow_throw) {
@@ -82,7 +81,7 @@ TEST(ChaosTest, FuzzedFaultSchedulesNeverCorrupt) {
   ASSERT_TRUE(WriteInstance(inst, io_blob).ok());
   const std::string blob = io_blob.str();
 
-  ThreadPool pool(2);
+  const BatchSolver batch(3);
   DegradingSolver ladder;
   size_t schedules = 0;
   size_t io_ok = 0, io_fail = 0;
@@ -127,11 +126,10 @@ TEST(ChaosTest, FuzzedFaultSchedulesNeverCorrupt) {
       }
     }
 
-    if (seed % 4 == 0) {  // pool.task: task kills (including thrown
+    if (seed % 4 == 0) {  // pool.task: helper kills (including thrown
                           // ones) only cost parallelism — the calling
-                          // thread claims every unfinished chunk, so
-                          // the batch stays complete and correct.
-      BatchSolver batch(&pool);
+                          // thread claims every unclaimed job, so the
+                          // batch stays complete and correct.
       std::vector<BatchJob> jobs(4);
       for (auto& job : jobs) {
         job.instance = &inst;

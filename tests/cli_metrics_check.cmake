@@ -29,9 +29,7 @@ elseif(MODE STREQUAL "batch")
   set(expected
       mqd_batch_jobs_total
       mqd_batch_job_seconds
-      mqd_batch_cover_size
-      mqd_threadpool_tasks_submitted_total
-      mqd_threadpool_tasks_completed_total)
+      mqd_batch_cover_size)
 elseif(MODE STREQUAL "stream")
   set(cmd "${CLI}" stream "${INSTANCE}" --algorithm stream-scan+
       --lambda 15 --tau 5 --metrics-json "${OUT}")

@@ -8,7 +8,7 @@
 #include "core/coverage.h"
 #include "core/types.h"
 #include "gen/instance_gen.h"
-#include "stream/reference.h"
+#include "oracle/stream_reference.h"
 #include "stream/replay.h"
 #include "stream/stream_greedy.h"
 #include "stream/stream_scan.h"

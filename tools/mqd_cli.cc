@@ -3,7 +3,7 @@
 // Commands:
 //   generate     synthesize an MQDP instance and write it to a file
 //   solve        run a solver on an instance file, print/save the cover
-//   solve-batch  fan many (instance, lambda) jobs across a thread pool
+//   solve-batch  solve many (instance, lambda) jobs on several threads
 //   stream       replay an instance through a StreamMQDP processor
 //   serve-stream replay once for many tenant label-set profiles
 //   serve        long-running daemon: bounded queues + admission control
@@ -51,7 +51,6 @@
 #include "util/flags.h"
 #include "util/rng.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace mqd {
@@ -87,8 +86,9 @@ Result<StreamKind> ParseStreamKind(const std::string& name) {
 
 /// Validated numeric flag accessors. FlagParser::GetDouble is a bare
 /// strtod, which happily accepts "nan", "inf" and negatives — for
-/// time-budget-shaped flags all three are operator errors that must
-/// die at the flag, not surface later as an unbounded deadline.
+/// time-budget-shaped flags and coverage thresholds all three are
+/// operator errors that must die at the flag, not surface later as an
+/// unbounded deadline or an aborted solve.
 Result<double> GetFiniteNonNegative(const FlagParser& flags,
                                     const std::string& name) {
   auto value = flags.GetDouble(name);
@@ -246,7 +246,7 @@ int CmdSolve(const std::vector<std::string>& args) {
   if (Status s = MaybeArmFaults(flags); !s.ok()) return Fail(s);
   auto instance = ReadInstanceFromFile(flags.positional()[0]);
   if (!instance.ok()) return Fail(instance.status());
-  auto lambda = flags.GetDouble("lambda");
+  auto lambda = GetFiniteNonNegative(flags, "lambda");
   if (!lambda.ok()) return Fail(lambda.status());
   auto kind = ParseSolverKind(flags.GetString("algorithm"));
   if (!kind.ok()) return Fail(kind.status());
@@ -356,7 +356,8 @@ int CmdSolveBatch(const std::vector<std::string>& args) {
   for (const std::string& part : Split(flags.GetString("lambdas"), ',')) {
     char* end = nullptr;
     const double v = std::strtod(part.c_str(), &end);
-    if (end == part.c_str() || *end != '\0' || v < 0.0) {
+    if (end == part.c_str() || *end != '\0' || !std::isfinite(v) ||
+        v < 0.0) {
       return Fail(Status::InvalidArgument("bad lambda '" + part + "'"));
     }
     lambdas.push_back(v);
@@ -436,7 +437,7 @@ int CmdStream(const std::vector<std::string>& args) {
   if (Status s = MaybeArmFaults(flags); !s.ok()) return Fail(s);
   auto instance = ReadInstanceFromFile(flags.positional()[0]);
   if (!instance.ok()) return Fail(instance.status());
-  auto lambda = flags.GetDouble("lambda");
+  auto lambda = GetFiniteNonNegative(flags, "lambda");
   auto tau = flags.GetDouble("tau");
   if (!lambda.ok()) return Fail(lambda.status());
   if (!tau.ok()) return Fail(tau.status());
@@ -489,7 +490,7 @@ int CmdServeStream(const std::vector<std::string>& args) {
   if (!instance.ok()) return Fail(instance.status());
   auto num_profiles = flags.GetInt("profiles");
   auto profile_labels = flags.GetInt("profile-labels");
-  auto lambda = flags.GetDouble("lambda");
+  auto lambda = GetFiniteNonNegative(flags, "lambda");
   auto tau = flags.GetDouble("tau");
   auto seed = flags.GetInt("seed");
   for (const Status& s :
@@ -699,7 +700,7 @@ int CmdStats(const std::vector<std::string>& args) {
   if (!file) return Fail(Status::NotFound("cannot open " + cover_path));
   auto cover = ReadSelection(file);
   if (!cover.ok()) return Fail(cover.status());
-  auto lambda = flags.GetDouble("lambda");
+  auto lambda = GetFiniteNonNegative(flags, "lambda");
   if (!lambda.ok()) return Fail(lambda.status());
 
   UniformLambda model(*lambda);
@@ -740,7 +741,6 @@ int Usage() {
 }  // namespace mqd
 
 int main(int argc, char** argv) {
-  mqd::obs::InstallThreadPoolMetrics();
   mqd::obs::InstallArenaMetrics();
   // MQD_FAULTS / MQD_FAULT_SEED arm the same registry --faults does;
   // the env form covers subcommands with no fault flags of their own.
