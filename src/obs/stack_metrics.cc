@@ -107,8 +107,6 @@ const PipelineMetrics& GetPipelineMetrics() {
                            DigestSecondsBuckets()),
         &reg.MustHistogram("mqd_pipeline_render_seconds",
                            RenderSecondsBuckets()),
-        &reg.MustCounter("mqd_pipeline_online_pushes_total"),
-        &reg.MustCounter("mqd_pipeline_online_emissions_total"),
     };
   }();
   return *metrics;

@@ -57,7 +57,7 @@ struct StreamMetrics {
 
 const StreamMetrics& StreamMetricsFor(std::string_view algorithm);
 
-/// Pipeline-wide metrics (matcher, diversifier, digest, online feed).
+/// Pipeline-wide metrics (matcher, diversifier, digest).
 struct PipelineMetrics {
   Counter* posts_checked;        // mqd_pipeline_posts_checked_total
   Counter* posts_matched;        // mqd_pipeline_posts_matched_total
@@ -66,8 +66,6 @@ struct PipelineMetrics {
   LatencyHistogram* digest_seconds;   // mqd_pipeline_digest_seconds
   LatencyHistogram* stream_digest_seconds;  // mqd_pipeline_stream_digest_...
   LatencyHistogram* render_seconds;   // mqd_pipeline_render_seconds
-  Counter* online_pushes;        // mqd_pipeline_online_pushes_total
-  Counter* online_emissions;     // mqd_pipeline_online_emissions_total
 };
 
 const PipelineMetrics& GetPipelineMetrics();

@@ -60,6 +60,11 @@ Status StreamProcessor::RestoreEmissionLog(std::vector<Emission> emissions) {
       return Status::InvalidArgument(
           StrFormat("snapshot emits post %u twice", e.post));
     }
+    if (labels(e.post) == 0) {
+      return Status::InvalidArgument(StrFormat(
+          "snapshot emits post %u, which carries no label of the mask",
+          e.post));
+    }
     flags[e.post] = true;
   }
   emitted_flag_ = std::move(flags);

@@ -28,22 +28,24 @@ std::string_view StreamKindName(StreamKind kind) {
 
 std::unique_ptr<StreamProcessor> CreateStreamProcessor(
     StreamKind kind, const Instance& inst, const CoverageModel& model,
-    double tau) {
+    double tau, LabelMask mask) {
   switch (kind) {
     case StreamKind::kStreamScan:
-      return std::make_unique<StreamScanProcessor>(inst, model, tau,
-                                                   /*cross=*/false);
+      return std::make_unique<StreamScanProcessor>(
+          inst, model, tau, /*cross_label_pruning=*/false, mask);
     case StreamKind::kStreamScanPlus:
-      return std::make_unique<StreamScanProcessor>(inst, model, tau,
-                                                   /*cross=*/true);
+      return std::make_unique<StreamScanProcessor>(
+          inst, model, tau, /*cross_label_pruning=*/true, mask);
     case StreamKind::kStreamGreedy:
-      return std::make_unique<StreamGreedyProcessor>(inst, model, tau,
-                                                     /*stop_at_anchor=*/false);
+      return std::make_unique<StreamGreedyProcessor>(
+          inst, model, tau, /*stop_at_anchor=*/false, /*arena=*/nullptr,
+          mask);
     case StreamKind::kStreamGreedyPlus:
-      return std::make_unique<StreamGreedyProcessor>(inst, model, tau,
-                                                     /*stop_at_anchor=*/true);
+      return std::make_unique<StreamGreedyProcessor>(
+          inst, model, tau, /*stop_at_anchor=*/true, /*arena=*/nullptr,
+          mask);
     case StreamKind::kInstant:
-      return std::make_unique<InstantStreamProcessor>(inst, model);
+      return std::make_unique<InstantStreamProcessor>(inst, model, mask);
   }
   MQD_LOG(Fatal) << "unknown stream kind";
   return nullptr;

@@ -21,10 +21,11 @@ enum class StreamKind {
 std::string_view StreamKindName(StreamKind kind);
 
 /// Creates a fresh processor for one replay. `tau` is ignored by
-/// kInstant (it is identically 0 there).
+/// kInstant (it is identically 0 there). `mask` restricts the
+/// processor to those labels (StreamProcessor's relevant-label mask).
 std::unique_ptr<StreamProcessor> CreateStreamProcessor(
     StreamKind kind, const Instance& inst, const CoverageModel& model,
-    double tau);
+    double tau, LabelMask mask = kAllLabels);
 
 /// CreateStreamProcessor with `tau` validated instead of MQD_CHECKed:
 /// negative, NaN or infinite report-delay budgets come straight from

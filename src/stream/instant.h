@@ -14,7 +14,8 @@ namespace mqd {
 /// label it carries. Approximation 2s.
 class InstantStreamProcessor final : public StreamProcessor {
  public:
-  InstantStreamProcessor(const Instance& inst, const CoverageModel& model);
+  InstantStreamProcessor(const Instance& inst, const CoverageModel& model,
+                         LabelMask mask = kAllLabels);
 
   std::string_view name() const override { return "StreamInstant"; }
   void AdvanceTo(double) override {}

@@ -1,12 +1,14 @@
 #include "stream/multi_tenant.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstring>
 #include <istream>
 #include <iterator>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <string>
 
@@ -22,78 +24,14 @@ namespace mqd {
 namespace {
 
 constexpr char kTenantMagic[8] = {'M', 'Q', 'D', 'T', 'N', 'T', '0', '1'};
-constexpr uint32_t kTenantFormatVersion = 1;
+// Version 2: a tier-1 payload is the representative's checkpoint in
+// global post ids, against the shared instance. Other versions are
+// rejected, never migrated.
+constexpr uint32_t kTenantFormatVersion = 2;
 constexpr uint8_t kTierShared = 0;
 constexpr uint8_t kTierCluster = 1;
 
-/// CoverageModel of a TenantView: every query is answered by the
-/// parent model under the local→global post/label mappings, so the
-/// restricted run computes with the identical doubles (and the same
-/// IsUniform fast-path choice) as a run on the full model. The global
-/// post is read from the queried instance's `external_id`, so the
-/// model must be queried with its own view's `sub` and no other
-/// instance.
-class RestrictedCoverage final : public CoverageModel {
- public:
-  RestrictedCoverage(const Instance& parent_inst, const CoverageModel& parent,
-                     std::vector<LabelId> global_label)
-      : parent_inst_(parent_inst),
-        parent_(parent),
-        global_label_(std::move(global_label)) {}
-
-  DimValue Reach(const Instance& sub, PostId coverer,
-                 LabelId a) const override {
-    return parent_.Reach(parent_inst_,
-                         static_cast<PostId>(sub.post(coverer).external_id),
-                         global_label_[a]);
-  }
-  DimValue MaxReach() const override { return parent_.MaxReach(); }
-  bool IsUniform() const override { return parent_.IsUniform(); }
-
- private:
-  const Instance& parent_inst_;
-  const CoverageModel& parent_;
-  std::vector<LabelId> global_label_;
-};
-
-/// First local post id of `view` whose global id is >= `global`.
-uint32_t LocalLowerBound(const std::vector<PostId>& global_of_local,
-                         PostId global) {
-  return static_cast<uint32_t>(
-      std::lower_bound(global_of_local.begin(), global_of_local.end(),
-                       global) -
-      global_of_local.begin());
-}
-
 }  // namespace
-
-Result<TenantView> BuildTenantView(const Instance& inst,
-                                   const CoverageModel& model,
-                                   LabelMask mask, PostId from_post) {
-  if (mask == 0) {
-    return Status::InvalidArgument("tenant label mask is empty");
-  }
-  const std::vector<LabelId> global_labels = MaskToLabels(mask);
-  if (!global_labels.empty() &&
-      global_labels.back() >= static_cast<LabelId>(inst.num_labels())) {
-    return Status::InvalidArgument(
-        StrFormat("tenant mask uses label %u outside the %d-label universe",
-                  global_labels.back(), inst.num_labels()));
-  }
-  if (from_post > inst.num_posts()) {
-    return Status::InvalidArgument(
-        StrFormat("tenant join point %u is past the %zu-post stream",
-                  from_post, inst.num_posts()));
-  }
-
-  // Local label i is global_labels[i]: the mapping is monotone, which
-  // preserves the (deadline, label) heap tie order.
-  TenantView view;
-  view.sub = inst.Restrict(global_labels, from_post, &view.global_of_local);
-  view.model = std::make_unique<RestrictedCoverage>(inst, model,
-                                                    global_labels);
-  return view;
-}
 
 MultiTenantStream::MultiTenantStream(const Instance& inst,
                                      const CoverageModel& model,
@@ -146,13 +84,12 @@ void MultiTenantStream::IndexNewFires() {
   indexed_fires_ = log.size();
 }
 
-Result<std::unique_ptr<MultiTenantStream::Cluster>>
-MultiTenantStream::BuildCluster(LabelMask mask, PostId join) const {
+std::unique_ptr<MultiTenantStream::Cluster> MultiTenantStream::BuildCluster(
+    LabelMask mask, PostId join) const {
   auto cluster = std::make_unique<Cluster>();
   cluster->mask = mask;
   cluster->join_cursor = join;
-  MQD_ASSIGN_OR_RETURN(cluster->view,
-                       BuildTenantView(inst_, model_, mask, join));
+  cluster->cursor = join;
   switch (kind_) {
     case StreamKind::kStreamGreedy:
     case StreamKind::kStreamGreedyPlus:
@@ -160,25 +97,20 @@ MultiTenantStream::BuildCluster(LabelMask mask, PostId join) const {
       // arena, so steady-state sweeps stop touching malloc.
       cluster->arena = std::make_unique<Arena>();
       cluster->processor = std::make_unique<StreamGreedyProcessor>(
-          cluster->view.sub, *cluster->view.model, tau_,
-          kind_ == StreamKind::kStreamGreedyPlus, cluster->arena.get());
+          inst_, model_, tau_, kind_ == StreamKind::kStreamGreedyPlus,
+          cluster->arena.get(), mask);
       break;
     default:
-      cluster->processor = CreateStreamProcessor(
-          kind_, cluster->view.sub, *cluster->view.model, tau_);
+      cluster->processor =
+          CreateStreamProcessor(kind_, inst_, model_, tau_, mask);
       break;
   }
   return cluster;
 }
 
 void MultiTenantStream::CatchUp(Cluster& cluster) {
-  const uint32_t target =
-      LocalLowerBound(cluster.view.global_of_local, cursor_);
-  for (uint32_t local = cluster.next_local; local < target; ++local) {
-    cluster.processor->AdvanceTo(cluster.view.sub.value(local));
-    cluster.processor->OnArrival(local);
-  }
-  cluster.next_local = target;
+  DeliverPending(cluster, MakeWindow(cluster.cursor, cursor_),
+                 /*probe=*/false);
   if (finished_) cluster.processor->Finish();
 }
 
@@ -201,8 +133,7 @@ Result<uint32_t> MultiTenantStream::AttachCluster(LabelMask mask,
     ++cluster.refcount;
     return it->second;
   }
-  MQD_ASSIGN_OR_RETURN(std::unique_ptr<Cluster> cluster,
-                       BuildCluster(mask, join));
+  std::unique_ptr<Cluster> cluster = BuildCluster(mask, join);
   cluster->refcount = 1;
   return RegisterCluster(std::move(cluster));
 }
@@ -264,29 +195,55 @@ Status MultiTenantStream::Unsubscribe(TenantId tenant) {
   return Status::OK();
 }
 
-uint64_t MultiTenantStream::DeliverPending(Cluster& cluster, PostId end,
+MultiTenantStream::Window MultiTenantStream::MakeWindow(PostId from,
+                                                       PostId end) const {
+  const size_t num_labels = static_cast<size_t>(inst_.num_labels());
+  Window window{from, end, {}};
+  window.bits.assign((size_t{end - from} + 63) / 64 * num_labels, 0);
+  for (LabelId a = 0; a < num_labels; ++a) {
+    const std::span<const PostId> posts = inst_.label_posts(a);
+    for (auto it = std::lower_bound(posts.begin(), posts.end(), from);
+         it != posts.end() && *it < end; ++it) {
+      const PostId d = *it - from;
+      window.bits[d / 64 * num_labels + a] |= uint64_t{1} << (d % 64);
+    }
+  }
+  return window;
+}
+
+uint64_t MultiTenantStream::DeliverPending(Cluster& cluster,
+                                           const Window& window,
                                            bool probe) {
   if (!cluster.health.ok()) return 0;  // quarantined: stops receiving
-  const std::vector<PostId>& gol = cluster.view.global_of_local;
-  uint32_t local = cluster.next_local;
+  MQD_DCHECK(cluster.cursor == window.from);
+  // Per 64-post word, the union of the mask's label bits: every
+  // matching post once, in ascending id.
+  const size_t num_labels = static_cast<size_t>(inst_.num_labels());
   uint64_t delivered = 0;
-  while (local < gol.size() && gol[local] < end) {
-    if (probe) {
-      Status fault = FaultInjector::Global().MaybeInject("tenant.fanout");
-      if (!fault.ok()) {
-        // Quarantine this cluster only: its tenants' queries return
-        // the fault; every other tenant's state is untouched.
-        cluster.health = std::move(fault);
-        obs::GetTenantMetrics().quarantines->Increment();
-        break;
+  for (size_t w = 0; w * num_labels < window.bits.size(); ++w) {
+    const uint64_t* word = window.bits.data() + w * num_labels;
+    uint64_t hits = 0;
+    ForEachLabel(cluster.mask, [&](LabelId a) { hits |= word[a]; });
+    for (; hits != 0; hits &= hits - 1) {
+      const PostId post = window.from + static_cast<PostId>(
+                                            64 * w + std::countr_zero(hits));
+      if (probe) {
+        Status fault = FaultInjector::Global().MaybeInject("tenant.fanout");
+        if (!fault.ok()) {
+          // Quarantine this cluster only: its tenants' queries return
+          // the fault; every other tenant's state is untouched.
+          cluster.health = std::move(fault);
+          obs::GetTenantMetrics().quarantines->Increment();
+          cluster.cursor = post;
+          return delivered;
+        }
       }
+      cluster.processor->AdvanceTo(inst_.value(post));
+      cluster.processor->OnArrival(post);
+      ++delivered;
     }
-    cluster.processor->AdvanceTo(cluster.view.sub.value(local));
-    cluster.processor->OnArrival(local);
-    ++local;
-    ++delivered;
   }
-  cluster.next_local = local;
+  cluster.cursor = window.end;
   return delivered;
 }
 
@@ -294,9 +251,11 @@ void MultiTenantStream::SweepClusters(PostId end) {
   // Injected fault firing is a pure function of (seed, site, hit
   // index); clusters are swept in ascending id order, so the
   // tenant.fanout probes run in one deterministic order.
+  if (live_clusters_ == 0) return;
   const bool probe = FaultInjector::Global().armed();
+  const Window window = MakeWindow(cursor_, end);
   for (const std::unique_ptr<Cluster>& cluster : clusters_) {
-    if (cluster) fanout_deliveries_ += DeliverPending(*cluster, end, probe);
+    if (cluster) fanout_deliveries_ += DeliverPending(*cluster, window, probe);
   }
 }
 
@@ -398,13 +357,7 @@ Result<std::vector<Emission>> MultiTenantStream::TenantEmissions(
   if (rec.cluster == kNoCluster) return DeriveSharedEmissions(rec.mask);
   const Cluster& cluster = *clusters_[rec.cluster];
   if (!cluster.health.ok()) return cluster.health;
-  std::vector<Emission> out;
-  out.reserve(cluster.processor->emissions().size());
-  for (const Emission& e : cluster.processor->emissions()) {
-    out.push_back(Emission{cluster.view.global_of_local[e.post],
-                           e.emit_time});
-  }
-  return out;
+  return cluster.processor->emissions();
 }
 
 Result<std::vector<PostId>> MultiTenantStream::TenantCover(
@@ -476,8 +429,8 @@ Status MultiTenantStream::EvictTenant(TenantId tenant, std::ostream& os) {
     if (!cluster.health.ok()) return cluster.health;
     body.U8(kTierCluster);
     std::ostringstream inner;
-    MQD_RETURN_NOT_OK(SaveStreamCheckpoint(*cluster.processor,
-                                           cluster.next_local, inner));
+    MQD_RETURN_NOT_OK(
+        SaveStreamCheckpoint(*cluster.processor, cluster.cursor, inner));
     body.Str(inner.str());
   }
 
@@ -586,22 +539,17 @@ Result<TenantId> MultiTenantStream::RestoreTenant(std::istream& is) {
       // the identical sub-stream deterministically: re-attach.
       MQD_ASSIGN_OR_RETURN(rec.cluster, AttachCluster(mask, join));
     } else {
-      MQD_ASSIGN_OR_RETURN(std::unique_ptr<Cluster> cluster,
-                           BuildCluster(mask, join));
+      std::unique_ptr<Cluster> cluster = BuildCluster(mask, join);
       std::istringstream inner(payload);
       MQD_ASSIGN_OR_RETURN(
-          const PostId restored_local,
-          RestoreStreamCheckpoint(cluster->processor.get(),
-                                  cluster->view.sub, inner));
-      const uint32_t expected_local =
-          LocalLowerBound(cluster->view.global_of_local, evict_cursor);
-      if (restored_local != expected_local) {
+          cluster->cursor,
+          RestoreStreamCheckpoint(cluster->processor.get(), inst_, inner));
+      if (cluster->cursor != evict_cursor) {
         return Status::InvalidArgument(
             "tenant snapshot replay cursor inconsistent with evict point");
       }
-      // Catch up to the engine's cursor: deliver the sub-posts the
-      // tenant missed while evicted, exactly as ResumeStream would.
-      cluster->next_local = restored_local;
+      // Catch up to the engine's cursor: deliver the posts the tenant
+      // missed while evicted, exactly as ResumeStream would.
       CatchUp(*cluster);
       cluster->refcount = 1;
       rec.cluster = RegisterCluster(std::move(cluster));

@@ -14,6 +14,9 @@
 #include "stream/factory.h"
 #include "stream/stream_scan.h"
 #include "stream/stream_solver.h"
+// The reference view that private replays of one tenant are built on;
+// included here for callers that check the engine against it.
+#include "stream/tenant_view.h"
 #include "util/arena.h"
 #include "util/result.h"
 #include "util/status.h"
@@ -25,40 +28,6 @@ namespace mqd {
 /// stays invalid forever (restore mints a fresh id).
 using TenantId = uint32_t;
 inline constexpr TenantId kInvalidTenant = static_cast<TenantId>(-1);
-
-/// A tenant's restricted view of the shared stream: the sub-instance
-/// of posts relevant to its label subscription (masks intersected,
-/// labels densely renumbered), arriving from its join point onward.
-/// `external_id` of each sub-post is the global PostId, and
-/// `global_of_local` maps back the other way. Post order — and
-/// therefore tie order among equal values — is inherited from the
-/// global value-sorted table, so local PostIds are monotone in global
-/// ones.
-struct TenantView {
-  Instance sub;
-  /// Global PostId of each local post (the same ids as the sub-posts'
-  /// `external_id`, kept contiguous for the delivery sweep).
-  std::vector<PostId> global_of_local;
-  /// Coverage restricted to the view: forwards Reach/MaxReach/
-  /// IsUniform to the parent model under the local→global mappings,
-  /// so every radius is the identical double the tenant would see
-  /// running alone on the full model. It reads the global post from
-  /// the queried instance's `external_id`, so query it only with this
-  /// view's `sub`.
-  std::unique_ptr<CoverageModel> model;
-};
-
-/// Builds the restricted view of `mask`-relevant posts with global ids
-/// in [from_post, num_posts) through Instance::Restrict, straight from
-/// the suffixes of the mask's posting lists: cost O(view pairs +
-/// (num_posts - from_post) / 64), no scan of other posts, no sort.
-/// InvalidArgument for an empty mask, a label outside the universe or
-/// from_post > num_posts; from_post == num_posts gives an empty view.
-/// `model` and `inst` must outlive the returned view (its coverage
-/// wrapper references both).
-Result<TenantView> BuildTenantView(const Instance& inst,
-                                   const CoverageModel& model,
-                                   LabelMask mask, PostId from_post);
 
 /// Multi-tenant stream fan-out engine (DESIGN.md §14, §16): one replay
 /// of the shared firehose serves every subscribed label-set profile,
@@ -82,21 +51,29 @@ Result<TenantView> BuildTenantView(const Instance& inst,
 ///  * Cluster tier (Scan+/Greedy± — whose cross-label coupling makes
 ///    label states interact — and any mid-stream joiner of any kind).
 ///    Tenants with the same (mask, join point) share one representative
-///    processor over the restricted TenantView, whose emissions are the
-///    tenants' own. The representative's clock only advances when a
-///    matching post arrives (or at Finish) — exact, because AdvanceTo
+///    processor, whose emissions are the tenants' own. The
+///    representative runs on the engine's own instance and model with
+///    the cluster's mask as its relevant-label mask, so it reads the
+///    shared post table directly, in global post ids, and holds no copy
+///    of its sub-stream. The representative's clock only advances when
+///    a matching post arrives (or at Finish) — exact, because AdvanceTo
 ///    fires all pending deadlines in (deadline, label) order with
 ///    emission times taken from the deadlines themselves, not the call
 ///    instant.
 ///
-/// Sweep: per RunUntil batch the live clusters are advanced in
-/// ascending cluster id order on the calling thread. Independent
-/// replays (one engine each) are the unit of parallelism.
+/// Sweep: per RunUntil batch [cursor, end) the engine marks the slice
+/// of every label's posting list that falls in the batch once, one bit
+/// per (post, label), then advances the live clusters in ascending
+/// cluster id order on the calling thread; each cluster ORs its mask's
+/// bits per 64-post word and receives every matching post once, in
+/// ascending global id. Independent replays (one engine each) are the
+/// unit of parallelism.
 ///
 /// Allocation: greedy representatives bump-allocate their carried
 /// windows from a per-cluster Arena (`arena_stats()` aggregates the
 /// fleet), so steady-state cluster sweeps hold the arenas' block count
-/// flat. The shared tier's fire log and its per-label index grow by
+/// flat. Each sweep allocates its batch bitmap (|L| words per 64
+/// posts). The shared tier's fire log and its per-label index grow by
 /// amortized appends (4 index bytes per fire), and each derivation
 /// allocates the returned vector plus std::inplace_merge's buffer.
 ///
@@ -143,7 +120,7 @@ class MultiTenantStream {
   /// global PostIds. After Finish this is exactly what its private
   /// processor would hold. Mid-stream (cursor c) the two tiers answer
   /// on different clocks:
-  ///  * shared tier: the private StreamScan over the tenant's view
+  ///  * shared tier: the private StreamScan over the tenant's sub-stream
   ///    driven on the global clock, i.e. AdvanceTo(value(p)) for every
   ///    global p < c, plus OnArrival for the tenant's own posts;
   ///  * cluster tier: the representative's state, whose clock moves
@@ -204,15 +181,25 @@ class MultiTenantStream {
   struct Cluster {
     LabelMask mask = 0;  // every member tenant's mask
     PostId join_cursor = 0;
-    TenantView view;
+    /// First global post not yet offered to the representative.
+    PostId cursor = 0;
     /// Carried-window storage for greedy representatives; null for
     /// scan kinds. Declared before the processor so the processor's
     /// pmr containers die first.
     std::unique_ptr<Arena> arena;
-    std::unique_ptr<StreamProcessor> processor;  // after view: refs it
-    uint32_t next_local = 0;  // local id of the next view post to deliver
+    std::unique_ptr<StreamProcessor> processor;
     uint32_t refcount = 0;
     Status health = Status::OK();  // !ok() => quarantined by a fault
+  };
+
+  /// The posts of a delivery window [from, end) by label, marked from
+  /// the slice of each posting list LP(a) that falls in the window:
+  /// bit d of `bits[(d / 64) * num_labels + a]` is set iff post
+  /// from + d carries label a.
+  struct Window {
+    PostId from = 0;
+    PostId end = 0;
+    std::vector<uint64_t> bits;
   };
 
   static constexpr uint32_t kNoCluster = static_cast<uint32_t>(-1);
@@ -224,20 +211,24 @@ class MultiTenantStream {
   /// Finds or creates the representative for exactly (mask, join);
   /// bumps its refcount.
   Result<uint32_t> AttachCluster(LabelMask mask, PostId join);
-  /// Builds a cluster shell (view + processor) without registering it.
-  Result<std::unique_ptr<Cluster>> BuildCluster(LabelMask mask,
-                                                PostId join) const;
-  /// Replays cluster posts with global id < cursor_ through the
-  /// processor (Finish too if the engine already finished).
+  /// Builds a cluster (masked representative at cursor `join`)
+  /// without registering it. `mask` must have passed ValidateMask.
+  std::unique_ptr<Cluster> BuildCluster(LabelMask mask, PostId join) const;
+  /// Replays the cluster's posts from its cursor up to cursor_ through
+  /// the processor (Finish too if the engine already finished).
   void CatchUp(Cluster& cluster);
   /// Registers a built cluster in the key map.
   uint32_t RegisterCluster(std::unique_ptr<Cluster> cluster);
   void DetachCluster(uint32_t index);
-  /// Advances `cluster` through every pending view post with global id
-  /// < end; returns deliveries made. With `probe` each delivery hits
-  /// the tenant.fanout site first (a fire quarantines the cluster and
+  /// Marks every label's posting-list slice in [from, end).
+  Window MakeWindow(PostId from, PostId end) const;
+  /// Advances `cluster`, whose cursor must be window.from, through
+  /// every post of its mask in the window, once each and in ascending
+  /// id; returns deliveries made. With `probe` each delivery hits the
+  /// tenant.fanout site first (a fire quarantines the cluster and
   /// stops it).
-  uint64_t DeliverPending(Cluster& cluster, PostId end, bool probe);
+  uint64_t DeliverPending(Cluster& cluster, const Window& window,
+                          bool probe);
   /// One batch sweep of all live clusters up to `end`, with fault
   /// probes while the injector is armed.
   void SweepClusters(PostId end);

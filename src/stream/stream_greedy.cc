@@ -17,8 +17,8 @@ constexpr size_t kClean = std::numeric_limits<size_t>::max();
 StreamGreedyProcessor::StreamGreedyProcessor(const Instance& inst,
                                              const CoverageModel& model,
                                              double tau, bool stop_at_anchor,
-                                             Arena* arena)
-    : StreamProcessor(inst, model),
+                                             Arena* arena, LabelMask mask)
+    : StreamProcessor(inst, model, mask),
       owned_arena_(arena == nullptr ? std::make_unique<Arena>() : nullptr),
       arena_(arena == nullptr ? owned_arena_.get() : arena),
       resource_(arena_),
@@ -71,7 +71,7 @@ bool StreamGreedyProcessor::CoveredByEmitted(PostId post, LabelId a) const {
 
 void StreamGreedyProcessor::RecordEmitted(PostId post) {
   const DimValue v = inst_.value(post);
-  ForEachLabel(inst_.labels(post), [&](LabelId a) {
+  ForEachLabel(labels(post), [&](LabelId a) {
     EmittedList& emitted = emitted_per_label_[a];
     auto pos =
         std::upper_bound(emitted.values.begin(), emitted.values.end(), v);
@@ -155,7 +155,7 @@ void StreamGreedyProcessor::AppendSlot(PostId post, LabelMask u) {
   slot_uncovered_.push_back(0);
   slot_gains_.push_back(0);
   const DimValue v = inst_.value(post);
-  ForEachLabel(inst_.labels(post), [&](LabelId a) {
+  ForEachLabel(labels(post), [&](LabelId a) {
     LabelList& list = by_label_[a];
     list.slots.push_back(s);
     list.values.push_back(v);
@@ -168,7 +168,7 @@ void StreamGreedyProcessor::AppendSlot(PostId post, LabelMask u) {
   // not double counted — AddPairGain below credits them to every
   // coverer, this post included.
   int64_t g = 0;
-  ForEachLabel(inst_.labels(post), [&](LabelId a) {
+  ForEachLabel(labels(post), [&](LabelId a) {
     const DimValue reach = model_.Reach(inst_, post, a);
     auto [lo, hi] = SlotValueRange(a, v - reach, v + reach);
     const std::pmr::vector<uint8_t>& uncov = by_label_[a].uncov;
@@ -189,7 +189,7 @@ void StreamGreedyProcessor::OnArrival(PostId post) {
   // carried masks in sync, so the mask equals what the reference
   // recomputes at batch time.
   LabelMask u = 0;
-  ForEachLabel(inst_.labels(post), [&](LabelId a) {
+  ForEachLabel(labels(post), [&](LabelId a) {
     if (!CoveredByEmitted(post, a)) u |= MaskOf(a);
   });
   if (anchor_ == kInvalidPost) {
@@ -215,7 +215,7 @@ void StreamGreedyProcessor::SelectSlot(uint32_t s, double when) {
   const PostId z = slot_posts_[SlotIndex(s)];
   const DimValue v = inst_.value(z);
   const DimValue max_reach = model_.MaxReach();
-  ForEachLabel(inst_.labels(z), [&](LabelId a) {
+  ForEachLabel(labels(z), [&](LabelId a) {
     const DimValue reach = model_.Reach(inst_, z, a);
     auto [first, last] = SlotValueRange(a, v - reach, v + reach);
     LabelList& list = by_label_[a];
@@ -372,7 +372,7 @@ Status StreamGreedyProcessor::RestoreStreamState(SnapshotReader* reader) {
     if (i > 0 && ring[i].post <= ring[i - 1].post) {
       return Status::InvalidArgument("snapshot slot ring not ascending");
     }
-    if ((ring[i].uncovered & ~inst_.labels(ring[i].post)) != 0) {
+    if ((ring[i].uncovered & ~labels(ring[i].post)) != 0) {
       return Status::InvalidArgument(
           "snapshot slot uncovered mask not a subset of its labels");
     }

@@ -54,7 +54,7 @@ class StreamGreedyProcessor final : public StreamProcessor,
  public:
   StreamGreedyProcessor(const Instance& inst, const CoverageModel& model,
                         double tau, bool stop_at_anchor = false,
-                        Arena* arena = nullptr);
+                        Arena* arena = nullptr, LabelMask mask = kAllLabels);
 
   std::string_view name() const override {
     return stop_at_anchor_ ? "StreamGreedySC+" : "StreamGreedySC";

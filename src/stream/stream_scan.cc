@@ -11,8 +11,9 @@ namespace mqd {
 StreamScanProcessor::StreamScanProcessor(const Instance& inst,
                                          const CoverageModel& model,
                                          double tau,
-                                         bool cross_label_pruning)
-    : StreamProcessor(inst, model),
+                                         bool cross_label_pruning,
+                                         LabelMask mask)
+    : StreamProcessor(inst, model, mask),
       tau_(tau),
       cross_label_pruning_(cross_label_pruning),
       labels_(static_cast<size_t>(inst.num_labels())),
@@ -83,7 +84,7 @@ void StreamScanProcessor::Fire(LabelId a, double when) {
   // (Reach is the emitted post's, constant across the probe, so this
   // holds for variable models too.)
   const DimValue v_lu = inst_.value(lu);
-  ForEachLabel(inst_.labels(lu), [&](LabelId b) {
+  ForEachLabel(labels(lu), [&](LabelId b) {
     if (b == a) return;
     LabelState& other = labels_[b];
     if (other.lc == kInvalidPost ||
@@ -107,7 +108,7 @@ void StreamScanProcessor::Fire(LabelId a, double when) {
 }
 
 void StreamScanProcessor::OnArrival(PostId post) {
-  ForEachLabel(inst_.labels(post), [&](LabelId a) {
+  ForEachLabel(labels(post), [&](LabelId a) {
     LabelState& state = labels_[a];
     if (state.lc != kInvalidPost &&
         model_.Covers(inst_, state.lc, a, post)) {
@@ -163,7 +164,7 @@ Status StreamScanProcessor::RestoreStreamState(SnapshotReader* reader) {
     // Coverage radii are looked up per (post, label), and only labels
     // the post carries have one: lc and every uncovered post of label
     // a must carry a.
-    if (state.lc != kInvalidPost && !MaskHas(inst_.labels(state.lc), a)) {
+    if (state.lc != kInvalidPost && !MaskHas(labels(state.lc), a)) {
       return Status::InvalidArgument(
           StrFormat("snapshot lc of label %u lacks that label", a));
     }
@@ -172,7 +173,7 @@ Status StreamScanProcessor::RestoreStreamState(SnapshotReader* reader) {
         return Status::InvalidArgument(
             "snapshot uncovered post out of range");
       }
-      if (!MaskHas(inst_.labels(state.uncovered[i]), a)) {
+      if (!MaskHas(labels(state.uncovered[i]), a)) {
         return Status::InvalidArgument(StrFormat(
             "snapshot uncovered post of label %u lacks that label", a));
       }

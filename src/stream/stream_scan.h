@@ -46,7 +46,8 @@ class StreamScanProcessor final : public StreamProcessor,
                                   public CheckpointableStream {
  public:
   StreamScanProcessor(const Instance& inst, const CoverageModel& model,
-                      double tau, bool cross_label_pruning = false);
+                      double tau, bool cross_label_pruning = false,
+                      LabelMask mask = kAllLabels);
 
   std::string_view name() const override {
     return cross_label_pruning_ ? "StreamScan+" : "StreamScan";

@@ -66,6 +66,9 @@ inline std::pair<size_t, size_t> CovererRun(std::span<const double> values,
           static_cast<size_t>(hi - values.begin())};
 }
 
+/// The default relevant-label mask of a stream processor: every label.
+inline constexpr LabelMask kAllLabels = ~LabelMask{0};
+
 /// A StreamMQDP algorithm. The replay driver (stream/replay.h) feeds
 /// posts in timestamp order, advancing the simulated clock so that
 /// internal timers (tau/lambda deadlines) fire exactly when they
@@ -79,10 +82,22 @@ inline std::pair<size_t, size_t> CovererRun(std::span<const double> values,
 ///  * processors must only inspect posts that have arrived (the shared
 ///    Instance carries the whole stream for convenience, but peeking
 ///    at the future would falsify the evaluation).
+///
+/// Relevant-label mask: a processor serves only the labels in `mask`
+/// and reads every post's labels through labels(p), which intersects
+/// them with the mask. It is then, field for field, the processor of
+/// the sub-stream of posts relevant to the mask, run in the same
+/// global post ids: the multi-tenant engine (stream/multi_tenant.h)
+/// runs its cluster representatives this way over the one shared post
+/// table, delivering only posts whose masked labels are non-empty.
 class StreamProcessor {
  public:
-  StreamProcessor(const Instance& inst, const CoverageModel& model)
-      : inst_(inst), model_(model), emitted_flag_(inst.num_posts(), false) {}
+  StreamProcessor(const Instance& inst, const CoverageModel& model,
+                  LabelMask mask = kAllLabels)
+      : inst_(inst),
+        model_(model),
+        mask_(mask),
+        emitted_flag_(inst.num_posts(), false) {}
   virtual ~StreamProcessor() = default;
 
   virtual std::string_view name() const = 0;
@@ -108,7 +123,8 @@ class StreamProcessor {
   /// Replaces the emission log wholesale — the checkpoint-restore
   /// path, which hands a fresh processor the killed run's emissions
   /// before the algorithm state is rebuilt. Rejects out-of-range or
-  /// duplicated posts without touching current state.
+  /// duplicated posts, and posts carrying no label of the mask,
+  /// without touching current state.
   Status RestoreEmissionLog(std::vector<Emission> emissions);
 
  protected:
@@ -122,10 +138,15 @@ class StreamProcessor {
 
   bool AlreadyEmitted(PostId post) const { return emitted_flag_[post]; }
 
+  /// The labels of `post` this processor serves. Every label read of
+  /// a processor goes through here, never through inst_.labels.
+  LabelMask labels(PostId post) const { return inst_.labels(post) & mask_; }
+
   const Instance& inst_;
   const CoverageModel& model_;
 
  private:
+  LabelMask mask_;
   std::vector<Emission> emissions_;
   std::vector<bool> emitted_flag_;
 };

@@ -633,6 +633,77 @@ TEST(ServeServerTest, TenantModeCapsSubscriptionsDeterministically) {
   ASSERT_TRUE(server->Drain().ok());
 }
 
+/// Emission count of a private StreamScan+ run over the sub-instance
+/// of posts with id >= `join` relevant to `mask`, built independently
+/// of the engine: masks intersected, labels densely renumbered.
+size_t PrivateScanPlusEmissions(const Instance& inst, LabelMask mask,
+                                PostId join, double lambda, double tau) {
+  const std::vector<LabelId> labels = MaskToLabels(mask);
+  InstanceBuilder builder(static_cast<int>(labels.size()));
+  for (PostId p = join; p < inst.num_posts(); ++p) {
+    LabelMask local = 0;
+    for (size_t i = 0; i < labels.size(); ++i) {
+      if (MaskHas(inst.labels(p), labels[i])) {
+        local |= MaskOf(static_cast<LabelId>(i));
+      }
+    }
+    if (local != 0) builder.Add(inst.value(p), local, p);
+  }
+  auto sub = builder.Build();
+  EXPECT_TRUE(sub.ok()) << sub.status().ToString();
+  if (!sub.ok()) return 0;
+  UniformLambda model(lambda);
+  auto processor = CreateStreamProcessor(StreamKind::kStreamScanPlus, *sub,
+                                         model, tau);
+  EXPECT_TRUE(RunStream(*sub, processor.get()).ok());
+  return processor->emissions().size();
+}
+
+/// The daemon's cluster tier (tenant mode under the default
+/// StreamScan+) against private replays: a tenant subscribed before
+/// the first feed and one subscribed after it each report, after
+/// finish, exactly as many emissions as a private StreamScan+ over
+/// their own sub-stream from their join point.
+TEST(ServeServerTest, TenantModeClusterTierMatchesPrivateReplays) {
+  const Instance inst = TestInstance();
+  ServeConfig config;
+  config.tenant_mode = true;
+  ASSERT_EQ(config.stream_kind, StreamKind::kStreamScanPlus);
+  auto server = MustCreate(inst, config);
+
+  const ServeResponse early = server->Call(MustParse("a subscribe mask=3"));
+  ASSERT_EQ(early.outcome, ServeOutcome::kOk) << early.Format();
+  const ServeResponse feed = server->Call(
+      MustParse("f1 feed posts=" + std::to_string(inst.num_posts() / 3)));
+  ASSERT_EQ(feed.outcome, ServeOutcome::kOk) << feed.Format();
+  const PostId join = static_cast<PostId>(BodyValue(feed.body, "cursor"));
+  ASSERT_GT(join, 0u);
+  const ServeResponse late = server->Call(MustParse("b subscribe mask=6"));
+  ASSERT_EQ(late.outcome, ServeOutcome::kOk) << late.Format();
+  ASSERT_EQ(server->Call(MustParse("f2 feed posts=100000")).outcome,
+            ServeOutcome::kOk);
+  ASSERT_EQ(server->Call(MustParse("fin finish")).outcome, ServeOutcome::kOk);
+
+  struct Expected {
+    const ServeResponse* subscribed;
+    LabelMask mask;
+    PostId join;
+  };
+  for (const Expected& want :
+       {Expected{&early, 3, 0}, Expected{&late, 6, join}}) {
+    const std::string tenant =
+        std::to_string(BodyValue(want.subscribed->body, "tenant"));
+    const ServeResponse em =
+        server->Call(MustParse("e emissions tenant=" + tenant));
+    ASSERT_EQ(em.outcome, ServeOutcome::kOk) << em.Format();
+    const size_t expected = PrivateScanPlusEmissions(
+        inst, want.mask, want.join, config.lambda, config.tau);
+    EXPECT_GT(expected, 0u) << "tenant " << tenant;
+    EXPECT_EQ(BodyValue(em.body, "emitted"), expected) << "tenant " << tenant;
+  }
+  ASSERT_TRUE(server->Drain().ok());
+}
+
 TEST(ServeServerTest, StatsAndPingAnswerInlineEvenWhenSaturated) {
   const Instance inst = TestInstance();
   ServeConfig config;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -375,7 +376,7 @@ std::string SealHeaderOnlySnapshot(const Instance& inst, StreamKind kind,
                                    double tau, LabelMask mask, PostId join,
                                    PostId cursor, uint8_t tier) {
   SnapshotWriter body;
-  body.U32(1);  // tenant format version
+  body.U32(2);  // tenant format version
   body.U8(static_cast<uint8_t>(kind));
   body.F64(tau);
   body.U64(InstanceFingerprint(inst));
@@ -448,6 +449,163 @@ TEST(TenantChurnTest, SnapshotsOfForeignTiersAreRejected) {
       *(*scan)->TenantEmissions(*restored),
       RunSolo(inst, mask, 0, StreamKind::kStreamScan, tau, lambda),
       "genuine StreamScan shared-tier seal");
+}
+
+/// Byte offset of the mask in a tenant snapshot body: after the
+/// version (u32), kind (u8), tau (f64) and instance fingerprint (u64).
+constexpr size_t kBodyMaskOffset = 4 + 1 + 8 + 8;
+
+/// Re-seals an EvictTenant snapshot after `edit` rewrites its body,
+/// with a recomputed checksum, so the forgery passes every integrity
+/// check and fails only on what `edit` changed.
+template <typename Edit>
+std::string ResealBody(const std::string& blob, Edit edit) {
+  constexpr size_t kMagicBytes = 8;
+  std::string body =
+      blob.substr(kMagicBytes, blob.size() - kMagicBytes - sizeof(uint64_t));
+  edit(&body);
+  const uint64_t checksum = SnapshotChecksum(body);
+  std::string out = blob.substr(0, kMagicBytes) + body;
+  out.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+  return out;
+}
+
+/// Version-1 tenant snapshots embedded a per-cluster view's local post
+/// ids; version 2 embeds global ids. A well-sealed version-1 snapshot
+/// is refused with the typed version error and no side effect, while
+/// the genuine snapshot it was forged from still restores exactly.
+TEST(TenantChurnTest, VersionOneSnapshotsAreRejected) {
+  const double tau = 2.0;
+  const double lambda = 6.0;
+  const Instance inst = TestInstance(11);
+  const LabelMask mask = MaskOf(0) | MaskOf(2);
+  const LabelMask bystander_mask = MaskOf(1) | MaskOf(3);
+  UniformLambda model(lambda);
+  auto engine = MultiTenantStream::Create(
+      inst, model, StreamKind::kStreamScanPlus, tau);
+  ASSERT_TRUE(engine.ok());
+  const TenantId bystander = *(*engine)->Subscribe(bystander_mask);
+  const TenantId victim = *(*engine)->Subscribe(mask);
+  ASSERT_TRUE((*engine)->RunUntil(inst.num_posts() / 2).ok());
+  std::ostringstream snapshot;
+  ASSERT_TRUE((*engine)->EvictTenant(victim, snapshot).ok());
+  const std::string good = snapshot.str();
+  const std::string v1 = ResealBody(good, [](std::string* body) {
+    const uint32_t version = 1;
+    std::memcpy(body->data(), &version, sizeof(version));
+  });
+  const size_t active_before = (*engine)->active_tenants();
+  const size_t clusters_before = (*engine)->num_clusters();
+
+  std::istringstream forged(v1);
+  auto rejected = (*engine)->RestoreTenant(forged);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
+      << rejected.status().ToString();
+  EXPECT_NE(rejected.status().message().find(
+                "unsupported tenant snapshot version"),
+            std::string::npos)
+      << rejected.status().ToString();
+  EXPECT_EQ((*engine)->active_tenants(), active_before);
+  EXPECT_EQ((*engine)->num_clusters(), clusters_before);
+
+  std::istringstream in(good);
+  auto restored = (*engine)->RestoreTenant(in);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ASSERT_TRUE((*engine)->RunToEnd().ok());
+  ExpectEmissionsEqual(
+      *(*engine)->TenantEmissions(*restored),
+      RunSolo(inst, mask, 0, StreamKind::kStreamScanPlus, tau, lambda),
+      "genuine snapshot after the version-1 forgery");
+  ExpectEmissionsEqual(
+      *(*engine)->TenantEmissions(bystander),
+      RunSolo(inst, bystander_mask, 0, StreamKind::kStreamScanPlus, tau,
+              lambda),
+      "bystander");
+}
+
+/// A tier-1 snapshot re-sealed under a mask lacking a label its
+/// embedded state uses must not restore: representatives read the
+/// shared post table through their mask, so state on a label outside
+/// it is refused by the emission-log check (an emitted post carrying
+/// no label of the mask) or by the processor's restore checks (an
+/// uncovered or pending post on a label the mask drops). Both paths
+/// are forced: an evict before any fire (state only in the carried
+/// windows) and one mid-stream (emissions on the dropped label).
+TEST(TenantChurnTest, ForgedMaskSnapshotsAreRejected) {
+  const double tau = 30.0;
+  const double lambda = 40.0;
+  const Instance inst = TestInstance(12);
+  const LabelMask mask = MaskOf(1) | MaskOf(4);
+  const LabelMask forged_mask = MaskOf(4) | MaskOf(6);  // drops label 1
+  const LabelMask bystander_mask = MaskOf(0) | MaskOf(2);
+  const PostId early = inst.LowerBound(inst.value(0) + tau / 2);
+  const PostId mid = static_cast<PostId>(inst.num_posts() / 2);
+  for (StreamKind kind :
+       {StreamKind::kStreamScanPlus, StreamKind::kStreamGreedyPlus}) {
+    for (const PostId cut : {early, mid}) {
+      const std::string context = std::string(StreamKindName(kind)) +
+                                  " cut=" + std::to_string(cut);
+      UniformLambda model(lambda);
+      auto engine = MultiTenantStream::Create(inst, model, kind, tau);
+      ASSERT_TRUE(engine.ok());
+      const TenantId bystander = *(*engine)->Subscribe(bystander_mask);
+      const TenantId victim = *(*engine)->Subscribe(mask);
+      ASSERT_TRUE((*engine)->RunUntil(cut).ok());
+
+      // The embedded state must use label 1: before any fire, through
+      // a delivered label-1 post; mid-stream, through an emitted post
+      // whose labels miss the forged mask entirely.
+      const std::vector<Emission> before = *(*engine)->TenantEmissions(victim);
+      if (cut == early) {
+        ASSERT_TRUE(before.empty()) << context;
+        bool label1_delivered = false;
+        for (PostId p = 0; p < cut; ++p) {
+          label1_delivered |= MaskHas(inst.labels(p), 1);
+        }
+        ASSERT_TRUE(label1_delivered) << context;
+      } else {
+        ASSERT_TRUE(std::any_of(before.begin(), before.end(),
+                                [&](const Emission& e) {
+                                  return MaskHas(inst.labels(e.post), 1) &&
+                                         (inst.labels(e.post) &
+                                          forged_mask) == 0;
+                                }))
+            << context;
+      }
+
+      std::ostringstream snapshot;
+      ASSERT_TRUE((*engine)->EvictTenant(victim, snapshot).ok()) << context;
+      const std::string good = snapshot.str();
+      const std::string forged = ResealBody(good, [&](std::string* body) {
+        std::memcpy(body->data() + kBodyMaskOffset, &forged_mask,
+                    sizeof(forged_mask));
+      });
+      const size_t active_before = (*engine)->active_tenants();
+      const size_t clusters_before = (*engine)->num_clusters();
+
+      std::istringstream forged_in(forged);
+      auto rejected = (*engine)->RestoreTenant(forged_in);
+      ASSERT_FALSE(rejected.ok()) << context;
+      EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
+          << context << ": " << rejected.status().ToString();
+      EXPECT_EQ((*engine)->active_tenants(), active_before) << context;
+      EXPECT_EQ((*engine)->num_clusters(), clusters_before) << context;
+
+      std::istringstream in(good);
+      auto restored = (*engine)->RestoreTenant(in);
+      ASSERT_TRUE(restored.ok()) << context << ": "
+                                 << restored.status().ToString();
+      ASSERT_TRUE((*engine)->RunToEnd().ok());
+      ExpectEmissionsEqual(*(*engine)->TenantEmissions(*restored),
+                           RunSolo(inst, mask, 0, kind, tau, lambda),
+                           context + " genuine snapshot");
+      ExpectEmissionsEqual(*(*engine)->TenantEmissions(bystander),
+                           RunSolo(inst, bystander_mask, 0, kind, tau, lambda),
+                           context + " bystander");
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
 }
 
 /// Registry guard rails: invalid masks, dead ids, out-of-range replay
