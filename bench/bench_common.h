@@ -9,7 +9,6 @@
 #include "eval/experiment.h"
 #include "eval/metrics.h"
 #include "eval/table.h"
-#include "obs/stack_metrics.h"
 #include "util/string_util.h"
 
 namespace mqd::bench {
@@ -19,7 +18,6 @@ namespace mqd::bench {
 /// paper reports, so the console output is self-describing.
 inline void PrintHeader(std::string_view artifact, std::string_view setup,
                         std::string_view paper_expectation) {
-  obs::InstallArenaMetrics();
   std::cout << "==========================================================\n"
             << "Reproduction of " << artifact << "\n"
             << "  (Cheng, Arvanitis, Chrobak, Hristidis: Multi-Query\n"

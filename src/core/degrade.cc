@@ -77,11 +77,11 @@ Result<std::vector<PostId>> DegradingSolver::SolveWithBudget(
 
 DegradeOutcome DegradingSolver::SolveDegrading(
     const Instance& inst, const CoverageModel& model,
-    const Deadline& deadline) const {
+    const Deadline& deadline, size_t first_rung) const {
   const obs::RobustMetrics& robust = obs::GetRobustMetrics();
   DegradeOutcome outcome;
   Stopwatch watch;
-  for (size_t i = 0; i < rungs_.size(); ++i) {
+  for (size_t i = first_rung; i < rungs_.size(); ++i) {
     const Solver& rung = *rungs_[i];
     // A certifying rung answers through the anytime certified entry
     // point so the outcome can carry its optimality certificate.
@@ -115,7 +115,7 @@ DegradeOutcome DegradingSolver::SolveDegrading(
       outcome.cover = std::move(result).value();
       outcome.rung = std::string(rung.name());
       outcome.rung_index = i;
-      outcome.degraded = i > 0;
+      outcome.degraded = i > first_rung;
       if (outcome.degraded) obs::DegradedTotalFor(outcome.rung).Increment();
       outcome.elapsed_seconds = watch.ElapsedSeconds();
       return outcome;

@@ -14,8 +14,8 @@ namespace mqd {
 struct DegradeOutcome {
   std::vector<PostId> cover;   // always a valid lambda-cover
   std::string rung;            // name of the rung that answered
-  size_t rung_index = 0;       // 0 = first choice
-  bool degraded = false;       // rung_index > 0 or trivial fallback
+  size_t rung_index = 0;       // position in the full ladder
+  bool degraded = false;       // answered below the first rung tried
   /// Status of each rung that was tried and failed, in order.
   std::vector<Status> failures;
   double elapsed_seconds = 0.0;
@@ -74,10 +74,15 @@ class DegradingSolver final : public Solver {
       const Deadline& deadline) const override;
 
   /// Full-fidelity entry point: the rung taken, per-rung failures and
-  /// wall time alongside the cover.
+  /// wall time alongside the cover. The ladder is tried from rung
+  /// `first_rung` down (a caller that is already overloaded skips the
+  /// expensive top rungs); a `first_rung` past the last rung answers
+  /// with the trivial cover. Only rungs below `first_rung` count as
+  /// degraded.
   DegradeOutcome SolveDegrading(const Instance& inst,
                                 const CoverageModel& model,
-                                const Deadline& deadline) const;
+                                const Deadline& deadline,
+                                size_t first_rung = 0) const;
 
  private:
   std::vector<std::unique_ptr<Solver>> rungs_;

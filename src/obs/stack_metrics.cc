@@ -4,8 +4,6 @@
 #include <mutex>
 #include <string>
 
-#include "util/arena.h"
-
 namespace mqd::obs {
 
 namespace {
@@ -85,8 +83,6 @@ const StreamMetrics& StreamMetricsFor(std::string_view algorithm) {
                                DelaySecondsBuckets(), labels),
             &reg.MustHistogram("mqd_stream_replay_seconds",
                                ReplaySecondsBuckets(), labels),
-            &reg.MustCounter("mqd_stream_deadline_heap_ops_total", labels),
-            &reg.MustCounter("mqd_stream_prune_fastpath_total", labels),
             &reg.MustCounter("mqd_stream_nonmonotone_dropped_total", labels),
         };
       });
@@ -259,52 +255,6 @@ Counter& DegradedTotalFor(std::string_view rung) {
             "mqd_robust_degraded_total", rung_labels)};
       });
   return *family->For(rung).counter;
-}
-
-const ArenaMetrics& GetArenaMetrics() {
-  static const ArenaMetrics* const metrics = [] {
-    MetricsRegistry& reg = MetricsRegistry::Global();
-    return new ArenaMetrics{
-        &reg.MustGauge("mqd_arena_bytes_peak"),
-        &reg.MustCounter("mqd_arena_resets_total"),
-        &reg.MustCounter("mqd_arena_block_allocs_total"),
-    };
-  }();
-  return *metrics;
-}
-
-namespace {
-
-class RegistryArenaObserver : public ArenaObserver {
- public:
-  explicit RegistryArenaObserver(const ArenaMetrics& metrics)
-      : metrics_(metrics) {}
-
-  void OnReset(size_t bytes_peak) override {
-    metrics_.resets->Increment();
-    // Max fold, not last-write: with per-thread scratch arenas the
-    // interesting number is the biggest solve footprint anywhere.
-    if (static_cast<double>(bytes_peak) > metrics_.bytes_peak->Value()) {
-      metrics_.bytes_peak->Set(static_cast<double>(bytes_peak));
-    }
-  }
-
-  void OnBlockAlloc(size_t) override {
-    metrics_.block_allocs->Increment();
-  }
-
- private:
-  const ArenaMetrics& metrics_;
-};
-
-}  // namespace
-
-void InstallArenaMetrics() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    // Reachable via the observer global; intentionally never freed.
-    SetArenaObserver(new RegistryArenaObserver(GetArenaMetrics()));
-  });
 }
 
 }  // namespace mqd::obs

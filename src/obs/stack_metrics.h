@@ -36,7 +36,9 @@ struct SolverMetrics {
 const SolverMetrics& SolverMetricsFor(std::string_view algorithm);
 
 /// Per-stream-algorithm family (label algorithm="StreamScan", ...).
-/// Recorded by stream/replay during RunStream.
+/// Recorded by stream/replay during RunStream; `mqd serve` adds each
+/// feed's delivered posts and new emissions to posts/emissions as the
+/// feed completes.
 struct StreamMetrics {
   Counter* replays;              // mqd_stream_replays_total
   Counter* posts;                // mqd_stream_posts_total
@@ -44,12 +46,6 @@ struct StreamMetrics {
   Counter* tau_violations;       // mqd_stream_tau_violations_total
   LatencyHistogram* report_delay_seconds;  // mqd_stream_report_delay_seconds
   LatencyHistogram* replay_seconds;        // mqd_stream_replay_seconds
-  // Hot-path attribution for the streaming overhaul (DESIGN.md §11):
-  // deadline-index heap operations (pushes + lazily discarded stale
-  // pops) and prunes that took a binary-search range erase instead of
-  // a linear scan. Processors tally locally and flush on Finish.
-  Counter* deadline_heap_ops;    // mqd_stream_deadline_heap_ops_total
-  Counter* prune_fastpath;       // mqd_stream_prune_fastpath_total
   // Arrivals whose timestamp ran backwards (or was NaN) during replay;
   // such posts are skipped instead of being emitted past-deadline.
   Counter* nonmonotone_dropped;  // mqd_stream_nonmonotone_dropped_total
@@ -119,9 +115,9 @@ struct GapMetrics {
 const GapMetrics& GetGapMetrics();
 
 /// Multi-tenant serving metrics (stream/multi_tenant). Gauges track
-/// the engine's current registry shape; counters are flushed by the
-/// engine on Finish (and incremented directly on evict/restore/
-/// quarantine events).
+/// the engine's current registry shape; the delivery counters grow by
+/// each RunUntil batch's deltas as the batch completes, and the event
+/// counters on each evict/restore/quarantine.
 struct TenantMetrics {
   Gauge* active_tenants;       // mqd_tenant_active
   Gauge* clusters;             // mqd_tenant_clusters
@@ -164,24 +160,6 @@ struct ServeMetrics {
 };
 
 const ServeMetrics& GetServeMetrics();
-
-/// Solve-arena metrics, fed through the ArenaObserver hook of
-/// util/arena (util cannot depend on obs, so the arena publishes
-/// through that interface). bytes_peak tracks the largest high-water
-/// mark any arena has reported; the counters let the zero-allocation
-/// regression test assert that steady-state solves stop growing the arenas
-/// (block_allocs flat while resets climb).
-struct ArenaMetrics {
-  Gauge* bytes_peak;             // mqd_arena_bytes_peak
-  Counter* resets;               // mqd_arena_resets_total
-  Counter* block_allocs;         // mqd_arena_block_allocs_total
-};
-
-const ArenaMetrics& GetArenaMetrics();
-
-/// Installs the registry-backed ArenaObserver so every Arena reports
-/// into GetArenaMetrics(). Idempotent and thread safe.
-void InstallArenaMetrics();
 
 }  // namespace mqd::obs
 

@@ -8,8 +8,6 @@
 #include <thread>
 #include <utility>
 
-#include "core/greedy_sc.h"
-#include "core/scan.h"
 #include "obs/stack_metrics.h"
 #include "stream/checkpoint.h"
 #include "util/fault_injection.h"
@@ -95,28 +93,6 @@ Result<std::unique_ptr<Server>> Server::Create(const Instance& inst,
 }
 
 Status Server::Init() {
-  // The three pre-degrade ladders admission can route to. Each still
-  // falls through to cheaper rungs (and the implicit trivial cover)
-  // on deadline exhaustion, so admitted solves always answer.
-  {
-    std::vector<std::unique_ptr<Solver>> rungs;
-    rungs.push_back(std::make_unique<GreedySCSolver>());
-    rungs.push_back(std::make_unique<ScanPlusSolver>());
-    rungs.push_back(std::make_unique<ScanSolver>());
-    ladders_[0] = std::make_unique<DegradingSolver>(std::move(rungs));
-  }
-  {
-    std::vector<std::unique_ptr<Solver>> rungs;
-    rungs.push_back(std::make_unique<ScanPlusSolver>());
-    rungs.push_back(std::make_unique<ScanSolver>());
-    ladders_[1] = std::make_unique<DegradingSolver>(std::move(rungs));
-  }
-  {
-    std::vector<std::unique_ptr<Solver>> rungs;
-    rungs.push_back(std::make_unique<ScanSolver>());
-    ladders_[2] = std::make_unique<DegradingSolver>(std::move(rungs));
-  }
-
   if (config_.tenant_mode) {
     MQD_ASSIGN_OR_RETURN(
         tenants_, MultiTenantStream::Create(inst_, model_,
@@ -125,6 +101,7 @@ Status Server::Init() {
     MQD_ASSIGN_OR_RETURN(
         processor_, CreateStreamProcessorChecked(config_.stream_kind, inst_,
                                                  model_, config_.tau));
+    stream_metrics_ = &obs::StreamMetricsFor(processor_->name());
     if (!config_.checkpoint_path.empty()) {
       std::ifstream probe(config_.checkpoint_path, std::ios::binary);
       if (probe.good()) {
@@ -300,14 +277,15 @@ ServeResponse Server::DoSolve(const QueuedRequest& item) {
   const CoverageModel& model =
       req.lambda > 0.0 ? static_cast<const CoverageModel&>(request_model)
                        : static_cast<const CoverageModel&>(model_);
-  DegradeOutcome outcome =
-      ladders_[start]->SolveDegrading(inst_, model, item.deadline);
+  // A pre-degraded solve still falls through to cheaper rungs (and
+  // the trivial cover) on deadline exhaustion, so it always answers.
+  DegradeOutcome outcome = ladder_.SolveDegrading(
+      inst_, model, item.deadline, static_cast<size_t>(start));
   admission_.RecordBatchServiceSeconds(outcome.elapsed_seconds +
                                        config_.service_floor_ms * 1e-3);
   std::string body;
   AppendKvS(&body, "rung", outcome.rung);
-  AppendKv(&body, "rung_index",
-           static_cast<uint64_t>(start) + outcome.rung_index);
+  AppendKv(&body, "rung_index", outcome.rung_index);
   AppendKv(&body, "cover", outcome.cover.size());
   AppendKv(&body, "degraded", outcome.degraded || start > 0 ? 1 : 0);
   AppendKv(&body, "pre_degraded", static_cast<uint64_t>(start));
@@ -335,12 +313,16 @@ ServeResponse Server::DoFeed(const ServeRequest& req) {
     AppendKv(&body, "cursor", end);
     return ServeResponse::Ok(req.id, std::move(body));
   }
+  const size_t emitted_before = processor_->emissions().size();
   for (PostId p = begin; p < end; ++p) {
     processor_->AdvanceTo(inst_.value(p));
     processor_->OnArrival(p);
   }
   cursor_.store(end, std::memory_order_relaxed);
   emitted_.store(processor_->emissions().size(), std::memory_order_relaxed);
+  stream_metrics_->posts->Increment(end - begin);
+  stream_metrics_->emissions->Increment(processor_->emissions().size() -
+                                        emitted_before);
   std::string body;
   AppendKv(&body, "delivered", end - begin);
   AppendKv(&body, "cursor", end);
@@ -356,8 +338,11 @@ ServeResponse Server::DoFinish(const ServeRequest& req) {
     AppendKv(&body, "cursor", cursor_.load(std::memory_order_relaxed));
     return ServeResponse::Ok(req.id, std::move(body));
   }
+  const size_t emitted_before = processor_->emissions().size();
   processor_->Finish();
   emitted_.store(processor_->emissions().size(), std::memory_order_relaxed);
+  stream_metrics_->emissions->Increment(processor_->emissions().size() -
+                                        emitted_before);
   std::string body;
   AppendKv(&body, "emitted", emitted_.load(std::memory_order_relaxed));
   return ServeResponse::Ok(req.id, std::move(body));

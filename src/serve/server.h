@@ -19,6 +19,10 @@
 #include "stream/factory.h"
 #include "stream/multi_tenant.h"
 
+namespace mqd::obs {
+struct StreamMetrics;
+}  // namespace mqd::obs
+
 namespace mqd {
 
 struct ServeConfig {
@@ -61,7 +65,7 @@ struct ServeStatsSnapshot {
 };
 
 /// The serving daemon core: admission -> bounded two-lane queue ->
-/// worker pool over the degradation ladders and the stream engine.
+/// worker pool over the degradation ladder and the stream engine.
 /// Transport-agnostic — stdio/TCP framing lives in serve/transport.
 ///
 /// Threading: Submit and Stats are safe from any thread. Stream-lane
@@ -126,13 +130,14 @@ class Server {
   AdmissionController admission_;
   RequestQueue queue_;
 
-  /// Pre-degrade ladders indexed by AdmissionDecision::ladder_start:
-  /// [0] GreedySC->Scan+->Scan, [1] Scan+->Scan, [2] Scan (trivial
-  /// rung implicit in all three).
-  std::unique_ptr<DegradingSolver> ladders_[3];
+  /// GreedySC -> Scan+ -> Scan (trivial rung implicit); admission's
+  /// AdmissionDecision::ladder_start picks the first rung tried.
+  DegradingSolver ladder_;
 
   /// Single-stream mode.
   std::unique_ptr<StreamProcessor> processor_;
+  /// The processor's mqd_stream_* family, fetched once in Init.
+  const obs::StreamMetrics* stream_metrics_ = nullptr;
   /// Tenant mode.
   std::unique_ptr<MultiTenantStream> tenants_;
 

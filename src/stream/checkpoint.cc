@@ -17,8 +17,11 @@ namespace mqd {
 
 namespace {
 
-constexpr char kMagic[8] = {'M', 'Q', 'D', 'S', 'N', 'A', 'P', '1'};
-constexpr uint32_t kFormatVersion = 1;
+constexpr std::string_view kMagic = "MQDSNAP1";
+// Version 2: algorithm payloads carry only canonical state (version 1
+// also stored the processors' attribution counters). Other versions
+// are rejected, never migrated.
+constexpr uint32_t kFormatVersion = 2;
 
 }  // namespace
 
@@ -29,6 +32,39 @@ uint64_t SnapshotChecksum(std::string_view bytes, uint64_t seed) {
     h *= 1099511628211ULL;
   }
   return h;
+}
+
+Status WriteSnapshotEnvelope(std::string_view magic, std::string_view body,
+                             std::ostream& os) {
+  os.write(magic.data(), static_cast<std::streamsize>(magic.size()));
+  os.write(body.data(), static_cast<std::streamsize>(body.size()));
+  const uint64_t checksum = SnapshotChecksum(body);
+  os.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+  if (!os.good()) return Status::Internal("snapshot write failed");
+  return Status::OK();
+}
+
+Status OpenSnapshotEnvelope(std::string_view magic, std::istream& is,
+                            std::string* body) {
+  body->assign(std::istreambuf_iterator<char>(is), {});
+  if (body->size() < magic.size() + sizeof(uint64_t)) {
+    return Status::InvalidArgument("snapshot truncated");
+  }
+  if (std::string_view(*body).substr(0, magic.size()) != magic) {
+    return Status::InvalidArgument(
+        StrFormat("not an MQD %.*s snapshot", static_cast<int>(magic.size()),
+                  magic.data()));
+  }
+  uint64_t recorded_checksum;
+  std::memcpy(&recorded_checksum,
+              body->data() + body->size() - sizeof(uint64_t),
+              sizeof(uint64_t));
+  body->resize(body->size() - sizeof(uint64_t));
+  body->erase(0, magic.size());
+  if (SnapshotChecksum(*body) != recorded_checksum) {
+    return Status::InvalidArgument("snapshot checksum mismatch");
+  }
+  return Status::OK();
 }
 
 uint64_t InstanceFingerprint(const Instance& inst) {
@@ -103,14 +139,7 @@ Status SaveStreamCheckpoint(const StreamProcessor& processor,
   checkpointable->SaveStreamState(&payload);
   body.Str(payload.bytes());
 
-  os.write(kMagic, sizeof(kMagic));
-  os.write(body.bytes().data(),
-           static_cast<std::streamsize>(body.bytes().size()));
-  const uint64_t checksum = SnapshotChecksum(body.bytes());
-  os.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  if (!os.good()) {
-    return Status::Internal("checkpoint write failed");
-  }
+  MQD_RETURN_NOT_OK(WriteSnapshotEnvelope(kMagic, body.bytes(), os));
   obs::GetRobustMetrics().checkpoints_saved->Increment();
   return Status::OK();
 }
@@ -126,24 +155,8 @@ Result<PostId> RestoreStreamCheckpoint(StreamProcessor* processor,
                   processor->name().data()));
   }
 
-  std::string blob(std::istreambuf_iterator<char>(is), {});
-  if (blob.size() < sizeof(kMagic) + sizeof(uint64_t)) {
-    return Status::InvalidArgument("snapshot truncated");
-  }
-  if (std::memcmp(blob.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("not an MQD stream snapshot");
-  }
-  const std::string_view body(blob.data() + sizeof(kMagic),
-                              blob.size() - sizeof(kMagic) -
-                                  sizeof(uint64_t));
-  uint64_t recorded_checksum;
-  std::memcpy(&recorded_checksum,
-              blob.data() + blob.size() - sizeof(uint64_t),
-              sizeof(uint64_t));
-  if (SnapshotChecksum(body) != recorded_checksum) {
-    return Status::InvalidArgument("snapshot checksum mismatch");
-  }
-
+  std::string body;
+  MQD_RETURN_NOT_OK(OpenSnapshotEnvelope(kMagic, is, &body));
   SnapshotReader reader(body);
   const uint32_t version = reader.U32();
   if (!reader.failed() && version != kFormatVersion) {

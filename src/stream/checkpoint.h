@@ -142,6 +142,19 @@ class CheckpointableStream {
 uint64_t SnapshotChecksum(std::string_view bytes,
                           uint64_t seed = 1469598103934665603ULL);
 
+/// The envelope every MQD snapshot format shares: an 8-byte `magic`
+/// naming the format, the body, then SnapshotChecksum(body) as a
+/// little-endian u64. Writing fails with Internal when `os` goes bad.
+Status WriteSnapshotEnvelope(std::string_view magic, std::string_view body,
+                             std::ostream& os);
+
+/// Reads all of `is` into `*body` and checks the envelope around it.
+/// InvalidArgument when the bytes are too short to hold magic and
+/// checksum, when the magic is not `magic`, or when the checksum does
+/// not match.
+Status OpenSnapshotEnvelope(std::string_view magic, std::istream& is,
+                            std::string* body);
+
 /// Fingerprint of the instance a snapshot was taken against — FNV-1a
 /// over every post's (value bits, label mask). Carried state indexes
 /// into the value-sorted post table, so resuming against a different

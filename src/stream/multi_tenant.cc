@@ -4,9 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstddef>
-#include <cstring>
 #include <istream>
-#include <iterator>
 #include <ostream>
 #include <span>
 #include <sstream>
@@ -23,7 +21,7 @@ namespace mqd {
 
 namespace {
 
-constexpr char kTenantMagic[8] = {'M', 'Q', 'D', 'T', 'N', 'T', '0', '1'};
+constexpr std::string_view kTenantMagic = "MQDTNT01";
 // Version 2: a tier-1 payload is the representative's checkpoint in
 // global post ids, against the shared instance. Other versions are
 // rejected, never migrated.
@@ -247,16 +245,18 @@ uint64_t MultiTenantStream::DeliverPending(Cluster& cluster,
   return delivered;
 }
 
-void MultiTenantStream::SweepClusters(PostId end) {
+uint64_t MultiTenantStream::SweepClusters(PostId end) {
   // Injected fault firing is a pure function of (seed, site, hit
   // index); clusters are swept in ascending id order, so the
   // tenant.fanout probes run in one deterministic order.
-  if (live_clusters_ == 0) return;
+  if (live_clusters_ == 0) return 0;
   const bool probe = FaultInjector::Global().armed();
   const Window window = MakeWindow(cursor_, end);
+  uint64_t delivered = 0;
   for (const std::unique_ptr<Cluster>& cluster : clusters_) {
-    if (cluster) fanout_deliveries_ += DeliverPending(*cluster, window, probe);
+    if (cluster) delivered += DeliverPending(*cluster, window, probe);
   }
+  return delivered;
 }
 
 Status MultiTenantStream::RunUntil(PostId end) {
@@ -269,7 +269,12 @@ Status MultiTenantStream::RunUntil(PostId end) {
   if (finished_) {
     return Status::FailedPrecondition("stream already finished");
   }
-  arrivals_ += end - cursor_;
+  // The delivery counters are published as each batch completes, so a
+  // long-running daemon shows them live.
+  const obs::TenantMetrics& metrics = obs::GetTenantMetrics();
+  const uint64_t batch = end - cursor_;
+  arrivals_ += batch;
+  metrics.arrivals->Increment(batch);
   if (shared_scan_) {
     // The whole shared tier absorbs each arrival once, for every
     // subscribed scan tenant at once.
@@ -278,9 +283,12 @@ Status MultiTenantStream::RunUntil(PostId end) {
       shared_scan_->OnArrival(p);
     }
     IndexNewFires();
-    shared_tier_hits_ += end - cursor_;
+    shared_tier_hits_ += batch;
+    metrics.shared_hits->Increment(batch);
   }
-  SweepClusters(end);
+  const uint64_t delivered = SweepClusters(end);
+  fanout_deliveries_ += delivered;
+  metrics.fanout_deliveries->Increment(delivered);
   cursor_ = end;
   return Status::OK();
 }
@@ -295,15 +303,6 @@ void MultiTenantStream::Finish() {
     if (cluster && cluster->health.ok()) cluster->processor->Finish();
   }
   finished_ = true;
-  const obs::TenantMetrics& metrics = obs::GetTenantMetrics();
-  metrics.arrivals->Increment(arrivals_ - flushed_arrivals_);
-  metrics.fanout_deliveries->Increment(fanout_deliveries_ -
-                                       flushed_fanout_deliveries_);
-  metrics.shared_hits->Increment(shared_tier_hits_ -
-                                 flushed_shared_tier_hits_);
-  flushed_arrivals_ = arrivals_;
-  flushed_fanout_deliveries_ = fanout_deliveries_;
-  flushed_shared_tier_hits_ = shared_tier_hits_;
 }
 
 Status MultiTenantStream::RunToEnd() {
@@ -434,38 +433,15 @@ Status MultiTenantStream::EvictTenant(TenantId tenant, std::ostream& os) {
     body.Str(inner.str());
   }
 
-  os.write(kTenantMagic, sizeof(kTenantMagic));
-  os.write(body.bytes().data(),
-           static_cast<std::streamsize>(body.bytes().size()));
-  const uint64_t checksum = SnapshotChecksum(body.bytes());
-  os.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  if (!os.good()) {
-    return Status::Internal("tenant snapshot write failed");
-  }
+  MQD_RETURN_NOT_OK(WriteSnapshotEnvelope(kTenantMagic, body.bytes(), os));
   Deactivate(tenant);
   obs::GetTenantMetrics().evictions->Increment();
   return Status::OK();
 }
 
 Result<TenantId> MultiTenantStream::RestoreTenant(std::istream& is) {
-  std::string blob(std::istreambuf_iterator<char>(is), {});
-  if (blob.size() < sizeof(kTenantMagic) + sizeof(uint64_t)) {
-    return Status::InvalidArgument("tenant snapshot truncated");
-  }
-  if (std::memcmp(blob.data(), kTenantMagic, sizeof(kTenantMagic)) != 0) {
-    return Status::InvalidArgument("not an MQD tenant snapshot");
-  }
-  const std::string_view body(
-      blob.data() + sizeof(kTenantMagic),
-      blob.size() - sizeof(kTenantMagic) - sizeof(uint64_t));
-  uint64_t recorded_checksum;
-  std::memcpy(&recorded_checksum,
-              blob.data() + blob.size() - sizeof(uint64_t),
-              sizeof(uint64_t));
-  if (SnapshotChecksum(body) != recorded_checksum) {
-    return Status::InvalidArgument("tenant snapshot checksum mismatch");
-  }
-
+  std::string body;
+  MQD_RETURN_NOT_OK(OpenSnapshotEnvelope(kTenantMagic, is, &body));
   SnapshotReader reader(body);
   const uint32_t version = reader.U32();
   if (!reader.failed() && version != kTenantFormatVersion) {

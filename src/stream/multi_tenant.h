@@ -230,8 +230,8 @@ class MultiTenantStream {
   uint64_t DeliverPending(Cluster& cluster, const Window& window,
                           bool probe);
   /// One batch sweep of all live clusters up to `end`, with fault
-  /// probes while the injector is armed.
-  void SweepClusters(PostId end);
+  /// probes while the injector is armed; returns deliveries made.
+  uint64_t SweepClusters(PostId end);
   void EnsureSharedScan();
   /// Appends the fire log's unindexed tail to `fires_by_label_`.
   void IndexNewFires();
@@ -267,9 +267,6 @@ class MultiTenantStream {
   uint64_t arrivals_ = 0;
   uint64_t fanout_deliveries_ = 0;
   uint64_t shared_tier_hits_ = 0;
-  uint64_t flushed_arrivals_ = 0;
-  uint64_t flushed_fanout_deliveries_ = 0;
-  uint64_t flushed_shared_tier_hits_ = 0;
 };
 
 }  // namespace mqd

@@ -5,7 +5,6 @@
 #include <span>
 
 #include "core/kernels.h"
-#include "obs/stack_metrics.h"
 #include "util/logging.h"
 
 namespace mqd {
@@ -28,8 +27,7 @@ StreamGreedyProcessor::StreamGreedyProcessor(const Instance& inst,
       slot_posts_(&resource_),
       slot_uncovered_(&resource_),
       slot_gains_(&resource_),
-      dirty_labels_(&resource_),
-      metrics_(&obs::StreamMetricsFor(name())) {
+      dirty_labels_(&resource_) {
   MQD_CHECK(tau >= 0.0) << "tau must be non-negative";
   const size_t num_labels = static_cast<size_t>(inst.num_labels());
   emitted_per_label_.reserve(num_labels);
@@ -131,10 +129,7 @@ void StreamGreedyProcessor::AddPairGain(LabelId a, DimValue v) {
     // lambda]. Both interval ends are monotone in value(z), so the
     // coverers form one contiguous run of the slot list.
     const auto [lo, hi] = CovererRun(list.values, v, model_.MaxReach());
-    if (lo != hi) {
-      RangeAdd(a, lo, hi, +1);
-      ++gain_fastpath_;
-    }
+    if (lo != hi) RangeAdd(a, lo, hi, +1);
     return;
   }
   // Variable lambda: reach is per-coverer, so the run is not
@@ -206,10 +201,7 @@ void StreamGreedyProcessor::AdvanceTo(double now) {
   }
 }
 
-void StreamGreedyProcessor::Finish() {
-  AdvanceTo(kNeverDeadline);
-  FlushMetrics();
-}
+void StreamGreedyProcessor::Finish() { AdvanceTo(kNeverDeadline); }
 
 void StreamGreedyProcessor::SelectSlot(uint32_t s, double when) {
   const PostId z = slot_posts_[SlotIndex(s)];
@@ -236,7 +228,6 @@ void StreamGreedyProcessor::SelectSlot(uint32_t s, double when) {
             std::span<const double>(list.values).subspan(rf, rl - rf), vq,
             max_reach);
         RangeAdd(a, rf + lo, rf + hi, -1);
-        ++gain_fastpath_;
       } else {
         for (size_t r = rf; r < rl; ++r) {
           const size_t ri = list.slots[r] - slot_base_;
@@ -285,7 +276,6 @@ void StreamGreedyProcessor::RunBatch(double when) {
       break;
     }
   }
-  carried_posts_ += slot_posts_.size() - keep;
   ErasePrefix(keep);
 }
 
@@ -325,8 +315,6 @@ void StreamGreedyProcessor::SaveStreamState(SnapshotWriter* writer) const {
   }
   writer->U32(anchor_);
   writer->U32(anchor_slot_);
-  writer->U64(gain_fastpath_);
-  writer->U64(carried_posts_);
 }
 
 Status StreamGreedyProcessor::RestoreStreamState(SnapshotReader* reader) {
@@ -359,8 +347,6 @@ Status StreamGreedyProcessor::RestoreStreamState(SnapshotReader* reader) {
   }
   const PostId anchor = reader->U32();
   const uint32_t anchor_slot = reader->U32();
-  const uint64_t gain_fastpath = reader->U64();
-  const uint64_t carried = reader->U64();
   MQD_RETURN_NOT_OK(reader->status());
   for (size_t i = 0; i < ring.size(); ++i) {
     if (ring[i].post >= inst_.num_posts()) {
@@ -419,15 +405,7 @@ Status StreamGreedyProcessor::RestoreStreamState(SnapshotReader* reader) {
   MaterializePending();
   anchor_ = anchor;
   anchor_slot_ = anchor_slot;
-  gain_fastpath_ = gain_fastpath;
-  carried_posts_ = carried;
   return Status::OK();
-}
-
-void StreamGreedyProcessor::FlushMetrics() {
-  metrics_->prune_fastpath->Increment(gain_fastpath_ -
-                                      flushed_gain_fastpath_);
-  flushed_gain_fastpath_ = gain_fastpath_;
 }
 
 }  // namespace mqd

@@ -10,10 +10,6 @@
 #include "stream/stream_solver.h"
 #include "util/arena.h"
 
-namespace mqd::obs {
-struct StreamMetrics;
-}  // namespace mqd::obs
-
 namespace mqd {
 
 /// StreamGreedySC / StreamGreedySC+ (Section 5.2, delayed output).
@@ -63,16 +59,6 @@ class StreamGreedyProcessor final : public StreamProcessor,
   void OnArrival(PostId post) override;
   void Finish() override;
   double tau() const override { return tau_; }
-
-  /// Gain updates applied as O(1) difference-array range-adds
-  /// (uniform lambda only). Flushed into
-  /// mqd_stream_prune_fastpath_total on Finish: for the greedy
-  /// processors the "prune fastpath" is the covered-pair gain update
-  /// skipping the per-candidate Covers scan.
-  uint64_t gain_fastpath_hits() const { return gain_fastpath_; }
-  /// Posts whose window state survived a batch and was reused instead
-  /// of being rebuilt (the cross-batch carry-over at work).
-  uint64_t carried_posts() const { return carried_posts_; }
 
   /// Checkpointing (stream/checkpoint.h): the canonical window state
   /// is the slot ring's (post, residual uncovered mask) pairs plus the
@@ -145,7 +131,6 @@ class StreamGreedyProcessor final : public StreamProcessor,
   /// and every label list; pending deltas must be materialized.
   void ErasePrefix(size_t keep);
   void RecordEmitted(PostId post);
-  void FlushMetrics();
 
   /// Allocation backing for every window container. Declared before
   /// the containers so the resource outlives them; `arena_` points at
@@ -173,11 +158,6 @@ class StreamGreedyProcessor final : public StreamProcessor,
   size_t remaining_ = 0;
   PostId anchor_ = kInvalidPost;
   uint32_t anchor_slot_ = 0;
-
-  uint64_t gain_fastpath_ = 0;
-  uint64_t carried_posts_ = 0;
-  uint64_t flushed_gain_fastpath_ = 0;
-  const obs::StreamMetrics* metrics_;
 };
 
 }  // namespace mqd

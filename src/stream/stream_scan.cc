@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/stack_metrics.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -16,8 +15,7 @@ StreamScanProcessor::StreamScanProcessor(const Instance& inst,
     : StreamProcessor(inst, model, mask),
       tau_(tau),
       cross_label_pruning_(cross_label_pruning),
-      labels_(static_cast<size_t>(inst.num_labels())),
-      metrics_(&obs::StreamMetricsFor(name())) {
+      labels_(static_cast<size_t>(inst.num_labels())) {
   MQD_CHECK(tau >= 0.0) << "tau must be non-negative";
 }
 
@@ -36,7 +34,6 @@ void StreamScanProcessor::Reindex(LabelId a) {
   state.pushed = d;
   if (d != kNeverDeadline) {
     heap_.push(HeapEntry{d, a, state.version});
-    ++heap_ops_;
   }
 }
 
@@ -49,12 +46,10 @@ void StreamScanProcessor::AdvanceTo(double now) {
     LabelState& state = labels_[top.label];
     if (top.version != state.version) {
       heap_.pop();  // stale: superseded by a newer entry
-      ++heap_ops_;
       continue;
     }
     if (top.deadline > now) break;
     heap_.pop();
-    ++heap_ops_;
     // The live entry is consumed; Fire clears the label, and any
     // later Reindex must push afresh even if it lands on the same
     // deadline value again.
@@ -101,7 +96,6 @@ void StreamScanProcessor::Fire(LabelId a, double when) {
                             other.uncovered.begin() + last);
       other.values.erase(other.values.begin() + first,
                          other.values.begin() + last);
-      ++prune_fastpath_;
       Reindex(b);
     }
   });
@@ -120,10 +114,7 @@ void StreamScanProcessor::OnArrival(PostId post) {
   });
 }
 
-void StreamScanProcessor::Finish() {
-  AdvanceTo(kNeverDeadline);
-  FlushMetrics();
-}
+void StreamScanProcessor::Finish() { AdvanceTo(kNeverDeadline); }
 
 void StreamScanProcessor::SaveStreamState(SnapshotWriter* writer) const {
   writer->U8(cross_label_pruning_ ? 1 : 0);
@@ -133,8 +124,6 @@ void StreamScanProcessor::SaveStreamState(SnapshotWriter* writer) const {
     writer->U64(state.uncovered.size());
     for (PostId p : state.uncovered) writer->U32(p);
   }
-  writer->U64(heap_ops_);
-  writer->U64(prune_fastpath_);
 }
 
 Status StreamScanProcessor::RestoreStreamState(SnapshotReader* reader) {
@@ -185,8 +174,6 @@ Status StreamScanProcessor::RestoreStreamState(SnapshotReader* reader) {
       }
     }
   }
-  const uint64_t heap_ops = reader->U64();
-  const uint64_t prune_fastpath = reader->U64();
   MQD_RETURN_NOT_OK(reader->status());
 
   // Commit: install the canonical state, then rebuild the deadline
@@ -203,17 +190,7 @@ Status StreamScanProcessor::RestoreStreamState(SnapshotReader* reader) {
     for (PostId p : state.uncovered) state.values.push_back(inst_.value(p));
   }
   for (LabelId a = 0; a < labels_.size(); ++a) Reindex(a);
-  heap_ops_ = heap_ops;
-  prune_fastpath_ = prune_fastpath;
   return Status::OK();
-}
-
-void StreamScanProcessor::FlushMetrics() {
-  metrics_->deadline_heap_ops->Increment(heap_ops_ - flushed_heap_ops_);
-  metrics_->prune_fastpath->Increment(prune_fastpath_ -
-                                      flushed_prune_fastpath_);
-  flushed_heap_ops_ = heap_ops_;
-  flushed_prune_fastpath_ = prune_fastpath_;
 }
 
 }  // namespace mqd

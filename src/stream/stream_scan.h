@@ -8,10 +8,6 @@
 #include "stream/checkpoint.h"
 #include "stream/stream_solver.h"
 
-namespace mqd::obs {
-struct StreamMetrics;
-}  // namespace mqd::obs
-
 namespace mqd {
 
 /// StreamScan / StreamScan+ (Section 5.1, delayed output).
@@ -79,14 +75,6 @@ class StreamScanProcessor final : public StreamProcessor,
   void EnableFireLog() { fire_log_enabled_ = true; }
   const std::vector<LabelFire>& fire_log() const { return fire_log_; }
 
-  /// Deadline-index heap operations so far (pushes plus pops,
-  /// including lazily discarded stale entries). Flushed into
-  /// mqd_stream_deadline_heap_ops_total on Finish.
-  uint64_t heap_ops() const { return heap_ops_; }
-  /// Cross-label prunes taken as a binary-search range erase. Flushed
-  /// into mqd_stream_prune_fastpath_total on Finish.
-  uint64_t prune_fastpath_hits() const { return prune_fastpath_; }
-
   /// Checkpointing (stream/checkpoint.h): the canonical per-label
   /// state is (uncovered list, lc); the deadline heap and its lazy
   /// version/pushed bookkeeping are derived, so restore rebuilds them
@@ -138,7 +126,6 @@ class StreamScanProcessor final : public StreamProcessor,
   /// Emits the P_lu of label `a` at time `when` and applies the
   /// per-label (and, for +, cross-label) state updates.
   void Fire(LabelId a, double when);
-  void FlushMetrics();
 
   double tau_;
   bool cross_label_pruning_;
@@ -146,11 +133,6 @@ class StreamScanProcessor final : public StreamProcessor,
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, EntryAfter> heap_;
   bool fire_log_enabled_ = false;
   std::vector<LabelFire> fire_log_;
-  uint64_t heap_ops_ = 0;
-  uint64_t prune_fastpath_ = 0;
-  uint64_t flushed_heap_ops_ = 0;
-  uint64_t flushed_prune_fastpath_ = 0;
-  const obs::StreamMetrics* metrics_;
 };
 
 }  // namespace mqd

@@ -1,7 +1,6 @@
 #include "util/arena.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstring>
 
@@ -11,21 +10,11 @@ namespace mqd {
 
 namespace {
 
-std::atomic<ArenaObserver*> g_arena_observer{nullptr};
-
 uintptr_t AlignUp(uintptr_t n, size_t align) {
   return (n + align - 1) & ~(static_cast<uintptr_t>(align) - 1);
 }
 
 }  // namespace
-
-void SetArenaObserver(ArenaObserver* observer) {
-  g_arena_observer.store(observer, std::memory_order_release);
-}
-
-ArenaObserver* GetArenaObserver() {
-  return g_arena_observer.load(std::memory_order_acquire);
-}
 
 Arena::Arena(size_t initial_block_bytes)
     : initial_block_bytes_(
@@ -68,7 +57,6 @@ void* Arena::AllocSlow(size_t bytes, size_t align) {
   blocks_.push_back(Block{std::make_unique<std::byte[]>(grow), grow});
   stats_.bytes_held += grow;
   ++stats_.block_allocs;
-  if (ArenaObserver* obs = GetArenaObserver()) obs->OnBlockAlloc(grow);
   active_block_ = blocks_.size() - 1;
   ptr_ = blocks_.back().data.get();
   end_ = ptr_ + grow;
@@ -88,7 +76,6 @@ void Arena::Reset() {
     blocks_.push_back(Block{std::make_unique<std::byte[]>(grow), grow});
     stats_.bytes_held = grow;
     ++stats_.block_allocs;
-    if (ArenaObserver* obs = GetArenaObserver()) obs->OnBlockAlloc(grow);
   }
   active_block_ = 0;
   if (!blocks_.empty()) {
@@ -96,9 +83,6 @@ void Arena::Reset() {
     end_ = ptr_ + blocks_[0].size;
   }
   stats_.bytes_live = 0;
-  if (ArenaObserver* obs = GetArenaObserver()) {
-    obs->OnReset(stats_.bytes_peak);
-  }
 }
 
 }  // namespace mqd

@@ -19,8 +19,8 @@ namespace mqd {
 /// BatchSolver jobs, degradation rungs re-solving the same instance,
 /// stream replays — stops touching malloc entirely after the first
 /// few cycles. Stats counters are compiled in unconditionally (they
-/// are two adds per alloc) and feed mqd_arena_* metrics through the
-/// ArenaObserver hook (util cannot depend on obs).
+/// are two adds per alloc); the zero-allocation checks read them
+/// through stats().
 ///
 /// Not thread safe: one Arena belongs to one solver/processor/thread
 /// (SolveScratch::ThreadLocal() hands each thread its own).
@@ -111,23 +111,6 @@ std::span<T> Arena::AllocZeroedSpan(size_t n) {
   std::memset(static_cast<void*>(s.data()), 0, n * sizeof(T));
   return s;
 }
-
-/// Observer hook for arena telemetry; obs/stack_metrics installs a
-/// registry-backed implementation (InstallArenaMetrics) that exports
-/// mqd_arena_bytes_peak / mqd_arena_resets_total /
-/// mqd_arena_block_allocs_total. Callbacks fire on the allocating
-/// thread and must be cheap and thread safe.
-class ArenaObserver {
- public:
-  virtual ~ArenaObserver() = default;
-  /// A Reset ran; `bytes_peak` is the arena's lifetime high-water.
-  virtual void OnReset(size_t bytes_peak) = 0;
-  /// The arena grew by one freshly malloc'd block of `bytes`.
-  virtual void OnBlockAlloc(size_t bytes) = 0;
-};
-
-void SetArenaObserver(ArenaObserver* observer);
-ArenaObserver* GetArenaObserver();
 
 /// std::pmr adapter so standard containers (the stream processors'
 /// carried-window mirrors) can live on an Arena. Deallocate is a

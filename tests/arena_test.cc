@@ -1,8 +1,8 @@
 // Arena + SolveScratch regression battery: the bump allocator's
 // contract (alignment, reset-coalesce, stats), and the PR's headline
 // guarantee — repeated solves and stream replays stop allocating
-// after warm-up (zero steady-state arena growth), observable both
-// through Arena::Stats and the mqd_arena_* metrics family.
+// after warm-up (zero steady-state arena growth), observable through
+// Arena::Stats.
 #include <cstdint>
 #include <vector>
 
@@ -13,7 +13,6 @@
 #include "core/proportional.h"
 #include "core/solve_scratch.h"
 #include "gen/instance_gen.h"
-#include "obs/stack_metrics.h"
 #include "parallel/batch_solver.h"
 #include "stream/replay.h"
 #include "stream/stream_greedy.h"
@@ -183,13 +182,10 @@ TEST(StreamArena, OwnedAndSharedArenaEmitIdentically) {
   EXPECT_EQ(owned.emissions(), shared.emissions());
 }
 
-/// The mqd_arena_* metrics observe steady state globally: a serial
-/// BatchSolver run of 100+ jobs keeps mqd_arena_block_allocs_total
-/// flat after warm-up while mqd_arena_resets_total keeps climbing.
-TEST(ArenaMetrics, BatchSolverSteadyStateVisibleInMetrics) {
-  obs::InstallArenaMetrics();
-  const obs::ArenaMetrics& metrics = obs::GetArenaMetrics();
-
+/// A serial BatchSolver runs every job on the calling thread's
+/// SolveScratch: 100+ jobs keep its block count flat after warm-up
+/// while its resets keep climbing.
+TEST(SolveScratch, BatchSolverSteadyStateStopsAllocating) {
   const Instance inst = MakeTestInstance(13);
   const BatchSolver batch(1);  // serial: deterministic single scratch
   std::vector<BatchJob> jobs(4);
@@ -205,13 +201,14 @@ TEST(ArenaMetrics, BatchSolverSteadyStateVisibleInMetrics) {
   };
   for (int i = 0; i < 3; ++i) run_batch();  // warm-up
 
-  const uint64_t blocks = metrics.block_allocs->Value();
-  const uint64_t resets = metrics.resets->Value();
+  const Arena::Stats& stats = SolveScratch::ThreadLocal().stats();
+  const uint64_t blocks = stats.block_allocs;
+  const uint64_t resets = stats.resets;
   for (int i = 0; i < 30; ++i) run_batch();  // 120 further solves
-  EXPECT_EQ(metrics.block_allocs->Value(), blocks)
-      << "steady-state batches must not grow any arena";
-  EXPECT_GE(metrics.resets->Value(), resets + 120);
-  EXPECT_GT(metrics.bytes_peak->Value(), 0.0);
+  EXPECT_EQ(stats.block_allocs, blocks)
+      << "steady-state batches must not grow the arena";
+  EXPECT_GE(stats.resets, resets + 120);
+  EXPECT_GT(stats.bytes_peak, 0u);
 }
 
 }  // namespace

@@ -388,6 +388,79 @@ TEST(CheckpointTest, ForgedScanStateWithForeignLabelIsRejected) {
   }
 }
 
+/// Version 1 of the stream snapshot format ended every algorithm
+/// payload with two u64 attribution counters. A checksum-valid
+/// version-1 snapshot, built by stamping version 1 on a current one and
+/// appending those counters to its payload, is refused with a typed
+/// InvalidArgument before the processor is touched: the same processor
+/// then restores the current snapshot and resumes exactly.
+TEST(CheckpointTest, VersionOneSnapshotsAreRejected) {
+  InstanceGenConfig cfg;
+  cfg.num_labels = 3;
+  cfg.duration = 200.0;
+  cfg.posts_per_minute = 40.0;
+  cfg.overlap_rate = 1.5;
+  cfg.seed = 2024;
+  auto inst = GenerateInstance(cfg);
+  ASSERT_TRUE(inst.ok());
+  UniformLambda model(8.0);
+  const double tau = 2.0;
+  const auto cut = static_cast<PostId>(inst->num_posts() / 2);
+  for (StreamKind kind :
+       {StreamKind::kStreamScan, StreamKind::kStreamScanPlus,
+        StreamKind::kStreamGreedy, StreamKind::kStreamGreedyPlus}) {
+    const std::string context(StreamKindName(kind));
+    auto baseline = CreateStreamProcessor(kind, *inst, model, tau);
+    ASSERT_TRUE(RunStream(*inst, baseline.get()).ok()) << context;
+
+    auto victim = CreateStreamProcessor(kind, *inst, model, tau);
+    RunPrefix(*inst, victim.get(), cut);
+    std::stringstream snapshot;
+    ASSERT_TRUE(SaveStreamCheckpoint(*victim, cut, snapshot).ok());
+    const std::string blob = snapshot.str();
+    SnapshotWriter payload;
+    dynamic_cast<const CheckpointableStream&>(*victim).SaveStreamState(
+        &payload);
+
+    // Envelope: 8-byte magic, body, u64 checksum. The body starts with
+    // the u32 version and ends with the payload as u64 length + bytes.
+    constexpr size_t kMagicSize = 8;
+    constexpr size_t kChecksumSize = sizeof(uint64_t);
+    std::string body = blob.substr(
+        kMagicSize, blob.size() - kMagicSize - kChecksumSize);
+    const uint32_t old_version = 1;
+    std::memcpy(&body[0], &old_version, sizeof(old_version));
+    const size_t length_at =
+        body.size() - payload.bytes().size() - sizeof(uint64_t);
+    const uint64_t old_length = payload.bytes().size() + 2 * sizeof(uint64_t);
+    std::memcpy(&body[length_at], &old_length, sizeof(old_length));
+    SnapshotWriter counters;
+    counters.U64(1234);  // deadline heap ops / gain fast-path hits
+    counters.U64(56);    // prune fast-path hits / carried posts
+    body += counters.bytes();
+    const uint64_t checksum = SnapshotChecksum(body);
+    std::string old_blob = blob.substr(0, kMagicSize) + body;
+    old_blob.append(reinterpret_cast<const char*>(&checksum),
+                    sizeof(checksum));
+
+    auto fresh = CreateStreamProcessor(kind, *inst, model, tau);
+    std::istringstream old_is(old_blob);
+    auto refused = RestoreStreamCheckpoint(fresh.get(), *inst, old_is);
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+        << context << ": " << refused.status().ToString();
+    EXPECT_NE(refused.status().message().find("version 1"),
+              std::string::npos)
+        << context << ": " << refused.status().ToString();
+    EXPECT_TRUE(fresh->emissions().empty()) << context;
+
+    std::istringstream is(blob);
+    auto cursor = RestoreStreamCheckpoint(fresh.get(), *inst, is);
+    ASSERT_TRUE(cursor.ok()) << context << ": " << cursor.status().ToString();
+    ASSERT_TRUE(ResumeStream(*inst, fresh.get(), *cursor).ok()) << context;
+    EXPECT_EQ(fresh->emissions(), baseline->emissions()) << context;
+  }
+}
+
 /// Corruption fuzz: any truncation and any single-byte flip of a valid
 /// snapshot must be rejected with a typed Status (the checksum covers
 /// the whole body), never crash the decoder.

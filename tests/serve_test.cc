@@ -24,6 +24,7 @@
 #include <unistd.h>
 
 #include "gen/instance_gen.h"
+#include "obs/stack_metrics.h"
 #include "serve/admission.h"
 #include "serve/protocol.h"
 #include "serve/queue.h"
@@ -593,6 +594,55 @@ TEST(ServeServerTest, FeedAfterFinishIsRejectedInBothModes) {
       ASSERT_TRUE(server->Drain().ok());
     }
   }
+}
+
+/// A running daemon publishes its stream counters as feeds complete,
+/// not at finish: after one `feed posts=N`, mqd_tenant_arrivals_total
+/// (tenant mode) and mqd_stream_posts_total (single-stream mode) have
+/// grown by N while the stream is still open.
+TEST(ServeServerTest, TenantCountersMoveBeforeFinish) {
+  const Instance inst = TestInstance();
+  ASSERT_GT(inst.num_posts(), 50u);
+  const obs::TenantMetrics& metrics = obs::GetTenantMetrics();
+  ServeConfig config;
+  config.stream_kind = StreamKind::kStreamScanPlus;
+  config.tenant_mode = true;
+  auto server = MustCreate(inst, config);
+  ASSERT_EQ(server->Call(MustParse("s subscribe mask=3")).outcome,
+            ServeOutcome::kOk);
+  const uint64_t arrivals = metrics.arrivals->Value();
+  const uint64_t deliveries = metrics.fanout_deliveries->Value();
+  const ServeResponse feed = server->Call(MustParse("f feed posts=50"));
+  ASSERT_EQ(feed.outcome, ServeOutcome::kOk) << feed.Format();
+  EXPECT_EQ(metrics.arrivals->Value() - arrivals, 50u);
+  // The one cluster saw every post of the batch carrying label 0 or 1.
+  uint64_t matching = 0;
+  for (PostId p = 0; p < 50; ++p) matching += (inst.labels(p) & 3) != 0;
+  EXPECT_EQ(metrics.fanout_deliveries->Value() - deliveries, matching);
+  ASSERT_TRUE(server->Drain().ok());
+}
+
+TEST(ServeServerTest, StreamCountersMoveBeforeFinish) {
+  const Instance inst = TestInstance();
+  ASSERT_GT(inst.num_posts(), 50u);
+  ServeConfig config;
+  config.stream_kind = StreamKind::kStreamScanPlus;
+  auto server = MustCreate(inst, config);
+  const obs::StreamMetrics& metrics = obs::StreamMetricsFor("StreamScan+");
+  const uint64_t posts = metrics.posts->Value();
+  const uint64_t emissions = metrics.emissions->Value();
+  const ServeResponse feed = server->Call(MustParse("f feed posts=50"));
+  ASSERT_EQ(feed.outcome, ServeOutcome::kOk) << feed.Format();
+  EXPECT_EQ(metrics.posts->Value() - posts, 50u);
+  EXPECT_EQ(metrics.emissions->Value() - emissions,
+            BodyValue(feed.body, "emitted"));
+  // Finish adds the emissions its final deadlines fire, and no posts.
+  const ServeResponse fin = server->Call(MustParse("fin finish"));
+  ASSERT_EQ(fin.outcome, ServeOutcome::kOk) << fin.Format();
+  EXPECT_EQ(metrics.posts->Value() - posts, 50u);
+  EXPECT_EQ(metrics.emissions->Value() - emissions,
+            BodyValue(fin.body, "emitted"));
+  ASSERT_TRUE(server->Drain().ok());
 }
 
 TEST(ServeServerTest, TenantModeCapsSubscriptionsDeterministically) {

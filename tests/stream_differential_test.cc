@@ -120,7 +120,12 @@ TEST(StreamDifferentialTest, FuzzedEmissionSequencesMatchReference) {
 }
 
 /// The optimized code paths must actually run during the sweep; a
-/// differential test against dead code proves nothing.
+/// differential test against dead code proves nothing. On this
+/// overlap-heavy instance StreamScan+'s cross-label pruning and
+/// StreamGreedySC+'s stop at the anchor (which carries the rest of
+/// the window into the next batch instead of rebuilding it) both
+/// change the output against the base variant, and each + variant
+/// still matches its reference.
 TEST(StreamDifferentialTest, OptimizedFastPathsAreExercised) {
   InstanceGenConfig cfg;
   cfg.num_labels = 4;
@@ -132,17 +137,28 @@ TEST(StreamDifferentialTest, OptimizedFastPathsAreExercised) {
   ASSERT_TRUE(inst.ok());
   UniformLambda model(8.0);
 
-  StreamScanProcessor scan_plus(*inst, model, /*tau=*/4.0, true);
-  ASSERT_TRUE(RunStream(*inst, &scan_plus).ok());
-  EXPECT_GT(scan_plus.heap_ops(), 0u);
-  EXPECT_GT(scan_plus.prune_fastpath_hits(), 0u);
+  const double tau = 4.0;
+  StreamScanProcessor scan(*inst, model, tau, false);
+  ASSERT_TRUE(RunStream(*inst, &scan).ok());
+  StreamScanProcessor scan_plus(*inst, model, tau, true);
+  StreamScanReferenceProcessor scan_plus_ref(*inst, model, tau, true);
+  EXPECT_GT(ExpectIdenticalEmissions(*inst, &scan_plus, &scan_plus_ref,
+                                     "scan+"),
+            0u);
+  EXPECT_NE(scan_plus.emissions(), scan.emissions())
+      << "cross-label pruning never changed the output";
 
-  StreamGreedyProcessor greedy_plus(*inst, model, /*tau=*/4.0, true);
-  ASSERT_TRUE(RunStream(*inst, &greedy_plus).ok());
-  EXPECT_GT(greedy_plus.gain_fastpath_hits(), 0u);
-  // The + variant stops at the anchor, so some batches must leave a
-  // suffix behind whose state is carried instead of rebuilt.
-  EXPECT_GT(greedy_plus.carried_posts(), 0u);
+  StreamGreedyProcessor greedy(*inst, model, tau, false);
+  ASSERT_TRUE(RunStream(*inst, &greedy).ok());
+  StreamGreedyProcessor greedy_plus(*inst, model, tau, true);
+  StreamGreedyReferenceProcessor greedy_plus_ref(*inst, model, tau, true);
+  EXPECT_GT(ExpectIdenticalEmissions(*inst, &greedy_plus, &greedy_plus_ref,
+                                     "greedy+"),
+            0u);
+  // The + variant differs from the base one only if some batch stopped
+  // with part of its window uncovered, which that batch then carried.
+  EXPECT_NE(greedy_plus.emissions(), greedy.emissions())
+      << "no batch stopped at its anchor";
 }
 
 /// Tau-boundary construction: deadlines landing exactly on arrival

@@ -397,7 +397,8 @@ def write_tenant(args):
                       "1.4, seed 13, lambda=tau=300s); 3-label "
                       "broad-group profiles at 1k/10k/100k tenants, "
                       "256-post replay windows, shared scan tier + "
-                      "StreamGreedySC+ cluster tier",
+                      "StreamGreedySC+ cluster tier; each row the "
+                      "median of 5 runs on fresh engines",
         },
         "bench_tenant": tenant,
         "per_post_cost_growth": growth,

@@ -37,7 +37,6 @@
 #include "gen/profile_gen.h"
 #include "obs/exporter.h"
 #include "obs/metrics.h"
-#include "obs/stack_metrics.h"
 #include "obs/trace.h"
 #include "parallel/batch_solver.h"
 #include "serve/server.h"
@@ -741,7 +740,6 @@ int Usage() {
 }  // namespace mqd
 
 int main(int argc, char** argv) {
-  mqd::obs::InstallArenaMetrics();
   // MQD_FAULTS / MQD_FAULT_SEED arm the same registry --faults does;
   // the env form covers subcommands with no fault flags of their own.
   if (mqd::Status s = mqd::FaultInjector::Global().ArmFromEnv(); !s.ok()) {
