@@ -4,6 +4,8 @@
 // index lookups and tokenization.
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "core/greedy_sc.h"
 #include "core/greedy_state.h"
 #include "core/kernels.h"
@@ -18,6 +20,7 @@
 #include "util/arena.h"
 #include "util/logging.h"
 #include "util/rng.h"
+#include "util/simd.h"
 
 namespace mqd {
 namespace {
@@ -310,4 +313,14 @@ BENCHMARK(BM_IndexMatchAny);
 }  // namespace
 }  // namespace mqd
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN plus the dispatched kernel tier in the JSON context,
+// which tools/bench_baseline.py records in BENCH_core.json's host block.
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext(
+      "simd_tier", std::string(mqd::simd::LevelName(mqd::simd::Active())));
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

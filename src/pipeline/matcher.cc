@@ -46,12 +46,15 @@ LabelMask TopicMatcher::MatchTokens(
     const std::vector<std::string>& tokens) const {
   LabelMask mask = 0;
   for (const std::string& token : tokens) {
-    auto it = keyword_labels_.find(token);
-    if (it != keyword_labels_.end()) mask |= it->second;
+    if (const LabelMask* labels = keyword_labels_.Find(token)) {
+      mask |= *labels;
+    }
     // A hashtag also matches its bare keyword ("#obama" ~ "obama").
     if (!token.empty() && (token[0] == '#' || token[0] == '$')) {
-      auto bare = keyword_labels_.find(std::string_view(token).substr(1));
-      if (bare != keyword_labels_.end()) mask |= bare->second;
+      if (const LabelMask* labels =
+              keyword_labels_.Find(std::string_view(token).substr(1))) {
+        mask |= *labels;
+      }
     }
   }
   const obs::PipelineMetrics& metrics = obs::GetPipelineMetrics();

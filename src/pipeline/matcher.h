@@ -1,17 +1,15 @@
 #ifndef MQD_PIPELINE_MATCHER_H_
 #define MQD_PIPELINE_MATCHER_H_
 
-#include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/types.h"
 #include "text/tokenizer.h"
 #include "topics/topic_model.h"
 #include "util/result.h"
-#include "util/string_util.h"
+#include "util/string_table.h"
 
 namespace mqd {
 
@@ -42,8 +40,7 @@ class TopicMatcher {
 
   std::vector<Topic> topics_;
   Tokenizer tokenizer_;
-  std::unordered_map<std::string, LabelMask, StringHash, std::equal_to<>>
-      keyword_labels_;
+  StringTable<LabelMask> keyword_labels_;
 };
 
 }  // namespace mqd

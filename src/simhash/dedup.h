@@ -52,12 +52,32 @@ class NearDuplicateDetector {
 
   /// One block's table: buckets in first-use order and an index over
   /// them with linear probing, its power-of-two capacity kept at least
-  /// twice the number of keys, up to kMaxSlots.
+  /// twice the number of keys, up to kMaxSlots. A lookup is split in
+  /// two: Find resolves the key's slot, and Add appends to it only
+  /// once the fingerprint is known to be new.
   class BlockTable {
    public:
-    /// The bucket of `key`, created empty on first use. The reference
-    /// is valid until the next call.
-    std::vector<Entry>& Bucket(uint16_t key);
+    /// The slot of `key`: where its bucket is indexed, or the free slot
+    /// where Add would index it. Grows the index first, so the slot
+    /// stays valid until the next Find.
+    size_t Find(uint16_t key) {
+      if (slots_.size() < kMaxSlots &&
+          2 * (buckets_.size() + 1) > slots_.size()) {
+        Grow();
+      }
+      const size_t mask = slots_.size() - 1;
+      size_t i = Home(key) & mask;
+      while (slots_[i] != 0 && (slots_[i] >> 32) != key) i = (i + 1) & mask;
+      return i;
+    }
+    /// The bucket indexed at `slot`, or nullptr for a free slot.
+    std::vector<Entry>* Bucket(size_t slot) {
+      const uint64_t s = slots_[slot];
+      return s == 0 ? nullptr : &buckets_[(s & 0xFFFFFFFF) - 1];
+    }
+    /// Appends `entry` to the bucket of `key` at `slot` (from Find),
+    /// creating the bucket when the slot is free.
+    void Add(size_t slot, uint16_t key, const Entry& entry);
 
    private:
     static constexpr size_t kMaxSlots = size_t{1} << 16;
@@ -74,10 +94,10 @@ class NearDuplicateDetector {
     }
     void Grow();
 
-    /// 0 for a free slot, else 1 + the position of its key in keys_.
-    std::vector<uint32_t> slots_;
-    std::vector<uint16_t> keys_;
-    /// buckets_[j] holds the entries whose block is keys_[j].
+    /// 0 for a free slot, else key << 32 | (1 + the position of its
+    /// bucket in buckets_), so a probe compares keys in the slot.
+    std::vector<uint64_t> slots_;
+    /// Buckets in the order their keys were first recorded.
     std::vector<std::vector<Entry>> buckets_;
   };
 

@@ -44,6 +44,10 @@ Result<StreamRunStats> ResumeStream(const Instance& inst,
   // processor emit posts that are already past their tau deadline.
   // Such arrivals are dropped, counted, and the replay carries on.
   double last_arrival = -std::numeric_limits<double>::infinity();
+  // A restored processor already holds the snapshot's emissions; the
+  // counters below take only what this call delivers and emits.
+  const size_t restored_emissions = processor->emissions().size();
+  size_t delivered = 0;
   for (PostId p = first_post; p < inst.num_posts(); ++p) {
     MQD_FAULT_POINT("stream.replay");
     const double arrival = inst.value(p);
@@ -54,6 +58,7 @@ Result<StreamRunStats> ResumeStream(const Instance& inst,
     last_arrival = arrival;
     processor->AdvanceTo(arrival);
     processor->OnArrival(p);
+    ++delivered;
   }
   processor->Finish();
 
@@ -65,18 +70,20 @@ Result<StreamRunStats> ResumeStream(const Instance& inst,
   // stream/delay_stats applies the identical tolerance.
   const double tau = processor->tau();
   double total_delay = 0.0;
-  for (const Emission& e : processor->emissions()) {
+  for (size_t i = 0; i < stats.num_emitted; ++i) {
+    const Emission& e = processor->emissions()[i];
     const double delay = e.emit_time - inst.value(e.post);
     stats.max_delay = std::max(stats.max_delay, delay);
     total_delay += delay;
+    if (i < restored_emissions) continue;
     metrics.report_delay_seconds->Observe(delay);
     if (delay > tau + kTauSlack) metrics.tau_violations->Increment();
   }
   stats.mean_delay =
       stats.num_emitted == 0 ? 0.0 : total_delay / stats.num_emitted;
   metrics.replays->Increment();
-  metrics.posts->Increment(stats.num_posts);
-  metrics.emissions->Increment(stats.num_emitted);
+  metrics.posts->Increment(delivered);
+  metrics.emissions->Increment(stats.num_emitted - restored_emissions);
   metrics.replay_seconds->Observe(stats.processing_seconds);
   return stats;
 }

@@ -36,7 +36,9 @@ Result<StreamRunStats> RunStream(const Instance& inst,
 /// stream/checkpoint to resume a restored processor; the emission
 /// sequence (restored prefix + resumed tail) matches an uninterrupted
 /// RunStream exactly. Stats cover only the resumed tail's posts but
-/// the full emission set.
+/// the full emission set; the mqd_stream_* counters and histograms
+/// take only this call's work: the arrivals it delivers and the
+/// emissions it appends.
 Result<StreamRunStats> ResumeStream(const Instance& inst,
                                     StreamProcessor* processor,
                                     PostId first_post);

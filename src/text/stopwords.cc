@@ -1,20 +1,15 @@
 #include "text/stopwords.h"
 
-#include <functional>
-#include <string>
-#include <unordered_set>
-
-#include "util/string_util.h"
+#include "util/string_table.h"
 
 namespace mqd {
 
 namespace {
 
-using StopwordTable =
-    std::unordered_set<std::string, StringHash, std::equal_to<>>;
-
-const StopwordTable& StopwordSet() {
-  static const StopwordTable* const kSet = new StopwordTable{
+const StringTable<bool>& StopwordSet() {
+  static const StringTable<bool>* const kSet = [] {
+    auto* table = new StringTable<bool>;
+    for (const char* word : {
           "a",       "about",  "above",   "after",  "again",  "against",
           "all",     "am",     "an",      "and",    "any",    "are",
           "as",      "at",     "be",      "because", "been",  "before",
@@ -36,14 +31,18 @@ const StopwordTable& StopwordSet() {
           "very",    "was",    "we",      "were",   "what",   "when",
           "where",   "which",  "while",   "who",    "whom",   "why",
           "will",    "with",   "would",   "you",    "your",   "yours",
-          "yourself", "yourselves"};
+          "yourself", "yourselves"}) {
+      (*table)[word] = true;
+    }
+    return table;
+  }();
   return *kSet;
 }
 
 }  // namespace
 
 bool IsStopword(std::string_view word) {
-  return StopwordSet().contains(word);
+  return StopwordSet().Find(word) != nullptr;
 }
 
 }  // namespace mqd

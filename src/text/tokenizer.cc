@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "text/stopwords.h"
-#include "util/string_util.h"
 
 namespace mqd {
 
@@ -50,6 +49,10 @@ constexpr std::array<ByteInfo, 256> MakeByteTable() {
 
 constexpr std::array<ByteInfo, 256> kBytes = MakeByteTable();
 
+constexpr const ByteInfo& InfoOf(char c) {
+  return kBytes[static_cast<unsigned char>(c)];
+}
+
 }  // namespace
 
 Tokenizer::Tokenizer(TokenizerOptions options) : options_(options) {}
@@ -64,7 +67,7 @@ std::vector<std::string> Tokenizer::Tokenize(std::string_view text) const {
   auto flush = [&] {
     if (current.empty()) return;
     // Drop URLs. A token holds no '.', so "www." chunks never get here.
-    if (StartsWith(current, "http")) {
+    if (current.size() >= 4 && current.compare(0, 4, "http") == 0) {
       current.clear();
       return;
     }
@@ -79,17 +82,24 @@ std::vector<std::string> Tokenizer::Tokenize(std::string_view text) const {
     current.clear();
   };
 
-  bool skip_chunk = false;  // inside a URL: ignore until whitespace
-  for (const char raw : text) {
-    const ByteInfo info = kBytes[static_cast<unsigned char>(raw)];
-    if (skip_chunk) {
-      if (info.cls == ByteClass::kSpace) skip_chunk = false;
-      continue;
-    }
-    switch (info.cls) {
-      case ByteClass::kWord:
-        current.push_back(info.lower);
-        break;
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  while (p != end) {
+    const char raw = *p;
+    switch (InfoOf(raw).cls) {
+      case ByteClass::kWord: {
+        // Append the whole run of word bytes at once, lowercased.
+        const char* run = p;
+        do {
+          ++p;
+        } while (p != end && InfoOf(*p).cls == ByteClass::kWord);
+        const size_t old_size = current.size();
+        current.resize(old_size + static_cast<size_t>(p - run));
+        for (char* out = current.data() + old_size; run != p; ++run, ++out) {
+          *out = InfoOf(*run).lower;
+        }
+        continue;
+      }
       case ByteClass::kTag:
         if (current.empty() && options_.keep_tag_prefixes) {
           current.push_back(raw);
@@ -101,20 +111,24 @@ std::vector<std::string> Tokenizer::Tokenize(std::string_view text) const {
         break;
       case ByteClass::kUrlMark:
         // Entering a URL chunk ("http://...", "www.example.com"): drop
-        // it wholesale rather than emitting its fragments.
+        // it wholesale rather than emitting its fragments, up to the
+        // whitespace byte that ends it.
         if (raw == ':' ? (current == "http" || current == "https")
                        : current == "www") {
           current.clear();
-          skip_chunk = true;
-        } else {
-          flush();
+          do {
+            ++p;
+          } while (p != end && InfoOf(*p).cls != ByteClass::kSpace);
+          continue;
         }
+        flush();
         break;
       case ByteClass::kSeparator:
       case ByteClass::kSpace:
         flush();
         break;
     }
+    ++p;
   }
   flush();
   return tokens;

@@ -1,8 +1,6 @@
 #ifndef MQD_UTIL_STRING_UTIL_H_
 #define MQD_UTIL_STRING_UTIL_H_
 
-#include <cstddef>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,16 +21,6 @@ std::string ToLower(std::string_view input);
 
 /// Removes leading/trailing ASCII whitespace.
 std::string_view Trim(std::string_view input);
-
-/// Transparent string hash: with std::equal_to<>, an unordered
-/// container keyed by std::string answers find/contains for a
-/// std::string_view without building a std::string.
-struct StringHash {
-  using is_transparent = void;
-  size_t operator()(std::string_view s) const {
-    return std::hash<std::string_view>{}(s);
-  }
-};
 
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);

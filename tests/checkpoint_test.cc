@@ -14,6 +14,7 @@
 #include "core/coverage.h"
 #include "core/types.h"
 #include "gen/instance_gen.h"
+#include "obs/stack_metrics.h"
 #include "stream/checkpoint.h"
 #include "stream/factory.h"
 #include "stream/instant.h"
@@ -177,6 +178,64 @@ TEST(CheckpointTest, DoubleKillRestoreComposes) {
     ASSERT_TRUE(ResumeStream(*inst, third.get(), *cursor).ok());
     EXPECT_EQ(third->emissions(), baseline->emissions())
         << StreamKindName(kind);
+  }
+}
+
+/// A resumed replay publishes only its own work: the arrivals it
+/// delivers and the emissions it appends, not the emissions restored
+/// from the snapshot.
+TEST(CheckpointTest, ResumedReplayCountsOnlyTheSuffix) {
+  InstanceGenConfig cfg;
+  cfg.num_labels = 3;
+  cfg.duration = 400.0;
+  cfg.posts_per_minute = 50.0;
+  cfg.overlap_rate = 1.5;
+  cfg.seed = 8312;
+  auto inst = GenerateInstance(cfg);
+  ASSERT_TRUE(inst.ok());
+  const auto n = static_cast<PostId>(inst->num_posts());
+  const PostId cut = n / 2;
+  UniformLambda model(10.0);
+  const double tau = 3.0;
+  for (StreamKind kind : {StreamKind::kStreamScan, StreamKind::kStreamGreedy}) {
+    auto baseline = CreateStreamProcessor(kind, *inst, model, tau);
+    ASSERT_TRUE(RunStream(*inst, baseline.get()).ok());
+
+    auto victim = CreateStreamProcessor(kind, *inst, model, tau);
+    RunPrefix(*inst, victim.get(), cut);
+    const size_t restored = victim->emissions().size();
+    ASSERT_GT(restored, 0u) << StreamKindName(kind);
+    std::stringstream snapshot;
+    ASSERT_TRUE(SaveStreamCheckpoint(*victim, cut, snapshot).ok());
+
+    auto revived = CreateStreamProcessor(kind, *inst, model, tau);
+    auto cursor = RestoreStreamCheckpoint(revived.get(), *inst, snapshot);
+    ASSERT_TRUE(cursor.ok());
+    ASSERT_EQ(revived->emissions().size(), restored);
+
+    const obs::StreamMetrics& metrics = obs::StreamMetricsFor(revived->name());
+    const uint64_t posts = metrics.posts->Value();
+    const uint64_t emissions = metrics.emissions->Value();
+    const uint64_t delays = metrics.report_delay_seconds->TotalCount();
+    const uint64_t violations = metrics.tau_violations->Value();
+    const uint64_t dropped = metrics.nonmonotone_dropped->Value();
+    auto stats = ResumeStream(*inst, revived.get(), *cursor);
+    ASSERT_TRUE(stats.ok());
+    ASSERT_EQ(revived->emissions(), baseline->emissions());
+
+    const uint64_t appended = baseline->emissions().size() - restored;
+    EXPECT_EQ(metrics.posts->Value() - posts, n - cut) << StreamKindName(kind);
+    EXPECT_EQ(metrics.emissions->Value() - emissions, appended)
+        << StreamKindName(kind);
+    EXPECT_EQ(metrics.report_delay_seconds->TotalCount() - delays, appended)
+        << StreamKindName(kind);
+    EXPECT_EQ(metrics.tau_violations->Value(), violations)
+        << StreamKindName(kind);
+    EXPECT_EQ(metrics.nonmonotone_dropped->Value(), dropped);
+    // The returned stats keep their documented scope: the tail's posts
+    // and the full emission set.
+    EXPECT_EQ(stats->num_posts, n - cut);
+    EXPECT_EQ(stats->num_emitted, baseline->emissions().size());
   }
 }
 

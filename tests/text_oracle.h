@@ -24,9 +24,8 @@ namespace mqd::testing {
 /// bodies, kept verbatim as the differential oracle for the library.
 /// Nothing here is tuned; every function does the obvious thing.
 
-/// Stopword test through a std::string-keyed set (one std::string per
-/// lookup).
-inline bool OracleIsStopword(std::string_view word) {
+/// The stopword list as a std::string-keyed set.
+inline const std::unordered_set<std::string>& OracleStopwords() {
   static const std::unordered_set<std::string>* const kSet =
       new std::unordered_set<std::string>{
           "a",       "about",  "above",   "after",  "again",  "against",
@@ -51,7 +50,13 @@ inline bool OracleIsStopword(std::string_view word) {
           "where",   "which",  "while",   "who",    "whom",   "why",
           "will",    "with",   "would",   "you",    "your",   "yours",
           "yourself", "yourselves"};
-  return kSet->contains(std::string(word));
+  return *kSet;
+}
+
+/// Stopword test through the std::string-keyed set (one std::string
+/// per lookup).
+inline bool OracleIsStopword(std::string_view word) {
+  return OracleStopwords().contains(std::string(word));
 }
 
 /// Tokenizer over <cctype> (std::isalnum / std::tolower / std::isspace

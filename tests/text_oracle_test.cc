@@ -25,6 +25,7 @@ using ::mqd::testing::OracleIsStopword;
 using ::mqd::testing::OracleMatcher;
 using ::mqd::testing::OracleNearDuplicateDetector;
 using ::mqd::testing::OracleSimHash;
+using ::mqd::testing::OracleStopwords;
 using ::mqd::testing::OracleTokenize;
 
 std::vector<Topic> BroadTopics() {
@@ -90,6 +91,172 @@ TEST(TextOracleTest, StopwordsMatchOracle) {
   for (const char* word : {"", "a", "the", "yourselves", "rt", "The", "obama"}) {
     EXPECT_EQ(IsStopword(word), OracleIsStopword(word)) << word;
   }
+}
+
+/// Every one-byte edit of `word` over a few bytes: each byte replaced,
+/// each byte deleted, and a byte inserted at each position.
+std::vector<std::string> OneByteEdits(const std::string& word) {
+  std::vector<std::string> edits;
+  for (size_t i = 0; i <= word.size(); ++i) {
+    for (char c : {'a', 'z', '_', '0', '#', '\xE9'}) {
+      if (i < word.size()) {
+        std::string replaced = word;
+        replaced[i] = c;
+        edits.push_back(replaced);
+      }
+      edits.push_back(word.substr(0, i) + c + word.substr(i));
+    }
+    if (i < word.size()) {
+      edits.push_back(word.substr(0, i) + word.substr(i + 1));
+    }
+  }
+  return edits;
+}
+
+TEST(TextOracleTest, EveryStopwordAndItsEditsMatchOracle) {
+  size_t stopwords = 0;
+  for (const std::string& word : OracleStopwords()) {
+    ASSERT_TRUE(IsStopword(word)) << word;
+    ++stopwords;
+    for (const std::string& edit : OneByteEdits(word)) {
+      ASSERT_EQ(IsStopword(edit), OracleIsStopword(edit))
+          << "\"" << edit << "\" (edit of \"" << word << "\")";
+    }
+  }
+  EXPECT_GT(stopwords, 100u);
+}
+
+/// Keywords shaped for the flat table's hash, which reads at most the
+/// first and last 8 bytes and the length: keys on both sides of every
+/// read-width boundary, and over-16-byte keys that differ only in the
+/// bytes between the two words.
+std::vector<Topic> HashShapedTopics() {
+  std::vector<Topic> topics(4);
+  topics[0].keywords = {"a", "q", "zz", "z9", "abc", "_x_"};
+  topics[1].keywords = {"abcd", "obama", "senate", "abcdefg", "abcdefh",
+                        "abcdefgh", "abcdefgi", "bbcdefgh"};
+  topics[2].keywords = {"abcdefghi", "abcdefghijklmnop", "abcdefghijklmnoq",
+                        "abcdefghxjklmnop", "#nasdaq", "$goog"};
+  topics[3].keywords = {"abcdefghxijklmnop", "abcdefghxxijklmnop",
+                        "abcdefgh0123456789ijklmnop",
+                        "abcdefgh9123456789ijklmnop", "obama"};
+  return topics;
+}
+
+/// Tokens to look up against HashShapedTopics: every keyword, its
+/// one-byte edits and its '#'/'$' forms, plus middle-byte twins that
+/// are not keywords.
+std::vector<std::string> HashShapedQueries() {
+  std::vector<std::string> queries = {
+      "abcdefghyijklmnop",  "abcdefghxijklmnoq",
+      "abcdefgh1123456789ijklmnop", "abcdefghyyijklmnop",
+      "abcdefghXijklmnop",  "#abcdefghxijklmnop",
+      "$abcdefghyijklmnop", "#obama", "$obama", "##obama", "#nasdaq",
+      "nasdaq", "$goog", "#goog", "goog", "#$goog", "#", "$",
+      "#nokeyword", "nokeyword", ""};
+  for (const Topic& topic : HashShapedTopics()) {
+    for (const std::string& keyword : topic.keywords) {
+      queries.push_back(keyword);
+      queries.push_back("#" + keyword);
+      queries.push_back("$" + keyword);
+      for (const std::string& edit : OneByteEdits(keyword)) {
+        queries.push_back(edit);
+      }
+    }
+  }
+  return queries;
+}
+
+TEST(TextOracleTest, HashShapedKeywordsMatchOracle) {
+  // Lookups go straight to MatchTokens one token at a time, and in
+  // runs, so each key is checked whatever the tokenizer keeps.
+  const std::vector<std::string> queries = HashShapedQueries();
+  for (const TokenizerOptions& options : AllOptions()) {
+    auto matcher = TopicMatcher::Create(HashShapedTopics(), options);
+    ASSERT_TRUE(matcher.ok());
+    const OracleMatcher oracle(HashShapedTopics(), options);
+    size_t hits = 0;
+    for (const std::string& query : queries) {
+      const std::vector<std::string> one = {query};
+      const LabelMask mask = matcher->MatchTokens(one);
+      ASSERT_EQ(mask, oracle.MatchTokens(one))
+          << "\"" << query << "\" " << Describe(options);
+      hits += mask != 0 ? 1 : 0;
+    }
+    EXPECT_GT(hits, 0u) << Describe(options);
+    for (size_t begin = 0; begin < queries.size(); begin += 7) {
+      const std::vector<std::string> run(
+          queries.begin() + static_cast<std::ptrdiff_t>(begin),
+          queries.begin() + static_cast<std::ptrdiff_t>(
+                                std::min(begin + 7, queries.size())));
+      ASSERT_EQ(matcher->MatchTokens(run), oracle.MatchTokens(run))
+          << "run at " << begin << " " << Describe(options);
+    }
+  }
+  // The middle-byte twins share a hash and still resolve exactly.
+  const TokenizerOptions options;
+  auto matcher = TopicMatcher::Create(HashShapedTopics(), options);
+  ASSERT_TRUE(matcher.ok());
+  EXPECT_EQ(matcher->MatchTokens({"abcdefghxijklmnop"}), MaskOf(3));
+  EXPECT_EQ(matcher->MatchTokens({"abcdefghyijklmnop"}), 0u);
+  EXPECT_EQ(matcher->MatchTokens({"#obama"}), MaskOf(1) | MaskOf(3));
+  EXPECT_EQ(matcher->MatchTokens({"#nokeyword"}), 0u);
+}
+
+TEST(TextOracleTest, LargeKeywordTableMatchesOracle) {
+  // Thousands of keywords grow the table many times, and 300 keys that
+  // share their first and last 8 bytes and their length hash alike, so
+  // one probe chain runs through all of them.
+  Rng rng(23);
+  auto random_word = [&rng](size_t length) {
+    std::string word;
+    for (size_t i = 0; i < length; ++i) {
+      word.push_back(static_cast<char>('a' + rng.Uniform(26)));
+    }
+    return word;
+  };
+  std::vector<Topic> topics(40);
+  std::vector<std::string> keywords;
+  for (int i = 0; i < 6000; ++i) {
+    keywords.push_back(random_word(1 + rng.Uniform(40)));
+  }
+  for (int i = 0; i < 300; ++i) {
+    keywords.push_back("abcdefgh" + std::to_string(1000 + i) + "ijklmnop");
+  }
+  for (size_t i = 0; i < keywords.size(); ++i) {
+    topics[rng.Uniform(topics.size())].keywords.push_back(keywords[i]);
+  }
+  for (Topic& topic : topics) topic.keywords.push_back(random_word(5));
+
+  // Every random keyword, stopwords and 1-byte words included, is kept.
+  TokenizerOptions options;
+  options.min_token_length = 1;
+  options.remove_stopwords = false;
+  auto matcher = TopicMatcher::Create(topics, options);
+  ASSERT_TRUE(matcher.ok());
+  const OracleMatcher oracle(topics, options);
+  std::vector<std::string> queries;
+  for (const std::string& keyword : keywords) {
+    queries.push_back(keyword);
+    queries.push_back("#" + keyword);
+    std::string twin = keyword;
+    twin[twin.size() / 2] ^= 1;
+    queries.push_back(twin);
+  }
+  for (int i = 0; i < 20000; ++i) {
+    queries.push_back(random_word(1 + rng.Uniform(24)));
+  }
+  for (int i = 0; i < 300; ++i) {
+    queries.push_back("abcdefgh" + std::to_string(2000 + i) + "ijklmnop");
+  }
+  size_t hits = 0;
+  for (const std::string& query : queries) {
+    const std::vector<std::string> one = {query};
+    const LabelMask mask = matcher->MatchTokens(one);
+    ASSERT_EQ(mask, oracle.MatchTokens(one)) << "\"" << query << "\"";
+    hits += mask != 0 ? 1 : 0;
+  }
+  EXPECT_GE(hits, 2 * keywords.size());
 }
 
 TEST(TextOracleTest, EveryByteInEveryContextMatchesOracle) {

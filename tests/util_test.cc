@@ -12,6 +12,7 @@
 #include "util/result.h"
 #include "util/rng.h"
 #include "util/status.h"
+#include "util/string_table.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
@@ -193,6 +194,41 @@ TEST(ZipfTest, SampleMatchesPmf) {
   for (int i = 0; i < n; ++i) ++counts[zipf.Sample(&rng)];
   for (size_t i = 0; i < 5; ++i) {
     EXPECT_NEAR(counts[i] / static_cast<double>(n), zipf.Pmf(i), 0.01);
+  }
+}
+
+TEST(StringTableTest, InsertFindAndGrow) {
+  StringTable<int> table;
+  EXPECT_EQ(table.Find("a"), nullptr);
+  EXPECT_EQ(table.Find(""), nullptr);
+  // Keys of every hashed width, the empty key and a key with a NUL.
+  const std::vector<std::string> keys = {
+      "", "a", "ab", "abc", "abcd", "abcdefg", "abcdefgh",
+      "abcdefghi", "abcdefghijklmnop", "abcdefghXijklmnop",
+      "abcdefghYijklmnop", std::string("a\0b", 3)};
+  for (size_t i = 0; i < keys.size(); ++i) {
+    table[keys[i]] = static_cast<int>(i) + 1;
+  }
+  // Enough keys to grow the table past its first capacities.
+  for (int i = 0; i < 200; ++i) table["key" + std::to_string(i)] = -i;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const int* value = table.Find(keys[i]);
+    ASSERT_NE(value, nullptr) << i;
+    EXPECT_EQ(*value, static_cast<int>(i) + 1) << i;
+  }
+  for (int i = 0; i < 200; ++i) {
+    const int* value = table.Find("key" + std::to_string(i));
+    ASSERT_NE(value, nullptr) << i;
+    EXPECT_EQ(*value, -i);
+  }
+  // operator[] on a present key returns its value, not a new entry.
+  table["abc"] += 10;
+  EXPECT_EQ(*table.Find("abc"), 14);
+  const std::vector<std::string> missing = {
+      "b", "abd", "abcdefgj", "abcdefghZijklmnop", "key200",
+      std::string("a\0c", 3)};
+  for (const std::string& key : missing) {
+    EXPECT_EQ(table.Find(key), nullptr) << key;
   }
 }
 

@@ -7,7 +7,8 @@ Three suites:
             BM_InstanceBuild entries), its text front-end benches
             (BM_Tokenize / BM_SimHash / BM_NearDuplicateTweetStream)
             plus the Figure 13 end-to-end timing bench, written to
-            BENCH_core.json.
+            BENCH_core.json with the tenant suite's host block
+            (hardware threads, kernel tier, compiler, build type).
   stream  - the bench_stream_micro per-arrival replay benches at the
             Figure 14-15 paper scale (optimized processors side by
             side with their pre-overhaul references, plus the
@@ -111,7 +112,10 @@ STREAM_TIER_BENCHES = ["BM_StreamGreedyReplayTier"]
 REQUIRED_STREAM += [f"{name}/scalar" for name in STREAM_TIER_BENCHES]
 
 
-def run_benchmark_json(binary, bench_filter, sanity, required):
+def run_benchmark_json(binary, bench_filter, sanity, required,
+                       context=None):
+    """Runs one google-benchmark binary and returns its entries; when
+    `context` is a dict, the JSON context block is copied into it."""
     cmd = [
         binary,
         "--benchmark_filter=" + bench_filter,
@@ -123,6 +127,8 @@ def run_benchmark_json(binary, bench_filter, sanity, required):
         cmd.append("--benchmark_min_time=0.01")
     out = subprocess.run(cmd, check=True, capture_output=True, text=True)
     doc = json.loads(out.stdout)
+    if context is not None:
+        context.update(doc.get("context", {}))
     entries = {}
     for bench in doc.get("benchmarks", []):
         if bench.get("error_occurred"):
@@ -141,9 +147,20 @@ def run_benchmark_json(binary, bench_filter, sanity, required):
 
 
 def run_micro(build_dir, sanity):
-    return run_benchmark_json(
+    """bench_micro's entries and the host block: hardware threads and
+    the dispatched kernel tier from its JSON context (the same keys the
+    tenant suite records), plus the CMake tree's compiler and build
+    type."""
+    context = {}
+    entries = run_benchmark_json(
         os.path.join(build_dir, "bench", "bench_micro"), MICRO_FILTER,
-        sanity, REQUIRED_MICRO)
+        sanity, REQUIRED_MICRO, context)
+    if "num_cpus" not in context or "simd_tier" not in context:
+        raise SystemExit(
+            f"bench_micro JSON context lacks num_cpus/simd_tier: {context}")
+    host = {"nproc": int(context["num_cpus"]), "simd": context["simd_tier"]}
+    host.update(build_info(build_dir))
+    return entries, host
 
 
 def run_stream_micro(build_dir, sanity):
@@ -544,11 +561,13 @@ def git_revision():
 
 
 def write_core(args, scale):
+    micro, host = run_micro(args.build_dir, args.sanity)
     doc = {
         "schema": "mqd-bench-core/1",
         "revision": git_revision(),
         "recorded_unix": int(time.time()),
         "sanity_mode": args.sanity,
+        "host": host,
         "workload": {
             "micro": "bench_micro paper-scale selects (|L|=20, 1h @ "
                      "118 posts/min, overlap 1.4, seed 13, lambda 60); "
@@ -557,7 +576,7 @@ def write_core(args, scale):
                      "stream through a fresh NearDuplicateDetector",
             "fig13": f"bench_fig13_time_mqdp at MQD_BENCH_SCALE={scale}",
         },
-        "bench_micro": run_micro(args.build_dir, args.sanity),
+        "bench_micro": micro,
         "fig13": run_fig13(args.build_dir, scale),
     }
 
@@ -570,6 +589,8 @@ def write_core(args, scale):
     reread = json.load(open(args.out))
     for name in REQUIRED_MICRO:
         assert name in reread["bench_micro"], name
+    for key in ("nproc", "simd", "compiler", "build_type"):
+        assert key in reread["host"], key
     assert reread["fig13"]["sections"], "fig13 sections empty"
     print(f"wrote {args.out}: {len(reread['bench_micro'])} microbench "
           f"entries, {len(reread['fig13']['sections'])} fig13 sections "
