@@ -229,14 +229,16 @@ void BM_SimHash(benchmark::State& state) {
 }
 BENCHMARK(BM_SimHash);
 
-/// SimHash fingerprints of a seeded 1-hour tweet stream (the posts_text
-/// rate of 600 tweets/min) pushed through a fresh detector per
-/// iteration. Generated tweets share a small vocabulary, so the
-/// fingerprints are low-entropy and some block buckets grow to hundreds
-/// of entries.
+/// SimHash fingerprints of a seeded tweet stream of the posts_text
+/// shape (6 hours at a base rate of 600 tweets/min) pushed through a
+/// fresh detector per iteration. The stream is longer than the
+/// detector's 100k-fingerprint window, so expiry runs as it does in
+/// posts_text.
+/// Generated tweets share a small vocabulary, so the fingerprints are
+/// low-entropy and some block buckets grow to hundreds of entries.
 void BM_NearDuplicateTweetStream(benchmark::State& state) {
   TweetGenConfig config;
-  config.duration_seconds = 3600.0;
+  config.duration_seconds = 6 * 3600.0;
   config.base_rate_per_minute = 600.0;
   config.seed = 17;
   auto tweets = GenerateTweetStream(config);

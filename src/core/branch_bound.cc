@@ -226,11 +226,6 @@ class BnBEngine {
 
 }  // namespace
 
-Result<std::vector<PostId>> BranchAndBoundSolver::Solve(
-    const Instance& inst, const CoverageModel& model) const {
-  return SolveWithBudget(inst, model, Deadline::Unbounded());
-}
-
 Result<std::vector<PostId>> BranchAndBoundSolver::SolveWithBudget(
     const Instance& inst, const CoverageModel& model,
     const Deadline& deadline) const {

@@ -37,22 +37,6 @@ struct CertifiedCover {
   BranchBoundStats stats;
 };
 
-/// Interface for solvers that can attach an optimality certificate to
-/// their answer. DegradingSolver probes its rungs for this interface
-/// to surface certified gaps through DegradeOutcome.
-class CertifyingSolver {
- public:
-  virtual ~CertifyingSolver() = default;
-
-  /// Anytime certified solve: never fails on deadline expiry once a
-  /// warm-start cover exists — it returns the incumbent plus the best
-  /// bound proven so far instead. Fails only when the budget expires
-  /// before any cover could be built at all.
-  virtual Result<CertifiedCover> SolveCertified(
-      const Instance& inst, const CoverageModel& model,
-      const Deadline& deadline) const = 0;
-};
-
 struct BranchBoundConfig {
   /// Hard cap on expanded search nodes; Solve fails with
   /// ResourceExhausted beyond it, SolveCertified returns the incumbent
@@ -79,27 +63,25 @@ struct BranchBoundConfig {
 /// points fail with ResourceExhausted / kDeadlineExceeded when a
 /// budget trips; SolveCertified degrades to a non-zero certified gap
 /// instead (anytime behavior).
-class BranchAndBoundSolver final : public Solver, public CertifyingSolver {
+class BranchAndBoundSolver final : public Solver {
  public:
   explicit BranchAndBoundSolver(BranchBoundConfig config = {})
       : config_(config) {}
-  /// Back-compat convenience: a bare node cap.
-  explicit BranchAndBoundSolver(uint64_t max_nodes)
-      : config_{.max_nodes = max_nodes} {}
 
   std::string_view name() const override { return "BnB"; }
-
-  Result<std::vector<PostId>> Solve(const Instance& inst,
-                                    const CoverageModel& model) const override;
 
   /// Deadline is polled every few thousand search nodes.
   Result<std::vector<PostId>> SolveWithBudget(
       const Instance& inst, const CoverageModel& model,
       const Deadline& deadline) const override;
 
+  /// Anytime certified solve: never fails on deadline expiry once a
+  /// warm-start cover exists — it returns the incumbent plus the best
+  /// bound proven so far instead. Fails only when the budget expires
+  /// before any cover could be built at all.
   Result<CertifiedCover> SolveCertified(
       const Instance& inst, const CoverageModel& model,
-      const Deadline& deadline) const override;
+      const Deadline& deadline) const;
 
  private:
   BranchBoundConfig config_;

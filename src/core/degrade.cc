@@ -4,9 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/branch_bound.h"
 #include "core/greedy_sc.h"
-#include "core/opt_dp.h"
 #include "core/scan.h"
 #include "obs/stack_metrics.h"
 #include "util/logging.h"
@@ -48,33 +46,6 @@ DegradingSolver::DegradingSolver(std::vector<std::unique_ptr<Solver>> rungs)
   for (const auto& rung : rungs_) MQD_CHECK(rung != nullptr);
 }
 
-std::unique_ptr<DegradingSolver> DegradingSolver::WithOpt() {
-  std::vector<std::unique_ptr<Solver>> rungs;
-  rungs.push_back(std::make_unique<OptDpSolver>());
-  for (auto& rung : DefaultRungs()) rungs.push_back(std::move(rung));
-  return std::make_unique<DegradingSolver>(std::move(rungs));
-}
-
-std::unique_ptr<DegradingSolver> DegradingSolver::WithCertified(
-    uint64_t max_nodes) {
-  std::vector<std::unique_ptr<Solver>> rungs;
-  rungs.push_back(std::make_unique<BranchAndBoundSolver>(
-      BranchBoundConfig{.max_nodes = max_nodes}));
-  for (auto& rung : DefaultRungs()) rungs.push_back(std::move(rung));
-  return std::make_unique<DegradingSolver>(std::move(rungs));
-}
-
-Result<std::vector<PostId>> DegradingSolver::Solve(
-    const Instance& inst, const CoverageModel& model) const {
-  return SolveWithBudget(inst, model, Deadline::Unbounded());
-}
-
-Result<std::vector<PostId>> DegradingSolver::SolveWithBudget(
-    const Instance& inst, const CoverageModel& model,
-    const Deadline& deadline) const {
-  return SolveDegrading(inst, model, deadline).cover;
-}
-
 DegradeOutcome DegradingSolver::SolveDegrading(
     const Instance& inst, const CoverageModel& model,
     const Deadline& deadline, size_t first_rung) const {
@@ -83,24 +54,11 @@ DegradeOutcome DegradingSolver::SolveDegrading(
   Stopwatch watch;
   for (size_t i = first_rung; i < rungs_.size(); ++i) {
     const Solver& rung = *rungs_[i];
-    // A certifying rung answers through the anytime certified entry
-    // point so the outcome can carry its optimality certificate.
-    const auto* certifying = dynamic_cast<const CertifyingSolver*>(&rung);
     Result<std::vector<PostId>> result = [&]() -> Result<std::vector<PostId>> {
       // A rung must never take the ladder down with it: anything it
       // throws (fault injection, bad_alloc under pressure) becomes a
       // failure and the next rung gets its turn.
       try {
-        if (certifying != nullptr) {
-          MQD_ASSIGN_OR_RETURN(
-              CertifiedCover certified,
-              certifying->SolveCertified(inst, model, deadline));
-          outcome.certified = true;
-          outcome.lower_bound = certified.lower_bound;
-          outcome.certified_gap = certified.gap;
-          outcome.proven_optimal = certified.proven_optimal;
-          return std::move(certified.cover);
-        }
         return rung.SolveWithBudget(inst, model, deadline);
       } catch (const std::exception& e) {
         return Status::Internal(std::string(rung.name()) +
@@ -110,7 +68,6 @@ DegradeOutcome DegradingSolver::SolveDegrading(
                                 " threw a non-exception");
       }
     }();
-    if (!result.ok()) outcome.certified = false;
     if (result.ok()) {
       outcome.cover = std::move(result).value();
       outcome.rung = std::string(rung.name());

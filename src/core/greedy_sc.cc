@@ -32,11 +32,6 @@ Result<std::vector<PostId>> Rounds(const Instance& inst, GreedyState& state,
 
 }  // namespace
 
-Result<std::vector<PostId>> GreedySCSolver::Solve(
-    const Instance& inst, const CoverageModel& model) const {
-  return SolveWithBudget(inst, model, Deadline::Unbounded());
-}
-
 Result<std::vector<PostId>> GreedySCSolver::SolveWithBudget(
     const Instance& inst, const CoverageModel& model,
     const Deadline& deadline) const {

@@ -16,9 +16,6 @@ class GreedySCSolver final : public Solver {
  public:
   std::string_view name() const override { return "GreedySC"; }
 
-  Result<std::vector<PostId>> Solve(const Instance& inst,
-                                    const CoverageModel& model) const override;
-
   /// Deadline is polled once per greedy round (one cover element per
   /// round), so a budgeted run stops between selections, never inside
   /// the gain-maintenance hot path.

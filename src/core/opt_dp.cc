@@ -283,11 +283,6 @@ class OptDp {
 
 }  // namespace
 
-Result<std::vector<PostId>> OptDpSolver::Solve(
-    const Instance& inst, const CoverageModel& model) const {
-  return SolveWithBudget(inst, model, Deadline::Unbounded());
-}
-
 Result<std::vector<PostId>> OptDpSolver::SolveWithBudget(
     const Instance& inst, const CoverageModel& model,
     const Deadline& deadline) const {

@@ -40,8 +40,6 @@ class OptDpSolver final : public Solver {
   explicit OptDpSolver(OptConfig config = {}) : config_(config) {}
 
   std::string_view name() const override { return "OPT"; }
-  Result<std::vector<PostId>> Solve(const Instance& inst,
-                                    const CoverageModel& model) const override;
 
   /// Deadline is polled per DP position and, inside a position, every
   /// few thousand examined transitions (candidate x predecessor

@@ -110,11 +110,6 @@ std::vector<LabelId> OrderedLabels(const Instance& inst, LabelOrder order) {
 
 }  // namespace
 
-Result<std::vector<PostId>> ScanSolver::Solve(
-    const Instance& inst, const CoverageModel& model) const {
-  return SolveWithBudget(inst, model, Deadline::Unbounded());
-}
-
 Result<std::vector<PostId>> ScanSolver::SolveWithBudget(
     const Instance& inst, const CoverageModel& model,
     const Deadline& deadline) const {
@@ -126,11 +121,6 @@ Result<std::vector<PostId>> ScanSolver::SolveWithBudget(
   }
   internal::CanonicalizeSelection(&out);
   return out;
-}
-
-Result<std::vector<PostId>> ScanPlusSolver::Solve(
-    const Instance& inst, const CoverageModel& model) const {
-  return SolveWithBudget(inst, model, Deadline::Unbounded());
 }
 
 Result<std::vector<PostId>> ScanPlusSolver::SolveWithBudget(

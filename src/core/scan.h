@@ -21,8 +21,6 @@ namespace mqd {
 class ScanSolver final : public Solver {
  public:
   std::string_view name() const override { return "Scan"; }
-  Result<std::vector<PostId>> Solve(const Instance& inst,
-                                    const CoverageModel& model) const override;
 
   /// Deadline is polled once per label sweep.
   Result<std::vector<PostId>> SolveWithBudget(
@@ -49,8 +47,6 @@ class ScanPlusSolver final : public Solver {
       : order_(order) {}
 
   std::string_view name() const override { return "Scan+"; }
-  Result<std::vector<PostId>> Solve(const Instance& inst,
-                                    const CoverageModel& model) const override;
 
   /// Deadline is polled once per label sweep.
   Result<std::vector<PostId>> SolveWithBudget(

@@ -27,11 +27,6 @@ class InstrumentedSolver : public Solver {
 
   std::string_view name() const override { return inner_->name(); }
 
-  Result<std::vector<PostId>> Solve(
-      const Instance& inst, const CoverageModel& model) const override {
-    return SolveWithBudget(inst, model, Deadline::Unbounded());
-  }
-
   Result<std::vector<PostId>> SolveWithBudget(
       const Instance& inst, const CoverageModel& model,
       const Deadline& deadline) const override {

@@ -26,22 +26,21 @@ class Solver {
   virtual std::string_view name() const = 0;
 
   /// Computes a lambda-cover. The returned PostIds are sorted
-  /// ascending and duplicate-free.
-  virtual Result<std::vector<PostId>> Solve(
-      const Instance& inst, const CoverageModel& model) const = 0;
+  /// ascending and duplicate-free. Same as SolveWithBudget with an
+  /// unbounded deadline.
+  Result<std::vector<PostId>> Solve(const Instance& inst,
+                                    const CoverageModel& model) const {
+    return SolveWithBudget(inst, model, Deadline::Unbounded());
+  }
 
   /// Budgeted Solve: polls `deadline` at coarse loop boundaries
   /// (greedy round, label sweep, DP step) and unwinds with
   /// kDeadlineExceeded / kCancelled once it trips. With an unbounded
   /// deadline the checks reduce to a dead branch, so the result is
-  /// bit-identical to Solve. The base implementation ignores the
-  /// budget; solvers with long inner loops override it.
+  /// bit-identical to Solve.
   virtual Result<std::vector<PostId>> SolveWithBudget(
       const Instance& inst, const CoverageModel& model,
-      const Deadline& deadline) const {
-    (void)deadline;
-    return Solve(inst, model);
-  }
+      const Deadline& deadline) const = 0;
 };
 
 /// The algorithms of Sections 4 (plus exact references used by the

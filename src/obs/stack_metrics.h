@@ -96,8 +96,8 @@ Counter& DegradedTotalFor(std::string_view rung);
 
 /// Optimality-gap engine metrics (core/bounds + core/branch_bound).
 /// Recorded by BranchAndBoundSolver::SolveCertified, so every
-/// quality-certified answer — direct, CLI --certify-gap, or the
-/// certified degrade rung — shows up here.
+/// quality-certified answer — direct, `mqd solve --certify-gap` or
+/// bench_gap — shows up here.
 struct GapMetrics {
   Counter* certified_solves;   // mqd_gap_certified_solves_total
   Counter* proven_optimal;     // mqd_gap_proven_optimal_total

@@ -25,8 +25,9 @@ namespace {
 class ThrowingSolver final : public Solver {
  public:
   std::string_view name() const override { return "Throwing"; }
-  Result<std::vector<PostId>> Solve(const Instance&,
-                                    const CoverageModel&) const override {
+  Result<std::vector<PostId>> SolveWithBudget(
+      const Instance&, const CoverageModel&,
+      const Deadline&) const override {
     throw std::runtime_error("injected solver failure");
   }
 };

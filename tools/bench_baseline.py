@@ -52,6 +52,7 @@ thresholds (CI machines are too noisy for that).
 
 import argparse
 import glob
+import hashlib
 import json
 import os
 import re
@@ -552,12 +553,22 @@ def write_serve(args):
 
 
 def git_revision():
+    """The tree the numbers come from: the short HEAD commit, plus
+    `+<first 12 hex digits of sha256(git diff HEAD)>` when tracked
+    files differ from HEAD. An artifact recorded before its commit so
+    names its own tree, not the parent's."""
     try:
-        return subprocess.run(
+        head = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"], check=True,
             capture_output=True, text=True).stdout.strip()
+        diff = subprocess.run(
+            ["git", "diff", "HEAD"], check=True,
+            capture_output=True).stdout
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
+    if not diff:
+        return head
+    return head + "+" + hashlib.sha256(diff).hexdigest()[:12]
 
 
 def write_core(args, scale):
@@ -572,7 +583,7 @@ def write_core(args, scale):
             "micro": "bench_micro paper-scale selects (|L|=20, 1h @ "
                      "118 posts/min, overlap 1.4, seed 13, lambda 60); "
                      "text front end: one tweet through Tokenize / "
-                     "SimHash, and a 1h @ 600 tweets/min seed-17 "
+                     "SimHash, and a 6h @ 600 tweets/min seed-17 "
                      "stream through a fresh NearDuplicateDetector",
             "fig13": f"bench_fig13_time_mqdp at MQD_BENCH_SCALE={scale}",
         },
