@@ -17,7 +17,6 @@
 #include "simhash/dedup.h"
 #include "simhash/simhash.h"
 #include "text/tokenizer.h"
-#include "util/arena.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -139,10 +138,8 @@ BENCHMARK(BM_ScanSelectPaperScale)->Unit(benchmark::kMillisecond);
 void BM_GreedyGainInit(benchmark::State& state) {
   Instance inst = MakePaperScaleInstance();
   UniformLambda model(60.0);
-  Arena arena;
   for (auto _ : state) {
-    arena.Reset();
-    internal::GreedyState gs(inst, model, arena);
+    internal::GreedyState gs(inst, model);
     benchmark::DoNotOptimize(gs.gain(0));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

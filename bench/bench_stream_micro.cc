@@ -10,6 +10,8 @@
 // BENCH_stream.json; keep their names stable.
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "gen/instance_gen.h"
 #include "oracle/stream_reference.h"
 #include "stream/replay.h"
@@ -155,4 +157,15 @@ BENCHMARK(BM_StreamGreedyRefBatchHeavy)->Unit(benchmark::kMillisecond);
 }  // namespace
 }  // namespace mqd
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN plus the dispatched kernel tier in the JSON context,
+// which tools/bench_baseline.py records in BENCH_stream.json's host
+// block.
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext(
+      "simd_tier", std::string(mqd::simd::LevelName(mqd::simd::Active())));
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -1,19 +1,12 @@
 // Multi-tenant fan-out bench: how the MultiTenantStream engine scales
 // with concurrent label-set profiles at the Figure 14-15 arrival rate
-// (|L| = 20, 118 posts/min, overlap 1.4, lambda = tau = 300 s). Two
-// claims under test:
-//
-//  * per-post cost sublinear in tenant count: the shared scan tier
-//    absorbs every arrival once no matter how many tenants subscribe,
-//    and the cluster tier's work scales with distinct (mask, join)
-//    subscriptions — which the Section 7.1 broad-group profile
-//    generator saturates long before the tenant counts swept here —
-//    not with tenants;
-//
-//  * steady-state fan-out performs zero arena block allocations
-//    (steady_allocs column: per-cluster representative arenas reach
-//    their high-water mark during warm-up and never touch malloc
-//    again).
+// (|L| = 20, 118 posts/min, overlap 1.4, lambda = tau = 300 s). The
+// claim under test: per-post cost is sublinear in tenant count. The
+// shared scan tier absorbs every arrival once no matter how many
+// tenants subscribe, and the cluster tier's work scales with distinct
+// (mask, join) subscriptions — which the Section 7.1 broad-group
+// profile generator saturates long before the tenant counts swept
+// here — not with tenants.
 //
 // The replay is windowed — 256-post RunUntil batches, one cluster
 // sweep per batch — matching how a serving layer drains a firehose.
@@ -70,10 +63,6 @@ struct RowStats {
   double derive_us = 0.0;
   size_t clusters = 0;
   double shared_hit_rate = 0.0;
-  /// Arena block allocations made by the second half of the replay —
-  /// the steady-state regime after the carried windows reach their
-  /// high-water mark. The contract is zero at full scale.
-  uint64_t steady_allocs = 0;
 };
 
 /// One engine run: subscribe `num_tenants` fuzzed 3-label profiles at
@@ -97,25 +86,16 @@ RowStats RunEngine(const Instance& inst, const CoverageModel& model,
   }
 
   const PostId num_posts = inst.num_posts();
-  const PostId steady_from = num_posts / 2;
-  uint64_t allocs_at_half = 0;
-  bool half_recorded = false;
   Stopwatch replay;
   PostId cursor = 0;
   while (cursor < num_posts) {
     cursor = std::min<PostId>(num_posts, cursor + kBatchPosts);
     MQD_CHECK((*engine)->RunUntil(cursor).ok());
-    if (!half_recorded && cursor >= steady_from) {
-      allocs_at_half = (*engine)->arena_stats().block_allocs;
-      half_recorded = true;
-    }
   }
   const double replay_s = replay.ElapsedSeconds();
-  RowStats row;
-  row.steady_allocs =
-      (*engine)->arena_stats().block_allocs - allocs_at_half;
   (*engine)->Finish();
 
+  RowStats row;
   row.per_post_us = replay_s * 1e6 / static_cast<double>(num_posts);
   row.clusters = (*engine)->num_clusters();
   row.shared_hit_rate = (*engine)->shared_hit_rate();
@@ -141,8 +121,8 @@ double Median(std::vector<double> xs) {
   return xs[xs.size() / 2];
 }
 
-/// kRepeats RunEngine calls: median timings, the largest steady-state
-/// allocation count, and the (run-independent) shape columns.
+/// kRepeats RunEngine calls: median timings and the (run-independent)
+/// shape columns.
 RowStats RunRow(const Instance& inst, const CoverageModel& model,
                 StreamKind kind, double tau, size_t num_tenants) {
   RowStats row;
@@ -153,7 +133,6 @@ RowStats RunRow(const Instance& inst, const CoverageModel& model,
     derive_us.push_back(run.derive_us);
     row.clusters = run.clusters;
     row.shared_hit_rate = run.shared_hit_rate;
-    row.steady_allocs = std::max(row.steady_allocs, run.steady_allocs);
   }
   row.per_post_us = Median(std::move(per_post_us));
   row.derive_us = Median(std::move(derive_us));
@@ -167,7 +146,7 @@ void Run() {
       "1.4, lambda=tau=300s), 3-label profiles, tenants subscribed at "
       "epoch 0, 256-post replay windows, median of 5 runs per row",
       "n/a — the engine's contract: per-post cost sublinear in tenant "
-      "count, zero steady-state arena block allocations");
+      "count");
 
   const Instance inst = PaperScaleInstance();
   UniformLambda model(300.0);
@@ -178,11 +157,10 @@ void Run() {
 
   const std::vector<size_t> tenant_counts = {1000, 10000, 100000};
   TablePrinter table({"algo", "tenants", "clusters", "per_post_us",
-                      "shared_hit_rate", "derive_us", "steady_allocs"});
+                      "shared_hit_rate", "derive_us"});
   // per_post_us at the sweep's endpoints, per algorithm, for the
   // sublinearity shape check.
   std::vector<double> first_cost, last_cost;
-  uint64_t max_steady_allocs = 0;
   for (StreamKind kind :
        {StreamKind::kStreamScan, StreamKind::kStreamGreedyPlus}) {
     for (size_t i = 0; i < tenant_counts.size(); ++i) {
@@ -192,9 +170,7 @@ void Run() {
                     std::to_string(row.clusters),
                     FormatDouble(row.per_post_us, 3),
                     FormatDouble(row.shared_hit_rate, 3),
-                    FormatDouble(row.derive_us, 3),
-                    std::to_string(row.steady_allocs)});
-      max_steady_allocs = std::max(max_steady_allocs, row.steady_allocs);
+                    FormatDouble(row.derive_us, 3)});
       if (i == 0) first_cost.push_back(row.per_post_us);
       if (i + 1 == tenant_counts.size()) last_cost.push_back(row.per_post_us);
     }
@@ -214,19 +190,6 @@ void Run() {
               << "x tenant increase (sublinear when << tenant ratio)\n";
   }
 
-  bench::PrintSection("Contract checks");
-  // Steady-state allocation freedom needs the stream to outlast the
-  // lambda horizon (the carried windows' high-water mark); the sanity
-  // scale's 60 s stream never leaves warm-up, so the zero check is
-  // gated on full scale.
-  if (BenchScale() >= 1.0) {
-    std::cout << "steady-state arena block allocations (max over rows): "
-              << max_steady_allocs << " (want 0)\n";
-    MQD_CHECK(max_steady_allocs == 0);
-  } else {
-    std::cout << "steady-alloc check skipped (needs full scale; stream "
-              << "shorter than the lambda warm-up horizon)\n";
-  }
   bench::MaybeWriteMetrics("tenant");
 }
 

@@ -6,12 +6,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "core/coverage.h"
 #include "core/instance.h"
 #include "core/kernels.h"
 #include "core/types.h"
-#include "util/arena.h"
 #include "util/logging.h"
 
 namespace mqd::internal {
@@ -20,10 +20,8 @@ namespace mqd::internal {
 /// gains, the covered-pair bitmap, the pair counter, and a block-max
 /// index over the gains that answers the argmax.
 ///
-/// Every array lives on the caller's Arena (normally the thread's
-/// SolveScratch, rewound per solve): all sizes are known up front, so
-/// construction is a handful of pointer bumps and repeated solves
-/// allocate nothing once the arena is warm.
+/// Every array is a zero-initialised vector sized up front from the
+/// instance; the state lives for one solve.
 ///
 /// Argmax: block_max_[b] holds the largest gain among posts
 /// [64b, 64b + 64). Best() takes the first maximum over the ~n/64
@@ -58,22 +56,20 @@ class GreedyState {
  public:
   static constexpr size_t kBlock = 64;
 
-  GreedyState(const Instance& inst, const CoverageModel& model,
-              Arena& arena)
+  GreedyState(const Instance& inst, const CoverageModel& model)
       : inst_(inst),
         model_(model),
         uniform_(model.IsUniform()),
-        covered_(arena.AllocZeroedSpan<LabelMask>(inst.num_posts())),
-        gain_(arena.AllocZeroedSpan<int64_t>(inst.num_posts())),
-        block_max_(arena.AllocSpan<int64_t>((inst.num_posts() + kBlock - 1) /
-                                            kBlock)),
+        covered_(inst.num_posts()),
+        gain_(inst.num_posts()),
+        block_max_((inst.num_posts() + kBlock - 1) / kBlock),
         remaining_(inst.num_pairs()) {
     const size_t num_labels = static_cast<size_t>(inst.num_labels());
     if (uniform_) {
       // One slot of gutter per label: a range ending at position
       // |LP(a)| writes its +1 marker at delta_base(a) + |LP(a)|, which
       // must not alias the next label's first slot.
-      delta_ = arena.AllocZeroedSpan<int32_t>(inst.num_pairs() + num_labels + 1);
+      delta_.resize(inst.num_pairs() + num_labels + 1);
       // Bulk init: with one constant reach the per-position window
       // ends are monotone in the sorted value order, so one
       // two-pointer sweep per label computes every |S_p| term in
@@ -97,8 +93,8 @@ class GreedyState {
     } else {
       // Exact-path reach rows, one double per CSR pair position,
       // filled lazily per label (most Selects touch few labels).
-      reach_flat_ = arena.AllocSpan<double>(inst.num_pairs());
-      reach_ready_ = arena.AllocZeroedSpan<uint8_t>(num_labels);
+      reach_flat_.resize(inst.num_pairs());
+      reach_ready_.resize(num_labels);
       for (PostId p = 0; p < inst_.num_posts(); ++p) {
         gain_[p] = InitialGain(p);
       }
@@ -133,13 +129,6 @@ class GreedyState {
     MQD_DCHECK(at < kBlock);
     return static_cast<PostId>(base + at);
   }
-
-  /// Newly covered pairs whose gain decrements were applied as one
-  /// contiguous range-add (uniform lambda).
-  uint64_t fastpath_updates() const { return fastpath_updates_; }
-  /// Newly covered pairs that took the per-candidate Covers scan
-  /// (variable lambda).
-  uint64_t exact_updates() const { return exact_updates_; }
 
   /// Marks everything `p` covers, decrements the gains of every post
   /// whose set loses a pair, and refreshes the block maxima over the
@@ -182,13 +171,11 @@ class GreedyState {
         if (uniform_) {
           --delta_[delta_base(a) + lo];
           ++delta_[delta_base(a) + hi];
-          ++fastpath_updates_;
         } else {
           const double* reaches = reach_flat_.data() + base;
           for (size_t r = lo; r < hi; ++r) {
             if (std::fabs(values[r] - vq) <= reaches[r]) --gain_[ids[r]];
           }
-          ++exact_updates_;
         }
       }
       if (lo_first == kNone) return;
@@ -253,19 +240,17 @@ class GreedyState {
   const Instance& inst_;
   const CoverageModel& model_;
   const bool uniform_;
-  std::span<LabelMask> covered_;
-  std::span<int64_t> gain_;
-  std::span<int64_t> block_max_;
+  std::vector<LabelMask> covered_;
+  std::vector<int64_t> gain_;
+  std::vector<int64_t> block_max_;
   size_t remaining_;
   // Fast-path state (sized only for uniform models): difference array
   // over global CSR positions, zero between Selects.
-  std::span<int32_t> delta_;
+  std::vector<int32_t> delta_;
   // Exact-path state (sized only for variable-lambda models): flat
   // per-pair reach rows plus a per-label filled flag.
-  std::span<double> reach_flat_;
-  std::span<uint8_t> reach_ready_;
-  uint64_t fastpath_updates_ = 0;
-  uint64_t exact_updates_ = 0;
+  std::vector<double> reach_flat_;
+  std::vector<uint8_t> reach_ready_;
 };
 
 }  // namespace mqd::internal

@@ -63,8 +63,6 @@ const SolverMetrics& SolverMetricsFor(std::string_view algorithm) {
             &reg.MustHistogram("mqd_solver_instance_posts",
                                InstancePostsBuckets(), labels),
             &reg.MustGauge("mqd_solver_last_lambda", labels),
-            &reg.MustCounter("mqd_solver_gain_fastpath_total", labels),
-            &reg.MustCounter("mqd_solver_gain_exact_total", labels),
         };
       });
   return family->For(algorithm);

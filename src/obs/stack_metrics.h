@@ -26,11 +26,6 @@ struct SolverMetrics {
   LatencyHistogram* cover_size;       // mqd_solver_cover_size
   LatencyHistogram* instance_posts;   // mqd_solver_instance_posts
   Gauge* last_lambda;            // mqd_solver_last_lambda
-  // Covered pairs whose gain decrements took GreedyState's O(1)
-  // range-add fast path vs the per-candidate exact scan; lets the obs
-  // layer attribute GreedySC speedups (see DESIGN.md §10).
-  Counter* gain_fastpath;        // mqd_solver_gain_fastpath_total
-  Counter* gain_exact;           // mqd_solver_gain_exact_total
 };
 
 const SolverMetrics& SolverMetricsFor(std::string_view algorithm);

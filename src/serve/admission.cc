@@ -10,18 +10,22 @@ namespace {
 // retry_after_ms=0 on a shed would invite an immediate hot retry.
 constexpr double kColdServiceMs = 1.0;
 
+// Batch pre-degrade thresholds as fractions of the batch capacity.
+constexpr double kScanPlusFrac = 0.5;
+constexpr double kScanFrac = 0.8;
+
+// EWMA smoothing for the observed batch service time that feeds
+// retry-after hints and the estimated-wait shed.
+constexpr double kEwmaAlpha = 0.2;
+
 }  // namespace
 
 AdmissionController::AdmissionController(const AdmissionConfig& config)
-    : config_(config) {
-  const double cap = static_cast<double>(config_.batch_capacity);
-  scan_plus_depth_ = static_cast<size_t>(
-      std::ceil(std::clamp(config_.scan_plus_frac, 0.0, 1.0) * cap));
-  scan_depth_ = static_cast<size_t>(
-      std::ceil(std::clamp(config_.scan_frac, 0.0, 1.0) * cap));
-  scan_plus_depth_ = std::max<size_t>(scan_plus_depth_, 1);
-  scan_depth_ = std::max(scan_depth_, scan_plus_depth_);
-}
+    : config_(config),
+      scan_plus_depth_(static_cast<size_t>(std::ceil(
+          kScanPlusFrac * static_cast<double>(config.batch_capacity)))),
+      scan_depth_(static_cast<size_t>(std::ceil(
+          kScanFrac * static_cast<double>(config.batch_capacity)))) {}
 
 AdmissionDecision AdmissionController::Decide(ServeLane lane,
                                               size_t queue_depth,
@@ -79,7 +83,7 @@ void AdmissionController::RecordBatchServiceSeconds(double seconds) {
   do {
     next = prev == 0.0
                ? sample_ms
-               : prev + config_.ewma_alpha * (sample_ms - prev);
+               : prev + kEwmaAlpha * (sample_ms - prev);
   } while (!ewma_service_ms_.compare_exchange_weak(
       prev, next, std::memory_order_relaxed));
 }

@@ -19,19 +19,11 @@ struct AdmissionConfig {
   /// service time.
   size_t stream_capacity = 4096;
   size_t batch_capacity = 32;
-  /// Batch pre-degrade thresholds as fractions of batch_capacity:
-  /// depth >= scan_plus_frac * cap starts the ladder at Scan+ (skip
-  /// GreedySC), depth >= scan_frac * cap starts at Scan.
-  double scan_plus_frac = 0.5;
-  double scan_frac = 0.8;
   /// Default per-request deadline budget when the client sends none.
   /// 0 = unbounded.
   double default_budget_ms = 0.0;
   /// Tenant admission cap for subscribe (0 = unlimited).
   size_t max_tenants = 0;
-  /// EWMA smoothing for the observed batch service time that feeds
-  /// retry-after hints and the estimated-wait shed.
-  double ewma_alpha = 0.2;
 };
 
 struct AdmissionDecision {
@@ -48,7 +40,10 @@ struct AdmissionDecision {
   double budget_ms = 0.0;
 };
 
-/// Decides admit/shed/pre-degrade from the current lane depth.
+/// Decides admit/shed/pre-degrade from the current lane depth. A
+/// batch request queued at depth >= ceil(0.5 * batch_capacity) starts
+/// the ladder at Scan+ (skips GreedySC), at depth >= ceil(0.8 *
+/// batch_capacity) at Scan.
 /// Thread-safe; the service-time EWMA is a relaxed atomic (hints may
 /// lag a beat — admission itself never depends on it unless a budget
 /// makes the estimated wait provably unmeetable).

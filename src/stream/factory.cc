@@ -38,12 +38,10 @@ std::unique_ptr<StreamProcessor> CreateStreamProcessor(
           inst, model, tau, /*cross_label_pruning=*/true, mask);
     case StreamKind::kStreamGreedy:
       return std::make_unique<StreamGreedyProcessor>(
-          inst, model, tau, /*stop_at_anchor=*/false, /*arena=*/nullptr,
-          mask);
+          inst, model, tau, /*stop_at_anchor=*/false, mask);
     case StreamKind::kStreamGreedyPlus:
       return std::make_unique<StreamGreedyProcessor>(
-          inst, model, tau, /*stop_at_anchor=*/true, /*arena=*/nullptr,
-          mask);
+          inst, model, tau, /*stop_at_anchor=*/true, mask);
     case StreamKind::kInstant:
       return std::make_unique<InstantStreamProcessor>(inst, model, mask);
   }

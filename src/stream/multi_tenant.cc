@@ -12,7 +12,6 @@
 
 #include "obs/stack_metrics.h"
 #include "stream/checkpoint.h"
-#include "stream/stream_greedy.h"
 #include "util/fault_injection.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -88,21 +87,7 @@ std::unique_ptr<MultiTenantStream::Cluster> MultiTenantStream::BuildCluster(
   cluster->mask = mask;
   cluster->join_cursor = join;
   cluster->cursor = join;
-  switch (kind_) {
-    case StreamKind::kStreamGreedy:
-    case StreamKind::kStreamGreedyPlus:
-      // Greedy representative: carried windows on a per-cluster bump
-      // arena, so steady-state sweeps stop touching malloc.
-      cluster->arena = std::make_unique<Arena>();
-      cluster->processor = std::make_unique<StreamGreedyProcessor>(
-          inst_, model_, tau_, kind_ == StreamKind::kStreamGreedyPlus,
-          cluster->arena.get(), mask);
-      break;
-    default:
-      cluster->processor =
-          CreateStreamProcessor(kind_, inst_, model_, tau_, mask);
-      break;
-  }
+  cluster->processor = CreateStreamProcessor(kind_, inst_, model_, tau_, mask);
   return cluster;
 }
 
@@ -389,14 +374,6 @@ double MultiTenantStream::shared_hit_rate() const {
   if (total == 0) return 0.0;
   return static_cast<double>(shared_tier_hits_) /
          static_cast<double>(total);
-}
-
-Arena::Stats MultiTenantStream::arena_stats() const {
-  Arena::Stats total;
-  for (const std::unique_ptr<Cluster>& cluster : clusters_) {
-    if (cluster && cluster->arena) total += cluster->arena->stats();
-  }
-  return total;
 }
 
 Status MultiTenantStream::EvictTenant(TenantId tenant, std::ostream& os) {

@@ -17,7 +17,6 @@
 // The reference view that private replays of one tenant are built on;
 // included here for callers that check the engine against it.
 #include "stream/tenant_view.h"
-#include "util/arena.h"
 #include "util/result.h"
 #include "util/status.h"
 
@@ -69,10 +68,8 @@ inline constexpr TenantId kInvalidTenant = static_cast<TenantId>(-1);
 /// ascending global id. Independent replays (one engine each) are the
 /// unit of parallelism.
 ///
-/// Allocation: greedy representatives bump-allocate their carried
-/// windows from a per-cluster Arena (`arena_stats()` aggregates the
-/// fleet), so steady-state cluster sweeps hold the arenas' block count
-/// flat. Each sweep allocates its batch bitmap (|L| words per 64
+/// Allocation: each representative owns its window state in plain
+/// vectors. Each sweep allocates its batch bitmap (|L| words per 64
 /// posts). The shared tier's fire log and its per-label index grow by
 /// amortized appends (4 index bytes per fire), and each derivation
 /// allocates the returned vector plus std::inplace_merge's buffer.
@@ -165,10 +162,6 @@ class MultiTenantStream {
   double fanout_amplification() const;
   /// Fraction of delivery work absorbed by the shared tier.
   double shared_hit_rate() const;
-  /// Aggregate allocator stats over the per-cluster representative
-  /// arenas (greedy kinds). Steady-state fan-out holds block_allocs
-  /// flat — the zero-allocation regression checks watch this.
-  Arena::Stats arena_stats() const;
 
  private:
   struct TenantRec {
@@ -183,10 +176,6 @@ class MultiTenantStream {
     PostId join_cursor = 0;
     /// First global post not yet offered to the representative.
     PostId cursor = 0;
-    /// Carried-window storage for greedy representatives; null for
-    /// scan kinds. Declared before the processor so the processor's
-    /// pmr containers die first.
-    std::unique_ptr<Arena> arena;
     std::unique_ptr<StreamProcessor> processor;
     uint32_t refcount = 0;
     Status health = Status::OK();  // !ok() => quarantined by a fault

@@ -16,26 +16,14 @@ constexpr size_t kClean = std::numeric_limits<size_t>::max();
 StreamGreedyProcessor::StreamGreedyProcessor(const Instance& inst,
                                              const CoverageModel& model,
                                              double tau, bool stop_at_anchor,
-                                             Arena* arena, LabelMask mask)
+                                             LabelMask mask)
     : StreamProcessor(inst, model, mask),
-      owned_arena_(arena == nullptr ? std::make_unique<Arena>() : nullptr),
-      arena_(arena == nullptr ? owned_arena_.get() : arena),
-      resource_(arena_),
       tau_(tau),
       stop_at_anchor_(stop_at_anchor),
       uniform_(model.IsUniform()),
-      slot_posts_(&resource_),
-      slot_uncovered_(&resource_),
-      slot_gains_(&resource_),
-      dirty_labels_(&resource_) {
+      emitted_per_label_(static_cast<size_t>(inst.num_labels())),
+      by_label_(static_cast<size_t>(inst.num_labels())) {
   MQD_CHECK(tau >= 0.0) << "tau must be non-negative";
-  const size_t num_labels = static_cast<size_t>(inst.num_labels());
-  emitted_per_label_.reserve(num_labels);
-  by_label_.reserve(num_labels);
-  for (size_t a = 0; a < num_labels; ++a) {
-    emitted_per_label_.emplace_back(&resource_);
-    by_label_.emplace_back(&resource_);
-  }
   for (LabelList& list : by_label_) {
     list.delta.assign(1, 0);  // always slots.size() + 1 entries
     list.dirty_lo = kClean;
@@ -81,7 +69,7 @@ void StreamGreedyProcessor::RecordEmitted(PostId post) {
 
 std::pair<size_t, size_t> StreamGreedyProcessor::SlotValueRange(
     LabelId a, DimValue vlo, DimValue vhi) const {
-  const std::pmr::vector<DimValue>& values = by_label_[a].values;
+  const std::vector<DimValue>& values = by_label_[a].values;
   auto first = std::lower_bound(values.begin(), values.end(), vlo);
   auto last = std::upper_bound(first, values.end(), vhi);
   return {static_cast<size_t>(first - values.begin()),
@@ -166,7 +154,7 @@ void StreamGreedyProcessor::AppendSlot(PostId post, LabelMask u) {
   ForEachLabel(labels(post), [&](LabelId a) {
     const DimValue reach = model_.Reach(inst_, post, a);
     auto [lo, hi] = SlotValueRange(a, v - reach, v + reach);
-    const std::pmr::vector<uint8_t>& uncov = by_label_[a].uncov;
+    const std::vector<uint8_t>& uncov = by_label_[a].uncov;
     for (size_t i = lo; i < hi; ++i) g += uncov[i];
   });
   slot_gains_.back() = g;

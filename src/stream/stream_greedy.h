@@ -2,13 +2,10 @@
 #define MQD_STREAM_STREAM_GREEDY_H_
 
 #include <cstdint>
-#include <memory>
-#include <memory_resource>
 #include <vector>
 
 #include "stream/checkpoint.h"
 #include "stream/stream_solver.h"
-#include "util/arena.h"
 
 namespace mqd {
 
@@ -40,17 +37,12 @@ namespace mqd {
 /// (posts and times) are bit-identical to
 /// StreamGreedyReferenceProcessor (tests/oracle/stream_reference.h),
 /// which the differential tests enforce under both dispatch tiers.
-///
-/// Every window container draws from one bump Arena through the pmr
-/// adapter. Replay harnesses pass a shared Arena and Reset() it
-/// between runs, making repeated replays allocation-free at steady
-/// state; standalone processors own a private arena.
 class StreamGreedyProcessor final : public StreamProcessor,
                                     public CheckpointableStream {
  public:
   StreamGreedyProcessor(const Instance& inst, const CoverageModel& model,
                         double tau, bool stop_at_anchor = false,
-                        Arena* arena = nullptr, LabelMask mask = kAllLabels);
+                        LabelMask mask = kAllLabels);
 
   std::string_view name() const override {
     return stop_at_anchor_ ? "StreamGreedySC+" : "StreamGreedySC";
@@ -80,12 +72,10 @@ class StreamGreedyProcessor final : public StreamProcessor,
   /// position, so the hot membership runs and uncovered counts are
   /// loops over flat arrays instead of chasing slot ids.
   struct LabelList {
-    explicit LabelList(std::pmr::memory_resource* mr)
-        : slots(mr), values(mr), uncov(mr), delta(mr) {}
-    std::pmr::vector<uint32_t> slots;
-    std::pmr::vector<DimValue> values;
-    std::pmr::vector<uint8_t> uncov;
-    std::pmr::vector<int32_t> delta;
+    std::vector<uint32_t> slots;
+    std::vector<DimValue> values;
+    std::vector<uint8_t> uncov;
+    std::vector<int32_t> delta;
     size_t dirty_lo = 0;
     size_t dirty_hi = 0;
   };
@@ -94,10 +84,8 @@ class StreamGreedyProcessor final : public StreamProcessor,
   /// mirrored flat so coverage probes binary-search and scan doubles
   /// without a post-table indirection per candidate.
   struct EmittedList {
-    explicit EmittedList(std::pmr::memory_resource* mr)
-        : posts(mr), values(mr) {}
-    std::pmr::vector<PostId> posts;
-    std::pmr::vector<DimValue> values;
+    std::vector<PostId> posts;
+    std::vector<DimValue> values;
   };
 
   /// Ring index of slot id `s` in the parallel slot arrays.
@@ -132,13 +120,6 @@ class StreamGreedyProcessor final : public StreamProcessor,
   void ErasePrefix(size_t keep);
   void RecordEmitted(PostId post);
 
-  /// Allocation backing for every window container. Declared before
-  /// the containers so the resource outlives them; `arena_` points at
-  /// either the caller-shared arena or the owned fallback.
-  std::unique_ptr<Arena> owned_arena_;
-  Arena* arena_;
-  ArenaResource resource_;
-
   double tau_;
   bool stop_at_anchor_;
   bool uniform_;
@@ -148,12 +129,12 @@ class StreamGreedyProcessor final : public StreamProcessor,
   /// index s - slot_base_; ids grow monotonically and are never
   /// reused, so per-label lists stay valid across prefix erases.
   /// slot_gains_ is flat so the batch argmax is one dense kernel call.
-  std::pmr::vector<PostId> slot_posts_;
-  std::pmr::vector<LabelMask> slot_uncovered_;
-  std::pmr::vector<int64_t> slot_gains_;
+  std::vector<PostId> slot_posts_;
+  std::vector<LabelMask> slot_uncovered_;
+  std::vector<int64_t> slot_gains_;
   uint32_t slot_base_ = 0;
   std::vector<LabelList> by_label_;
-  std::pmr::vector<LabelId> dirty_labels_;
+  std::vector<LabelId> dirty_labels_;
   /// Uncovered (post, label) pairs among the buffered slots.
   size_t remaining_ = 0;
   PostId anchor_ = kInvalidPost;

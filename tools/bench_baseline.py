@@ -13,7 +13,8 @@ Three suites:
             Figure 14-15 paper scale (optimized processors side by
             side with their pre-overhaul references, plus the
             deadline-fire and batch-solve heavy regimes), written to
-            BENCH_stream.json with the opt-vs-ref speedups computed.
+            BENCH_stream.json with the opt-vs-ref speedups computed
+            and the same host block as core and tenant.
   gap     - the bench_gap certified-gap sweeps (gap vs lambda at seeds
             11-13, gap vs |L| at seed 11, fixed 20k-node budget),
             written to BENCH_gap.json. Unlike the timing suites these
@@ -147,37 +148,46 @@ def run_benchmark_json(binary, bench_filter, sanity, required,
     return entries
 
 
+def benchmark_host(build_dir, binary, context):
+    """The host block of a google-benchmark binary's run: hardware
+    threads and the dispatched kernel tier from its JSON context (the
+    same keys the tenant suite records), plus the CMake tree's compiler
+    and build type."""
+    if "num_cpus" not in context or "simd_tier" not in context:
+        raise SystemExit(
+            f"{binary} JSON context lacks num_cpus/simd_tier: {context}")
+    host = {"nproc": int(context["num_cpus"]), "simd": context["simd_tier"]}
+    host.update(build_info(build_dir))
+    return host
+
+
 def run_micro(build_dir, sanity):
-    """bench_micro's entries and the host block: hardware threads and
-    the dispatched kernel tier from its JSON context (the same keys the
-    tenant suite records), plus the CMake tree's compiler and build
-    type."""
+    """bench_micro's entries and its host block."""
     context = {}
     entries = run_benchmark_json(
         os.path.join(build_dir, "bench", "bench_micro"), MICRO_FILTER,
         sanity, REQUIRED_MICRO, context)
-    if "num_cpus" not in context or "simd_tier" not in context:
-        raise SystemExit(
-            f"bench_micro JSON context lacks num_cpus/simd_tier: {context}")
-    host = {"nproc": int(context["num_cpus"]), "simd": context["simd_tier"]}
-    host.update(build_info(build_dir))
-    return entries, host
+    return entries, benchmark_host(build_dir, "bench_micro", context)
 
 
 def run_stream_micro(build_dir, sanity):
+    """bench_stream_micro's entries, the opt-vs-ref speedups and its
+    host block."""
     stream_filter = "|".join(
         [name for pair in STREAM_PAIRS for name in pair]
         + STREAM_TIER_BENCHES)
+    context = {}
     entries = run_benchmark_json(
         os.path.join(build_dir, "bench", "bench_stream_micro"),
-        stream_filter, sanity, REQUIRED_STREAM)
+        stream_filter, sanity, REQUIRED_STREAM, context)
     speedups = {}
     for optimized, reference in STREAM_PAIRS:
         opt_time = entries[optimized]["real_time"]
         ref_time = entries[reference]["real_time"]
         speedups[optimized] = (
             round(ref_time / opt_time, 3) if opt_time > 0 else None)
-    return entries, speedups
+    return (entries, speedups,
+            benchmark_host(build_dir, "bench_stream_micro", context))
 
 
 # One Figure 13 table row: lambda followed by the three per-post
@@ -312,11 +322,11 @@ def write_gap(args):
 
 
 # One bench_tenant table row: algo, tenants, clusters, per-post
-# microseconds, shared-tier hit rate, per-derive microseconds,
-# steady-state arena block allocations (see bench/bench_tenant.cc).
+# microseconds, shared-tier hit rate, per-derive microseconds (see
+# bench/bench_tenant.cc).
 TENANT_ROW_RE = re.compile(
     r"^\s*([\w+]+)\s+(\d+)\s+(\d+)\s+([\d.]+)\s+([\d.]+)\s+"
-    r"([\d.]+)\s+(\d+)\s*$")
+    r"([\d.]+)\s*$")
 
 # bench_tenant's header line: hardware threads and the dispatched
 # kernel tier of the recording process.
@@ -375,7 +385,6 @@ def run_tenant(build_dir, sanity):
                 "per_post_us": float(row.group(4)),
                 "shared_hit_rate": float(row.group(5)),
                 "derive_us": float(row.group(6)),
-                "steady_allocs": int(row.group(7)),
             })
     host = TENANT_HOST_RE.search(out.stdout)
     if len(rows) != TENANT_ROWS_EXPECTED or host is None:
@@ -404,7 +413,7 @@ def write_tenant(args):
             if sweep[0]["per_post_us"] > 0 else None,
         }
     doc = {
-        "schema": "mqd-bench-tenant/3",
+        "schema": "mqd-bench-tenant/4",
         "revision": git_revision(),
         "recorded_unix": int(time.time()),
         "sanity_mode": args.sanity,
@@ -442,12 +451,6 @@ def write_tenant(args):
         if not args.sanity:
             assert g["per_post_cost_ratio"] < g["tenant_ratio"] / 10.0, (
                 algo, g)
-    if not args.sanity:
-        # Zero-allocation steady state is deterministic (not timing):
-        # at full scale every row must hold block_allocs flat through
-        # the second half of the replay.
-        for r in rows:
-            assert r["steady_allocs"] == 0, r
     summary = ", ".join(
         f"{algo}={g['per_post_cost_ratio']}x" for algo, g in
         sorted(reread["per_post_cost_growth"].items()))
@@ -609,12 +612,13 @@ def write_core(args, scale):
 
 
 def write_stream(args):
-    entries, speedups = run_stream_micro(args.build_dir, args.sanity)
+    entries, speedups, host = run_stream_micro(args.build_dir, args.sanity)
     doc = {
         "schema": "mqd-bench-stream/1",
         "revision": git_revision(),
         "recorded_unix": int(time.time()),
         "sanity_mode": args.sanity,
+        "host": host,
         "workload": {
             "stream": "bench_stream_micro per-arrival replays at the "
                       "Figure 14-15 paper scale (|L|=20, 1h @ 118 "
@@ -636,6 +640,8 @@ def write_stream(args):
         assert name in reread["bench_stream"], name
     for optimized, _ in STREAM_PAIRS:
         assert optimized in reread["speedup_vs_reference"], optimized
+    for key in ("nproc", "simd", "compiler", "build_type"):
+        assert key in reread["host"], key
     summary = ", ".join(
         f"{name.removeprefix('BM_Stream')}={ratio}x"
         for name, ratio in sorted(speedups.items()))
