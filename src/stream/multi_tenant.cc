@@ -21,10 +21,12 @@ namespace mqd {
 namespace {
 
 constexpr std::string_view kTenantMagic = "MQDTNT01";
-// Version 2: a tier-1 payload is the representative's checkpoint in
-// global post ids, against the shared instance. Other versions are
-// rejected, never migrated.
-constexpr uint32_t kTenantFormatVersion = 2;
+// Version 3: a tier-1 payload is the representative's checkpoint in
+// global post ids, against the shared instance, and a StreamScan
+// representative's state has one entry per label of its mask (version
+// 2 had one per instance label). Other versions are rejected, never
+// migrated.
+constexpr uint32_t kTenantFormatVersion = 3;
 constexpr uint8_t kTierShared = 0;
 constexpr uint8_t kTierCluster = 1;
 

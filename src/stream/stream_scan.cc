@@ -14,60 +14,68 @@ StreamScanProcessor::StreamScanProcessor(const Instance& inst,
                                          LabelMask mask)
     : StreamProcessor(inst, model, mask),
       tau_(tau),
-      cross_label_pruning_(cross_label_pruning),
-      labels_(static_cast<size_t>(inst.num_labels())) {
+      max_reach_(model.MaxReach()),
+      cross_label_pruning_(cross_label_pruning) {
   MQD_CHECK(tau >= 0.0) << "tau must be non-negative";
+  for (LabelId a = 0; a < static_cast<LabelId>(inst.num_labels()); ++a) {
+    if (!MaskHas(mask, a)) continue;
+    slot_[a] = static_cast<uint8_t>(label_of_.size());
+    label_of_.push_back(a);
+  }
+  states_.resize(label_of_.size());
+  size_t leaves = 1;
+  while (leaves < label_of_.size()) leaves *= 2;
+  deadlines_.assign(leaves, kNeverDeadline);
+  for (size_t i = 0; i < leaves; ++i) {
+    tree_[leaves + i] = static_cast<uint8_t>(i);
+  }
+  // All deadlines are equal, so every internal node holds its
+  // subtree's lowest slot.
+  for (size_t k = leaves - 1; k >= 1; --k) {
+    tree_[k] = Winner(tree_[2 * k], tree_[2 * k + 1]);
+  }
 }
 
 double StreamScanProcessor::Deadline(const LabelState& state) const {
   if (state.uncovered.empty()) return kNeverDeadline;
   const double t_lu = state.values.back();
   const double t_ou = state.values.front();
-  return std::min(t_lu + tau_, t_ou + model_.MaxReach());
+  return std::min(t_lu + tau_, t_ou + max_reach_);
 }
 
-void StreamScanProcessor::Reindex(LabelId a) {
-  LabelState& state = labels_[a];
-  const double d = Deadline(state);
-  if (d == state.pushed) return;  // live entry already carries d
-  ++state.version;  // invalidates every older entry for this label
-  state.pushed = d;
-  if (d != kNeverDeadline) {
-    heap_.push(HeapEntry{d, a, state.version});
+void StreamScanProcessor::Reindex(uint8_t s) {
+  const double d = Deadline(states_[s]);
+  if (d == deadlines_[s]) return;
+  deadlines_[s] = d;
+  for (size_t k = (deadlines_.size() + s) / 2; k >= 1; k /= 2) {
+    tree_[k] = Winner(tree_[2 * k], tree_[2 * k + 1]);
   }
 }
 
 void StreamScanProcessor::AdvanceTo(double now) {
   // Fire all deadlines <= now in (deadline, label) order; firing one
   // may change others under cross-label pruning, which Reindex folds
-  // into the heap before the next pop.
-  while (!heap_.empty()) {
-    const HeapEntry top = heap_.top();
-    LabelState& state = labels_[top.label];
-    if (top.version != state.version) {
-      heap_.pop();  // stale: superseded by a newer entry
-      continue;
-    }
-    if (top.deadline > now) break;
-    heap_.pop();
-    // The live entry is consumed; Fire clears the label, and any
-    // later Reindex must push afresh even if it lands on the same
-    // deadline value again.
-    state.pushed = kNeverDeadline;
-    Fire(top.label, top.deadline);
+  // into the tree before the root is read again. An idle slot's
+  // deadline is kNeverDeadline, which Finish's `now` also equals.
+  for (;;) {
+    const uint8_t s = tree_[1];
+    const double d = deadlines_[s];
+    if (d > now || d == kNeverDeadline) break;
+    Fire(s, d);
   }
 }
 
-void StreamScanProcessor::Fire(LabelId a, double when) {
-  LabelState& state = labels_[a];
+void StreamScanProcessor::Fire(uint8_t s, double when) {
+  LabelState& state = states_[s];
   MQD_DCHECK(!state.uncovered.empty());
+  const LabelId a = label_of_[s];
   const PostId lu = state.uncovered.back();
   if (fire_log_enabled_) fire_log_.push_back(LabelFire{when, a, lu});
   Emit(lu, when);
   state.lc = lu;
   state.uncovered.clear();
   state.values.clear();
-  Reindex(a);
+  Reindex(s);
 
   if (!cross_label_pruning_) return;
   // StreamScan+: the emitted post also covers pending posts of its
@@ -81,7 +89,8 @@ void StreamScanProcessor::Fire(LabelId a, double when) {
   const DimValue v_lu = inst_.value(lu);
   ForEachLabel(labels(lu), [&](LabelId b) {
     if (b == a) return;
-    LabelState& other = labels_[b];
+    const uint8_t t = slot_[b];
+    LabelState& other = states_[t];
     if (other.lc == kInvalidPost ||
         v_lu > inst_.value(other.lc)) {
       other.lc = lu;
@@ -96,21 +105,22 @@ void StreamScanProcessor::Fire(LabelId a, double when) {
                             other.uncovered.begin() + last);
       other.values.erase(other.values.begin() + first,
                          other.values.begin() + last);
-      Reindex(b);
+      Reindex(t);
     }
   });
 }
 
 void StreamScanProcessor::OnArrival(PostId post) {
   ForEachLabel(labels(post), [&](LabelId a) {
-    LabelState& state = labels_[a];
+    const uint8_t s = slot_[a];
+    LabelState& state = states_[s];
     if (state.lc != kInvalidPost &&
         model_.Covers(inst_, state.lc, a, post)) {
       return;  // already covered by the latest outputted relevant post
     }
     state.uncovered.push_back(post);
     state.values.push_back(inst_.value(post));
-    Reindex(a);
+    Reindex(s);
   });
 }
 
@@ -118,8 +128,8 @@ void StreamScanProcessor::Finish() { AdvanceTo(kNeverDeadline); }
 
 void StreamScanProcessor::SaveStreamState(SnapshotWriter* writer) const {
   writer->U8(cross_label_pruning_ ? 1 : 0);
-  writer->U64(labels_.size());
-  for (const LabelState& state : labels_) {
+  writer->U64(states_.size());
+  for (const LabelState& state : states_) {
     writer->U32(state.lc);
     writer->U64(state.uncovered.size());
     for (PostId p : state.uncovered) writer->U32(p);
@@ -128,15 +138,16 @@ void StreamScanProcessor::SaveStreamState(SnapshotWriter* writer) const {
 
 Status StreamScanProcessor::RestoreStreamState(SnapshotReader* reader) {
   const bool cross = reader->U8() != 0;
-  const uint64_t num_labels = reader->U64();
+  const uint64_t num_slots = reader->U64();
   if (reader->failed()) return reader->status();
-  if (cross != cross_label_pruning_ || num_labels != labels_.size()) {
+  if (cross != cross_label_pruning_ || num_slots != states_.size()) {
     return Status::FailedPrecondition(
         "snapshot was taken by a different StreamScan variant");
   }
-  std::vector<LabelState> restored(labels_.size());
-  for (LabelId a = 0; a < restored.size(); ++a) {
-    LabelState& state = restored[a];
+  std::vector<LabelState> restored(states_.size());
+  for (size_t s = 0; s < restored.size(); ++s) {
+    LabelState& state = restored[s];
+    const LabelId a = label_of_[s];
     state.lc = reader->U32();
     const uint64_t count = reader->U64();
     if (reader->failed()) return reader->status();
@@ -176,20 +187,17 @@ Status StreamScanProcessor::RestoreStreamState(SnapshotReader* reader) {
   }
   MQD_RETURN_NOT_OK(reader->status());
 
-  // Commit: install the canonical state, then rebuild the deadline
-  // heap from scratch. Reindexing every label reproduces exactly the
-  // live entries an uninterrupted run would carry — the (deadline,
-  // label) fire order depends only on the uncovered lists.
-  labels_ = std::move(restored);
-  heap_ = {};
-  for (LabelState& state : labels_) {
-    state.version = 0;
-    state.pushed = kNeverDeadline;
+  // Commit: install the canonical state, then re-sync every slot's
+  // deadline. The (deadline, label) fire order depends only on the
+  // uncovered lists, so this reproduces an uninterrupted run.
+  states_ = std::move(restored);
+  for (size_t s = 0; s < states_.size(); ++s) {
+    LabelState& state = states_[s];
     state.values.clear();
     state.values.reserve(state.uncovered.size());
     for (PostId p : state.uncovered) state.values.push_back(inst_.value(p));
+    Reindex(static_cast<uint8_t>(s));
   }
-  for (LabelId a = 0; a < labels_.size(); ++a) Reindex(a);
   return Status::OK();
 }
 

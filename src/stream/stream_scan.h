@@ -2,7 +2,6 @@
 #define MQD_STREAM_STREAM_SCAN_H_
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "stream/checkpoint.h"
@@ -24,14 +23,19 @@ namespace mqd {
 /// emission covers are dropped, often cancelling or postponing other
 /// labels' deadlines.
 ///
-/// Hot-path layout (DESIGN.md §11): label deadlines live in a
-/// lazy-invalidation min-heap keyed by (deadline, label), so each
-/// arrival costs O(s log |L|) heap maintenance instead of the
-/// reference implementation's O(|L|) full rescan, and an AdvanceTo
-/// that fires nothing is a single heap peek. Arrivals are value-
-/// ordered, so each label's `uncovered` list stays sorted; the Scan+
-/// cross-label prune therefore erases one contiguous run found by two
-/// binary searches instead of a linear remove_if. Both changes are
+/// Hot-path layout (DESIGN.md §11): the state is sized by the mask,
+/// as in the paper, where P_ou, P_lu and P_lc exist per label of the
+/// query set L. Each served label owns one slot, in label order;
+/// `slot_` maps a label id to its slot. `deadlines_[slot]` holds the
+/// slot's deadline, and a winner (tournament) tree over the slots
+/// keeps the earliest (deadline, slot) at `tree_[1]`. Slot order is
+/// label order, so equal deadlines fire the lowest label first — the
+/// reference implementation's first-minimum scan order. A deadline
+/// change re-plays one leaf-to-root path (O(log |mask|)), and an
+/// AdvanceTo that fires nothing reads the root once. Arrivals are
+/// value-ordered, so each label's `uncovered` list stays sorted; the
+/// Scan+ cross-label prune therefore erases one contiguous run found
+/// by two binary searches instead of a linear remove_if. The output is
 /// emission-sequence-identical to StreamScanReferenceProcessor
 /// (tests/oracle/stream_reference.h), which the differential tests
 /// enforce.
@@ -56,8 +60,8 @@ class StreamScanProcessor final : public StreamProcessor,
   /// One per-label deadline firing: label `label` reported `post` at
   /// simulated time `time`. Unlike the emission log — which dedupes a
   /// post across labels — the fire log keeps every (label, post)
-  /// event, in exactly the (deadline, label) order the heap fired
-  /// them. The multi-tenant fan-out engine's shared tier
+  /// event, in exactly the (deadline, label) order they fired. The
+  /// multi-tenant fan-out engine's shared tier
   /// (stream/multi_tenant.h) derives each of its tenants' emission
   /// sequences from this log: it indexes the log by label (ascending
   /// positions per label), merges the tenant's labels' position lists
@@ -75,10 +79,12 @@ class StreamScanProcessor final : public StreamProcessor,
   void EnableFireLog() { fire_log_enabled_ = true; }
   const std::vector<LabelFire>& fire_log() const { return fire_log_; }
 
-  /// Checkpointing (stream/checkpoint.h): the canonical per-label
-  /// state is (uncovered list, lc); the deadline heap and its lazy
-  /// version/pushed bookkeeping are derived, so restore rebuilds them
-  /// with one Reindex per label.
+  /// Checkpointing (stream/checkpoint.h): the canonical state is the
+  /// slot count followed by each slot's (lc, uncovered list), in slot
+  /// order. An unmasked processor has one slot per instance label, so
+  /// its bytes are the per-label layout; a masked one writes only its
+  /// mask's labels. Deadlines and the winner tree are derived, so
+  /// restore recomputes them.
   void SaveStreamState(SnapshotWriter* writer) const override;
   Status RestoreStreamState(SnapshotReader* reader) override;
 
@@ -94,44 +100,36 @@ class StreamScanProcessor final : public StreamProcessor,
     std::vector<PostId> uncovered;
     std::vector<DimValue> values;
     PostId lc = kInvalidPost;
-    /// Lazy-invalidation bookkeeping: `version` stamps the newest
-    /// heap entry for this label; older entries are discarded on pop.
-    /// `pushed` is the deadline carried by that entry (kNeverDeadline
-    /// when no live entry exists), so an unchanged deadline never
-    /// re-pushes.
-    uint32_t version = 0;
-    double pushed = kNeverDeadline;
-  };
-
-  struct HeapEntry {
-    double deadline;
-    LabelId label;
-    uint32_t version;
-  };
-  /// Min-heap by (deadline, label): equal deadlines pop the lowest
-  /// label id, matching the reference implementation's first-minimum
-  /// scan order.
-  struct EntryAfter {
-    bool operator()(const HeapEntry& x, const HeapEntry& y) const {
-      if (x.deadline != y.deadline) return x.deadline > y.deadline;
-      return x.label > y.label;
-    }
   };
 
   double Deadline(const LabelState& state) const;
-  /// Re-syncs label a's heap entry with its current deadline: no-op
-  /// when unchanged, otherwise invalidates the old entry (version
-  /// bump) and pushes the new deadline if finite.
-  void Reindex(LabelId a);
-  /// Emits the P_lu of label `a` at time `when` and applies the
+  /// The winner of two tree nodes' slots, `x` from the left subtree:
+  /// the earlier deadline, and on a tie the left (lower) slot.
+  uint8_t Winner(uint8_t x, uint8_t y) const {
+    return deadlines_[x] <= deadlines_[y] ? x : y;
+  }
+  /// Re-syncs slot s's deadline: no-op when unchanged, otherwise
+  /// stores it and re-plays the leaf-to-root path of the winner tree.
+  void Reindex(uint8_t s);
+  /// Emits the P_lu of slot `s` at time `when` and applies the
   /// per-label (and, for +, cross-label) state updates.
-  void Fire(LabelId a, double when);
+  void Fire(uint8_t s, double when);
 
+  // Members a delivery touches come first, so they share cache lines.
   double tau_;
+  double max_reach_;  // model_.MaxReach(), read once per deadline
+  std::vector<LabelState> states_;  // per slot
+  /// Per leaf; leaves past the last slot stay kNeverDeadline.
+  std::vector<double> deadlines_;
+  /// Winner tree over a power-of-two leaf count P = deadlines_.size():
+  /// tree_[P + i] = i, and tree_[k] = Winner(tree_[2k], tree_[2k + 1])
+  /// for 1 <= k < P. Inline, so a delivery reads no extra heap block.
+  uint8_t tree_[2 * kMaxLabels] = {};
+  /// slot_[a] is label a's slot; read only for served labels.
+  uint8_t slot_[kMaxLabels] = {};
   bool cross_label_pruning_;
-  std::vector<LabelState> labels_;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, EntryAfter> heap_;
   bool fire_log_enabled_ = false;
+  std::vector<LabelId> label_of_;  // slot -> label, ascending
   std::vector<LabelFire> fire_log_;
 };
 

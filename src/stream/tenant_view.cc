@@ -60,7 +60,7 @@ Result<TenantView> BuildTenantView(const Instance& inst,
   }
 
   // Local label i is global_labels[i]: the mapping is monotone, which
-  // preserves the (deadline, label) heap tie order.
+  // preserves the (deadline, label) tie order.
   TenantView view;
   view.sub = inst.Restrict(global_labels, from_post, &view.global_of_local);
   view.model = std::make_unique<RestrictedCoverage>(inst, model,

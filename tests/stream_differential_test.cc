@@ -18,7 +18,9 @@
 namespace mqd {
 namespace {
 
+using ::mqd::testing::BuildSingleTenant;
 using ::mqd::testing::MakeInstance;
+using ::mqd::testing::SingleTenant;
 
 /// Runs `optimized` and `reference` over the same replay and asserts
 /// the emission sequences are identical: same posts, in the same
@@ -162,12 +164,12 @@ TEST(StreamDifferentialTest, OptimizedFastPathsAreExercised) {
 }
 
 /// Tau-boundary construction: deadlines landing exactly on arrival
-/// times, two labels tying on the same deadline (the heap must pop
-/// the lower label id first, like the reference's first-minimum
-/// scan), and an anchor whose t_ou + lambda deadline equals another
-/// post's t_lu + tau. Values are small dyadic rationals so every
-/// deadline sum is exact in binary floating point and the ties are
-/// genuine, not approximate.
+/// times, two labels tying on the same deadline (the lower label id
+/// must fire first, like the reference's first-minimum scan), and an
+/// anchor whose t_ou + lambda deadline equals another post's t_lu +
+/// tau. Values are small dyadic rationals so every deadline sum is
+/// exact in binary floating point and the ties are genuine, not
+/// approximate.
 TEST(StreamDifferentialTest, TauBoundaryDeadlineTiesMatchReference) {
   const double tau = 0.5;
   const double lambda = 1.0;
@@ -290,6 +292,130 @@ TEST(StreamDifferentialTest, UlpEdgeValuesMatchReference) {
     StreamGreedyReferenceProcessor greedy_ref(inst, model, tau, plus);
     ExpectIdenticalEmissions(inst, &greedy, &greedy_ref,
                              "ulp greedy+=" + std::to_string(plus));
+  }
+}
+
+/// Runs a StreamScan(+) processor masked to `mask` over the whole of
+/// `inst` and the reference over the mask's sub-stream, built by an
+/// InstanceBuilder loop independent of the mask plumbing, and asserts
+/// the same posts (in global ids) at bit-identical times. Returns the
+/// number of compared emissions.
+size_t ExpectMaskedMatchesSubStream(
+    const Instance& inst, const CoverageModel& model, double lambda,
+    const std::vector<std::vector<DimValue>>* radii, LabelMask mask,
+    double tau, bool plus, const std::string& context) {
+  StreamScanProcessor masked(inst, model, tau, plus, mask);
+  EXPECT_TRUE(RunStream(inst, &masked).ok()) << context;
+  const SingleTenant sub =
+      BuildSingleTenant(inst, mask, /*from=*/0, lambda, radii, lambda);
+  StreamScanReferenceProcessor reference(sub.sub, *sub.model, tau, plus);
+  EXPECT_TRUE(RunStream(sub.sub, &reference).ok()) << context;
+  const auto& got = masked.emissions();
+  const auto& want = reference.emissions();
+  EXPECT_EQ(got.size(), want.size()) << context;
+  const size_t n = std::min(got.size(), want.size());
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(got[i].post, sub.global_of_local[want[i].post])
+        << context << " emission " << i << " of " << n;
+    EXPECT_EQ(got[i].emit_time, want[i].emit_time)
+        << context << " emission " << i << " (post " << got[i].post
+        << "): emit times differ by "
+        << (got[i].emit_time - want[i].emit_time);
+    if (::testing::Test::HasFailure()) break;
+  }
+  return n;
+}
+
+/// Masked processors on a 64-label instance: a representative's state
+/// has one slot per label of its mask, so label ids far above the slot
+/// count, bit 63, a single slot, non-contiguous masks and a full
+/// 64-slot tree must all reproduce the reference run on the mask's
+/// sub-stream. Uniform label popularity keeps label 63 as busy as
+/// label 0.
+TEST(StreamDifferentialTest, MaskedHighLabelsMatchSubStreamReference) {
+  InstanceGenConfig cfg;
+  cfg.num_labels = kMaxLabels;
+  cfg.duration = 1800.0;
+  cfg.posts_per_minute = 500.0;
+  cfg.overlap_rate = 3.0;
+  cfg.popularity_skew = 0.0;
+  cfg.burst_fraction = 0.3;
+  cfg.seed = 6464;
+  auto inst = GenerateInstance(cfg);
+  ASSERT_TRUE(inst.ok());
+  const double lambda = 12.0;
+  Rng rng(99);
+  std::vector<std::vector<DimValue>> radii(inst->num_posts());
+  for (PostId p = 0; p < static_cast<PostId>(inst->num_posts()); ++p) {
+    ForEachLabel(inst->labels(p), [&](LabelId) {
+      radii[p].push_back(rng.UniformDouble(0.3 * lambda, lambda));
+    });
+  }
+  UniformLambda uniform(lambda);
+  VariableLambda variable(radii, lambda);
+
+  LabelMask every_seventh = 0;
+  for (LabelId a = 0; a < kMaxLabels; a += 7) every_seventh |= MaskOf(a);
+  const LabelMask masks[] = {
+      MaskOf(63),                                          // one slot
+      MaskOf(0) | MaskOf(63),                              // both ends
+      MaskOf(3) | MaskOf(17) | MaskOf(40) | MaskOf(63),    // scattered
+      MaskOf(9) | MaskOf(10) | MaskOf(33) | MaskOf(34) | MaskOf(61) |
+          MaskOf(62),                                      // a fan-out size
+      every_seventh | MaskOf(63),                          // 11 slots
+      ~LabelMask{0} << 32,                                 // labels 32..63
+      kAllLabels,                                          // 64 slots
+  };
+  size_t compared = 0;
+  for (const LabelMask mask : masks) {
+    for (const bool variable_model : {false, true}) {
+      const CoverageModel& model =
+          variable_model ? static_cast<const CoverageModel&>(variable)
+                         : static_cast<const CoverageModel&>(uniform);
+      for (const double tau : {0.0, 3.0, 15.0}) {
+        for (const bool plus : {false, true}) {
+          const std::string context =
+              "mask=" + std::to_string(mask) + " tau=" + std::to_string(tau) +
+              (variable_model ? " variable" : " uniform") +
+              " plus=" + std::to_string(plus);
+          const size_t n = ExpectMaskedMatchesSubStream(
+              *inst, model, lambda, variable_model ? &radii : nullptr, mask,
+              tau, plus, context);
+          EXPECT_GT(n, 0u) << context;
+          compared += n;
+          if (::testing::Test::HasFailure()) return;
+        }
+      }
+    }
+  }
+  EXPECT_GE(compared, 100000u) << "masked sweep under-sampled";
+}
+
+/// Two slots of a masked processor reach the same deadline: the lower
+/// label fires first, although its post arrived second, as in the
+/// reference's first-minimum scan. Label 50 is outside the mask and
+/// must change nothing.
+TEST(StreamDifferentialTest, MaskedDeadlineTieFiresLowestLabelFirst) {
+  const double tau = 0.5;
+  UniformLambda model(1.0);
+  const LabelMask mask = MaskOf(40) | MaskOf(63);
+  Instance inst = MakeInstance(kMaxLabels, {{0.25, MaskOf(63)},
+                                            {0.25, MaskOf(40)},
+                                            {0.5, MaskOf(50)},
+                                            {1.5, MaskOf(40) | MaskOf(50)},
+                                            {2.0, MaskOf(63)}});
+  for (const bool plus : {false, true}) {
+    const std::string context = "tie plus=" + std::to_string(plus);
+    EXPECT_EQ(ExpectMaskedMatchesSubStream(inst, model, 1.0, nullptr, mask,
+                                           tau, plus, context),
+              4u)
+        << context;
+    StreamScanProcessor masked(inst, model, tau, plus, mask);
+    ASSERT_TRUE(RunStream(inst, &masked).ok());
+    // Both deadlines are 0.25 + tau; label 40's post (id 1) goes first.
+    const std::vector<Emission> expected = {
+        {1, 0.75}, {0, 0.75}, {3, 2.0}, {4, 2.5}};
+    EXPECT_EQ(masked.emissions(), expected) << context;
   }
 }
 

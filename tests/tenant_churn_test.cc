@@ -376,7 +376,7 @@ std::string SealHeaderOnlySnapshot(const Instance& inst, StreamKind kind,
                                    double tau, LabelMask mask, PostId join,
                                    PostId cursor, uint8_t tier) {
   SnapshotWriter body;
-  body.U32(2);  // tenant format version
+  body.U32(3);  // tenant format version
   body.U8(static_cast<uint8_t>(kind));
   body.F64(tau);
   body.U64(InstanceFingerprint(inst));
@@ -471,10 +471,12 @@ std::string ResealBody(const std::string& blob, Edit edit) {
 }
 
 /// Version-1 tenant snapshots embedded a per-cluster view's local post
-/// ids; version 2 embeds global ids. A well-sealed version-1 snapshot
-/// is refused with the typed version error and no side effect, while
-/// the genuine snapshot it was forged from still restores exactly.
-TEST(TenantChurnTest, VersionOneSnapshotsAreRejected) {
+/// ids; version 2 embedded global ids with a StreamScan state entry per
+/// instance label; version 3 has one per label of the mask. Well-sealed
+/// version-1 and version-2 snapshots are refused with the typed version
+/// error and no side effect, while the genuine snapshot they were
+/// forged from still restores exactly.
+TEST(TenantChurnTest, OldVersionSnapshotsAreRejected) {
   const double tau = 2.0;
   const double lambda = 6.0;
   const Instance inst = TestInstance(11);
@@ -490,24 +492,25 @@ TEST(TenantChurnTest, VersionOneSnapshotsAreRejected) {
   std::ostringstream snapshot;
   ASSERT_TRUE((*engine)->EvictTenant(victim, snapshot).ok());
   const std::string good = snapshot.str();
-  const std::string v1 = ResealBody(good, [](std::string* body) {
-    const uint32_t version = 1;
-    std::memcpy(body->data(), &version, sizeof(version));
-  });
   const size_t active_before = (*engine)->active_tenants();
   const size_t clusters_before = (*engine)->num_clusters();
 
-  std::istringstream forged(v1);
-  auto rejected = (*engine)->RestoreTenant(forged);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
-      << rejected.status().ToString();
-  EXPECT_NE(rejected.status().message().find(
-                "unsupported tenant snapshot version"),
-            std::string::npos)
-      << rejected.status().ToString();
-  EXPECT_EQ((*engine)->active_tenants(), active_before);
-  EXPECT_EQ((*engine)->num_clusters(), clusters_before);
+  for (const uint32_t version : {1u, 2u}) {
+    const std::string context = "version " + std::to_string(version);
+    std::istringstream forged(ResealBody(good, [&](std::string* body) {
+      std::memcpy(body->data(), &version, sizeof(version));
+    }));
+    auto rejected = (*engine)->RestoreTenant(forged);
+    ASSERT_FALSE(rejected.ok()) << context;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
+        << context << ": " << rejected.status().ToString();
+    EXPECT_NE(rejected.status().message().find(
+                  "unsupported tenant snapshot version"),
+              std::string::npos)
+        << context << ": " << rejected.status().ToString();
+    EXPECT_EQ((*engine)->active_tenants(), active_before) << context;
+    EXPECT_EQ((*engine)->num_clusters(), clusters_before) << context;
+  }
 
   std::istringstream in(good);
   auto restored = (*engine)->RestoreTenant(in);
@@ -516,7 +519,7 @@ TEST(TenantChurnTest, VersionOneSnapshotsAreRejected) {
   ExpectEmissionsEqual(
       *(*engine)->TenantEmissions(*restored),
       RunSolo(inst, mask, 0, StreamKind::kStreamScanPlus, tau, lambda),
-      "genuine snapshot after the version-1 forgery");
+      "genuine snapshot after the version-1 and version-2 forgeries");
   ExpectEmissionsEqual(
       *(*engine)->TenantEmissions(bystander),
       RunSolo(inst, bystander_mask, 0, StreamKind::kStreamScanPlus, tau,

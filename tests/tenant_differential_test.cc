@@ -18,10 +18,14 @@
 #include "stream/multi_tenant.h"
 #include "stream/replay.h"
 #include "stream/stream_scan.h"
+#include "test_helpers.h"
 #include "util/rng.h"
 
 namespace mqd {
 namespace {
+
+using ::mqd::testing::BuildSingleTenant;
+using ::mqd::testing::SingleTenant;
 
 /// The tenant-equivalence battery: every tenant served by the
 /// multi-tenant fan-out engine must produce covers and emission times
@@ -44,59 +48,6 @@ std::vector<std::vector<DimValue>> MakeVariableTable(const Instance& inst,
     });
   }
   return reaches;
-}
-
-/// An independently-built single-tenant replica: the sub-instance of
-/// `mask`-relevant posts from `from` on, with its own coverage model
-/// (plain UniformLambda, or the VariableLambda rows restricted to the
-/// surviving labels).
-struct SingleTenant {
-  Instance sub;
-  std::vector<PostId> global_of_local;
-  std::unique_ptr<CoverageModel> model;
-};
-
-SingleTenant BuildSingleTenant(
-    const Instance& inst, LabelMask mask, PostId from, double lambda,
-    const std::vector<std::vector<DimValue>>* variable_table,
-    double max_reach) {
-  const std::vector<LabelId> global_labels = MaskToLabels(mask);
-  InstanceBuilder builder(static_cast<int>(global_labels.size()));
-  SingleTenant out;
-  std::vector<std::vector<DimValue>> restricted;
-  for (PostId p = from; p < inst.num_posts(); ++p) {
-    const LabelMask hit = inst.labels(p) & mask;
-    if (hit == 0) continue;
-    LabelMask local = 0;
-    for (size_t i = 0; i < global_labels.size(); ++i) {
-      if (MaskHas(hit, global_labels[i])) {
-        local |= MaskOf(static_cast<LabelId>(i));
-      }
-    }
-    builder.Add(inst.value(p), local, p);
-    out.global_of_local.push_back(p);
-    if (variable_table != nullptr) {
-      // Parent rows are ascending-label within labels(p); keep the
-      // entries whose label survives the mask, in the same order.
-      std::vector<DimValue> row;
-      size_t j = 0;
-      ForEachLabel(inst.labels(p), [&](LabelId a) {
-        if (MaskHas(mask, a)) row.push_back((*variable_table)[p][j]);
-        ++j;
-      });
-      restricted.push_back(std::move(row));
-    }
-  }
-  auto built = builder.Build();
-  EXPECT_TRUE(built.ok()) << built.status().ToString();
-  out.sub = std::move(built).value();
-  if (variable_table != nullptr) {
-    out.model =
-        std::make_unique<VariableLambda>(std::move(restricted), max_reach);
-  } else {
-    out.model = std::make_unique<UniformLambda>(lambda);
-  }
-  return out;
 }
 
 /// Compares one tenant of `engine` against its independent replica run

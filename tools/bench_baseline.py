@@ -44,6 +44,7 @@ Usage:
                           [--tenant-out BENCH_tenant.json]
                           [--serve-out BENCH_serve.json]
                           [--sanity] [--fig13-scale 0.02]
+                          [--only REGEX]   (stream suite only)
 
 --sanity is the CI mode: it still runs every binary end to end and
 validates the JSON it writes, but at the smallest workload scale and
@@ -170,24 +171,36 @@ def run_micro(build_dir, sanity):
     return entries, benchmark_host(build_dir, "bench_micro", context)
 
 
-def run_stream_micro(build_dir, sanity):
-    """bench_stream_micro's entries, the opt-vs-ref speedups and its
-    host block."""
-    stream_filter = "|".join(
-        [name for pair in STREAM_PAIRS for name in pair]
-        + STREAM_TIER_BENCHES)
+def run_stream_micro(build_dir, sanity, only=None):
+    """bench_stream_micro's entries and its host block. With `only` (a
+    regex), just the benches whose names it matches (re.search; a tier
+    bench by its family name) run."""
+    families = ([name for pair in STREAM_PAIRS for name in pair]
+                + STREAM_TIER_BENCHES)
+    required = REQUIRED_STREAM
+    if only is not None:
+        families = [name for name in families if re.search(only, name)]
+        if not families:
+            raise SystemExit(f"--only {only!r} matches no stream bench")
+        required = [name for name in REQUIRED_STREAM
+                    if name.split("/")[0] in families]
+    stream_filter = "^(" + "|".join(families) + ")(/.*)?$"
     context = {}
     entries = run_benchmark_json(
         os.path.join(build_dir, "bench", "bench_stream_micro"),
-        stream_filter, sanity, REQUIRED_STREAM, context)
+        stream_filter, sanity, required, context)
+    return entries, benchmark_host(build_dir, "bench_stream_micro", context)
+
+
+def stream_speedups(entries):
+    """Reference real_time / optimized real_time, per optimized bench."""
     speedups = {}
     for optimized, reference in STREAM_PAIRS:
         opt_time = entries[optimized]["real_time"]
         ref_time = entries[reference]["real_time"]
         speedups[optimized] = (
             round(ref_time / opt_time, 3) if opt_time > 0 else None)
-    return (entries, speedups,
-            benchmark_host(build_dir, "bench_stream_micro", context))
+    return speedups
 
 
 # One Figure 13 table row: lambda followed by the three per-post
@@ -611,9 +624,9 @@ def write_core(args, scale):
           f"(revision {reread['revision']})")
 
 
-def write_stream(args):
-    entries, speedups, host = run_stream_micro(args.build_dir, args.sanity)
-    doc = {
+def fresh_stream_doc(args, entries, host):
+    """A whole BENCH_stream.json document around one run's entries."""
+    return {
         "schema": "mqd-bench-stream/1",
         "revision": git_revision(),
         "recorded_unix": int(time.time()),
@@ -627,9 +640,39 @@ def write_stream(args):
                       "tau=600s)",
         },
         "bench_stream": entries,
-        # reference real_time / optimized real_time, per opt bench.
-        "speedup_vs_reference": speedups,
+        "speedup_vs_reference": stream_speedups(entries),
     }
+
+
+def rerecord_stream(args):
+    """Re-records, in place in --stream-out, only the entries --only
+    matches. Each re-recorded entry carries its own `revision` and
+    `recorded_unix`; every other entry, the file-level `revision` and an
+    existing `host` block stay. A file without a host block gains this
+    run's."""
+    try:
+        with open(args.stream_out) as f:
+            doc = json.load(f)
+    except OSError as err:
+        raise SystemExit(f"--only re-records an existing file: {err}")
+    entries, host = run_stream_micro(args.build_dir, False, args.only)
+    revision = git_revision()
+    recorded = int(time.time())
+    for name, entry in entries.items():
+        entry.update({"revision": revision, "recorded_unix": recorded})
+        doc["bench_stream"][name] = entry
+    doc.setdefault("host", host)
+    doc["speedup_vs_reference"] = stream_speedups(doc["bench_stream"])
+    return doc, sorted(entries)
+
+
+def write_stream(args):
+    if args.only is not None:
+        doc, recorded = rerecord_stream(args)
+    else:
+        entries, host = run_stream_micro(args.build_dir, args.sanity)
+        doc = fresh_stream_doc(args, entries, host)
+        recorded = sorted(entries)
 
     with open(args.stream_out, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
@@ -644,10 +687,10 @@ def write_stream(args):
         assert key in reread["host"], key
     summary = ", ".join(
         f"{name.removeprefix('BM_Stream')}={ratio}x"
-        for name, ratio in sorted(speedups.items()))
-    print(f"wrote {args.stream_out}: {len(reread['bench_stream'])} "
-          f"stream bench entries (revision {reread['revision']}); "
-          f"speedups vs reference: {summary}")
+        for name, ratio in sorted(reread["speedup_vs_reference"].items()))
+    print(f"wrote {args.stream_out}: recorded {len(recorded)} of "
+          f"{len(reread['bench_stream'])} stream bench entries (revision "
+          f"{git_revision()}); speedups vs reference: {summary}")
 
 
 def main():
@@ -665,10 +708,16 @@ def main():
     parser.add_argument("--sanity", action="store_true",
                         help="CI smoke mode: minimal reps, structure-"
                              "only validation, no timing thresholds")
+    parser.add_argument("--only", default=None, metavar="REGEX",
+                        help="stream suite: re-record in place only the "
+                             "bench_stream entries whose names match")
     parser.add_argument("--fig13-scale", type=float, default=None,
                         help="MQD_BENCH_SCALE for the fig13 leg "
                              "(default 0.1; 0.02 in --sanity mode)")
     args = parser.parse_args()
+    if args.only is not None and (args.suite != "stream" or args.sanity):
+        parser.error("--only needs --suite stream and no --sanity: it "
+                     "re-records entries of a committed full-scale file")
 
     scale = args.fig13_scale
     if scale is None:
