@@ -84,15 +84,15 @@ uint64_t InstanceFingerprint(const Instance& inst) {
 }
 
 Status StreamProcessor::RestoreEmissionLog(std::vector<Emission> emissions) {
-  std::vector<bool> flags(emitted_flag_.size(), false);
+  std::vector<bool> seen(inst_.num_posts(), false);
   for (const Emission& e : emissions) {
-    if (e.post >= flags.size()) {
+    if (e.post >= seen.size()) {
       return Status::InvalidArgument(
           StrFormat("snapshot emission references post %u of a %zu-post "
                     "instance",
-                    e.post, flags.size()));
+                    e.post, seen.size()));
     }
-    if (flags[e.post]) {
+    if (seen[e.post]) {
       return Status::InvalidArgument(
           StrFormat("snapshot emits post %u twice", e.post));
     }
@@ -101,9 +101,14 @@ Status StreamProcessor::RestoreEmissionLog(std::vector<Emission> emissions) {
           "snapshot emits post %u, which carries no label of the mask",
           e.post));
     }
-    flags[e.post] = true;
+    // Emit's repeat scan stops at the first time before the post's
+    // timestamp; `!(a >= b)` also rejects a NaN time.
+    if (!(e.emit_time >= inst_.value(e.post))) {
+      return Status::InvalidArgument(StrFormat(
+          "snapshot emits post %u before its timestamp", e.post));
+    }
+    seen[e.post] = true;
   }
-  emitted_flag_ = std::move(flags);
   emissions_ = std::move(emissions);
   return Status::OK();
 }

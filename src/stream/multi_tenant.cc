@@ -202,31 +202,40 @@ uint64_t MultiTenantStream::DeliverPending(Cluster& cluster,
   if (!cluster.health.ok()) return 0;  // quarantined: stops receiving
   MQD_DCHECK(cluster.cursor == window.from);
   // Per 64-post word, the union of the mask's label bits: every
-  // matching post once, in ascending id.
+  // matching post once, in ascending id, handed over in one Deliver.
   const size_t num_labels = static_cast<size_t>(inst_.num_labels());
+  StreamProcessor& processor = *cluster.processor;
   uint64_t delivered = 0;
+  PostId posts[64];
   for (size_t w = 0; w * num_labels < window.bits.size(); ++w) {
     const uint64_t* word = window.bits.data() + w * num_labels;
     uint64_t hits = 0;
     ForEachLabel(cluster.mask, [&](LabelId a) { hits |= word[a]; });
+    const PostId base = window.from + static_cast<PostId>(64 * w);
+    size_t n = 0;
     for (; hits != 0; hits &= hits - 1) {
-      const PostId post = window.from + static_cast<PostId>(
-                                            64 * w + std::countr_zero(hits));
+      const PostId post = base + static_cast<PostId>(std::countr_zero(hits));
       if (probe) {
         Status fault = FaultInjector::Global().MaybeInject("tenant.fanout");
         if (!fault.ok()) {
-          // Quarantine this cluster only: its tenants' queries return
-          // the fault; every other tenant's state is untouched.
-          cluster.health = std::move(fault);
-          obs::GetTenantMetrics().quarantines->Increment();
+          // The posts before the faulted one are delivered; then this
+          // cluster only is quarantined: its tenants' queries return
+          // the fault, and every other tenant's state is untouched.
+          processor.Deliver({posts, n});
           cluster.cursor = post;
-          return delivered;
+          cluster.health =
+              Status(fault.code(),
+                     StrFormat("%s (cluster quarantined at post %u)",
+                               fault.message().c_str(), post));
+          obs::GetTenantMetrics().quarantines->Increment();
+          return delivered + n;
         }
       }
-      cluster.processor->AdvanceTo(inst_.value(post));
-      cluster.processor->OnArrival(post);
-      ++delivered;
+      posts[n++] = post;
     }
+    if (n == 0) continue;
+    processor.Deliver({posts, n});
+    delivered += n;
   }
   cluster.cursor = window.end;
   return delivered;

@@ -68,11 +68,16 @@ inline constexpr TenantId kInvalidTenant = static_cast<TenantId>(-1);
 /// ascending global id. Independent replays (one engine each) are the
 /// unit of parallelism.
 ///
+/// Delivery: a cluster receives each 64-post word's matches, collected
+/// on the stack, through one StreamProcessor::Deliver call.
+///
 /// Allocation: each representative owns its window state in plain
-/// vectors. Each sweep allocates its batch bitmap (|L| words per 64
-/// posts). The shared tier's fire log and its per-label index grow by
-/// amortized appends (4 index bytes per fire), and each derivation
-/// allocates the returned vector plus std::inplace_merge's buffer.
+/// vectors, sized by its mask and window, and its emission log; no
+/// per-representative state is sized by the stream's length. Each
+/// sweep allocates its batch bitmap (|L| words per 64 posts). The
+/// shared tier's fire log and its per-label index grow by amortized
+/// appends (4 index bytes per fire), and each derivation allocates the
+/// returned vector plus std::inplace_merge's buffer.
 ///
 /// Churn: Subscribe after the first arrival joins at the current
 /// cursor (equal to a fresh tenant whose stream starts there);
@@ -82,9 +87,11 @@ inline constexpr TenantId kInvalidTenant = static_cast<TenantId>(-1);
 /// and RestoreTenant readmits it with exact catch-up.
 ///
 /// Fault sites: "tenant.fanout" probes each per-cluster delivery —
-/// a fire quarantines that cluster only (its tenants' queries return
-/// the fault; every other tenant stays bit-identical). "tenant.evict"
-/// probes EvictTenant and leaves the tenant intact on fire.
+/// a fire quarantines that cluster only after delivering the posts
+/// before the faulted one (its tenants' queries return the fault,
+/// naming the faulted post; every other tenant stays bit-identical).
+/// "tenant.evict" probes EvictTenant and leaves the tenant intact on
+/// fire.
 ///
 /// Not thread-safe; one engine per replay thread.
 class MultiTenantStream {
@@ -213,9 +220,9 @@ class MultiTenantStream {
   Window MakeWindow(PostId from, PostId end) const;
   /// Advances `cluster`, whose cursor must be window.from, through
   /// every post of its mask in the window, once each and in ascending
-  /// id; returns deliveries made. With `probe` each delivery hits the
-  /// tenant.fanout site first (a fire quarantines the cluster and
-  /// stops it).
+  /// id, one Deliver call per 64-post word; returns deliveries made.
+  /// With `probe` each delivery hits the tenant.fanout site first (a
+  /// fire stops the cluster at the faulted post and quarantines it).
   uint64_t DeliverPending(Cluster& cluster, const Window& window,
                           bool probe);
   /// One batch sweep of all live clusters up to `end`, with fault

@@ -1,6 +1,7 @@
 #include "stream/stream_scan.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -72,7 +73,7 @@ void StreamScanProcessor::Fire(uint8_t s, double when) {
   const PostId lu = state.uncovered.back();
   if (fire_log_enabled_) fire_log_.push_back(LabelFire{when, a, lu});
   Emit(lu, when);
-  state.lc = lu;
+  SetCoverer(state, lu, a);
   state.uncovered.clear();
   state.values.clear();
   Reindex(s);
@@ -86,14 +87,13 @@ void StreamScanProcessor::Fire(uint8_t s, double when) {
   // remove_if drops, element for element.
   // (Reach is the emitted post's, constant across the probe, so this
   // holds for variable models too.)
-  const DimValue v_lu = inst_.value(lu);
+  const DimValue v_lu = state.lc_value;
   ForEachLabel(labels(lu), [&](LabelId b) {
     if (b == a) return;
     const uint8_t t = slot_[b];
     LabelState& other = states_[t];
-    if (other.lc == kInvalidPost ||
-        v_lu > inst_.value(other.lc)) {
-      other.lc = lu;
+    if (other.lc == kInvalidPost || v_lu > other.lc_value) {
+      SetCoverer(other, lu, b);
     }
     if (other.uncovered.empty()) return;
     const DimValue reach = model_.Reach(inst_, lu, b);
@@ -110,18 +110,28 @@ void StreamScanProcessor::Fire(uint8_t s, double when) {
   });
 }
 
-void StreamScanProcessor::OnArrival(PostId post) {
+void StreamScanProcessor::Arrive(PostId post) {
+  const DimValue v = inst_.value(post);
   ForEachLabel(labels(post), [&](LabelId a) {
     const uint8_t s = slot_[a];
     LabelState& state = states_[s];
-    if (state.lc != kInvalidPost &&
-        model_.Covers(inst_, state.lc, a, post)) {
+    // CoverageModel::Covers(inst_, state.lc, a, post), on the cache.
+    if (std::fabs(state.lc_value - v) <= state.lc_reach) {
       return;  // already covered by the latest outputted relevant post
     }
     state.uncovered.push_back(post);
-    state.values.push_back(inst_.value(post));
+    state.values.push_back(v);
     Reindex(s);
   });
+}
+
+void StreamScanProcessor::OnArrival(PostId post) { Arrive(post); }
+
+void StreamScanProcessor::Deliver(std::span<const PostId> posts) {
+  for (PostId p : posts) {
+    AdvanceTo(inst_.value(p));
+    Arrive(p);
+  }
 }
 
 void StreamScanProcessor::Finish() { AdvanceTo(kNeverDeadline); }
@@ -193,6 +203,7 @@ Status StreamScanProcessor::RestoreStreamState(SnapshotReader* reader) {
   states_ = std::move(restored);
   for (size_t s = 0; s < states_.size(); ++s) {
     LabelState& state = states_[s];
+    if (state.lc != kInvalidPost) SetCoverer(state, state.lc, label_of_[s]);
     state.values.clear();
     state.values.reserve(state.uncovered.size());
     for (PostId p : state.uncovered) state.values.push_back(inst_.value(p));

@@ -2,6 +2,8 @@
 #define MQD_STREAM_STREAM_SCAN_H_
 
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "stream/checkpoint.h"
@@ -32,8 +34,10 @@ namespace mqd {
 /// label order, so equal deadlines fire the lowest label first — the
 /// reference implementation's first-minimum scan order. A deadline
 /// change re-plays one leaf-to-root path (O(log |mask|)), and an
-/// AdvanceTo that fires nothing reads the root once. Arrivals are
-/// value-ordered, so each label's `uncovered` list stays sorted; the
+/// AdvanceTo that fires nothing reads the root once. Each slot caches
+/// P_lc's value and reach, so an arrival's covered test reads only the
+/// slot, and Deliver runs a word of arrivals per virtual call. Arrivals
+/// are value-ordered, so each label's `uncovered` list stays sorted; the
 /// Scan+ cross-label prune therefore erases one contiguous run found
 /// by two binary searches instead of a linear remove_if. The output is
 /// emission-sequence-identical to StreamScanReferenceProcessor
@@ -54,6 +58,8 @@ class StreamScanProcessor final : public StreamProcessor,
   }
   void AdvanceTo(double now) override;
   void OnArrival(PostId post) override;
+  /// The base pair per post, both bound statically and inlined.
+  void Deliver(std::span<const PostId> posts) override;
   void Finish() override;
   double tau() const override { return tau_; }
 
@@ -90,6 +96,12 @@ class StreamScanProcessor final : public StreamProcessor,
 
  private:
   struct LabelState {
+    /// P_lc's value and its Reach for this label, cached whenever lc
+    /// changes so the arrival test needs neither the post table nor a
+    /// virtual Reach. While lc is kInvalidPost, lc_reach = -inf makes
+    /// the test fail for every post.
+    DimValue lc_value = 0.0;
+    DimValue lc_reach = -std::numeric_limits<DimValue>::infinity();
     /// Uncovered relevant posts since the last emission, ascending by
     /// value; front = P_ou, back = P_lu. Kept sorted by construction
     /// (arrivals are value-ordered), so the Scan+ prune can erase the
@@ -103,6 +115,10 @@ class StreamScanProcessor final : public StreamProcessor,
   };
 
   double Deadline(const LabelState& state) const;
+  /// OnArrival's body. Forced inline so that Deliver's loop holds the
+  /// arrival test and the clock advance in one body (measured on
+  /// posts_fanout); the compiler otherwise keeps it out of line.
+  [[gnu::always_inline]] inline void Arrive(PostId post);
   /// The winner of two tree nodes' slots, `x` from the left subtree:
   /// the earlier deadline, and on a tie the left (lower) slot.
   uint8_t Winner(uint8_t x, uint8_t y) const {
@@ -111,6 +127,12 @@ class StreamScanProcessor final : public StreamProcessor,
   /// Re-syncs slot s's deadline: no-op when unchanged, otherwise
   /// stores it and re-plays the leaf-to-root path of the winner tree.
   void Reindex(uint8_t s);
+  /// Makes `post` the lc of `state`, label `a`'s slot, with its cache.
+  void SetCoverer(LabelState& state, PostId post, LabelId a) const {
+    state.lc = post;
+    state.lc_value = inst_.value(post);
+    state.lc_reach = model_.Reach(inst_, post, a);
+  }
   /// Emits the P_lu of slot `s` at time `when` and applies the
   /// per-label (and, for +, cross-label) state updates.
   void Fire(uint8_t s, double when);

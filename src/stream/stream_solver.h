@@ -12,6 +12,7 @@
 #include "core/coverage.h"
 #include "core/instance.h"
 #include "core/types.h"
+#include "util/logging.h"
 #include "util/status.h"
 
 namespace mqd {
@@ -78,6 +79,11 @@ inline constexpr LabelMask kAllLabels = ~LabelMask{0};
 ///  * AdvanceTo(now) is called with non-decreasing `now` and must fire
 ///    every internal deadline <= now, in deadline order;
 ///  * OnArrival(p) is called after AdvanceTo(value(p));
+///  * Deliver(posts) is that pair for each post of an ascending run,
+///    in one call: the multi-tenant engine hands a cluster
+///    representative each 64-post word of its matches this way, and a
+///    final processor overrides it so the pair is inlined rather than
+///    two virtual calls per post;
 ///  * Finish() fires all remaining deadlines (end of stream);
 ///  * processors must only inspect posts that have arrived (the shared
 ///    Instance carries the whole stream for convenience, but peeking
@@ -94,15 +100,20 @@ class StreamProcessor {
  public:
   StreamProcessor(const Instance& inst, const CoverageModel& model,
                   LabelMask mask = kAllLabels)
-      : inst_(inst),
-        model_(model),
-        mask_(mask),
-        emitted_flag_(inst.num_posts(), false) {}
+      : inst_(inst), model_(model), mask_(mask) {}
   virtual ~StreamProcessor() = default;
 
   virtual std::string_view name() const = 0;
   virtual void AdvanceTo(double now) = 0;
   virtual void OnArrival(PostId post) = 0;
+  /// AdvanceTo(value(p)) then OnArrival(p), for each p in `posts`
+  /// (ascending ids).
+  virtual void Deliver(std::span<const PostId> posts) {
+    for (PostId p : posts) {
+      AdvanceTo(inst_.value(p));
+      OnArrival(p);
+    }
+  }
   virtual void Finish() = 0;
 
   /// The algorithm's report-delay bound; emissions later than
@@ -123,20 +134,32 @@ class StreamProcessor {
   /// Replaces the emission log wholesale — the checkpoint-restore
   /// path, which hands a fresh processor the killed run's emissions
   /// before the algorithm state is rebuilt. Rejects out-of-range or
-  /// duplicated posts, and posts carrying no label of the mask,
-  /// without touching current state.
+  /// duplicated posts, posts carrying no label of the mask, and posts
+  /// emitted before their timestamp (Emit's repeat scan relies on
+  /// that), without touching current state.
   Status RestoreEmissionLog(std::vector<Emission> emissions);
 
  protected:
   /// Records an emission; a post already emitted (e.g. for another
-  /// label) is not re-added (Z is a set).
+  /// label) is not re-added (Z is a set). No emission precedes its
+  /// post's timestamp, so while emission times do not decrease an
+  /// earlier emission of `post` lies in the log's suffix emitted at or
+  /// after value(post), which the loop scans backwards. Times do not
+  /// decrease under a uniform lambda, nor for StreamScan, StreamGreedy
+  /// or instant output; StreamScan+ under a variable lambda can step
+  /// back in time (DESIGN.md §11) but never emits a post twice. No tau
+  /// bound is checked here: replay counts late emissions.
   void Emit(PostId post, double time) {
-    if (emitted_flag_[post]) return;
-    emitted_flag_[post] = true;
+    const double arrival = inst_.value(post);
+    MQD_DCHECK(time >= arrival);
+    MQD_DCHECK(emissions_.empty() || time >= emissions_.back().emit_time ||
+               !model_.IsUniform());
+    for (auto it = emissions_.rbegin();
+         it != emissions_.rend() && it->emit_time >= arrival; ++it) {
+      if (it->post == post) return;
+    }
     emissions_.push_back(Emission{post, time});
   }
-
-  bool AlreadyEmitted(PostId post) const { return emitted_flag_[post]; }
 
   /// The labels of `post` this processor serves. Every label read of
   /// a processor goes through here, never through inst_.labels.
@@ -148,7 +171,6 @@ class StreamProcessor {
  private:
   LabelMask mask_;
   std::vector<Emission> emissions_;
-  std::vector<bool> emitted_flag_;
 };
 
 }  // namespace mqd

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/coverage.h"
@@ -334,6 +335,66 @@ TEST(ChaosTest, TenantFanoutFaultQuarantinesOneClusterOnly) {
     ASSERT_TRUE(got.ok() && want.ok());
     EXPECT_EQ(*got, *want) << "bystander tenant " << i << " diverged";
   }
+}
+
+/// A tenant.fanout fire at the k-th delivery inside one 64-post word:
+/// the cluster receives exactly the k-1 posts before the faulted one,
+/// is probed no further, and is quarantined with its cursor at the
+/// faulted post, which the quarantine status names.
+TEST(ChaosTest, TenantFanoutFaultMidWordDeliversOnlyThePrefix) {
+  ScopedDisarm disarm_guard;
+  constexpr PostId kPosts = 48;  // one delivery word
+  InstanceBuilder builder(1);
+  for (PostId p = 0; p < kPosts; ++p) {
+    builder.Add(static_cast<double>(p + 1), MaskOf(0), p);
+  }
+  auto inst = builder.Build();
+  ASSERT_TRUE(inst.ok());
+  UniformLambda model(4.0);
+
+  // Firing is a pure function of (seed, site, hit index): probe the
+  // schedule directly to find a seed whose first fire is mid-word.
+  constexpr std::string_view kSpec = "tenant.fanout:0.1";
+  FaultInjector& injector = FaultInjector::Global();
+  uint64_t seed = 0;
+  uint64_t k = 0;
+  for (uint64_t s = 1; s <= 200 && k == 0; ++s) {
+    ASSERT_TRUE(injector.ArmFromSpec(kSpec, s).ok());
+    for (uint64_t hit = 1; hit <= kPosts; ++hit) {
+      if (!injector.MaybeInject("tenant.fanout").ok()) {
+        if (hit >= 2 && hit < kPosts) {
+          seed = s;
+          k = hit;
+        }
+        break;
+      }
+    }
+    injector.Disarm();
+  }
+  ASSERT_GT(k, 0u) << "no seed fires mid-word";
+
+  auto engine = MultiTenantStream::Create(*inst, model,
+                                          StreamKind::kStreamScanPlus, 2.0);
+  ASSERT_TRUE(engine.ok());
+  auto id = (*engine)->Subscribe(MaskOf(0));
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(injector.ArmFromSpec(kSpec, seed).ok());
+  ASSERT_TRUE((*engine)->RunUntil(kPosts).ok());
+  EXPECT_EQ(injector.Hits("tenant.fanout"), k);
+  EXPECT_EQ(injector.Fires("tenant.fanout"), 1u);
+  injector.Disarm();
+  EXPECT_EQ((*engine)->fanout_deliveries(), k - 1);
+  ASSERT_TRUE((*engine)->RunToEnd().ok());
+  EXPECT_EQ((*engine)->fanout_deliveries(), k - 1);
+
+  const PostId faulted = static_cast<PostId>(k - 1);
+  auto emissions = (*engine)->TenantEmissions(*id);
+  ASSERT_FALSE(emissions.ok());
+  EXPECT_EQ(emissions.status().code(), StatusCode::kInternal);
+  EXPECT_NE(emissions.status().message().find(
+                "quarantined at post " + std::to_string(faulted) + ")"),
+            std::string::npos)
+      << emissions.status().ToString();
 }
 
 /// tenant.evict fires as a typed Status before a single byte is

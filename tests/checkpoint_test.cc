@@ -262,6 +262,47 @@ TEST(CheckpointTest, HandBuiltWindowRoundTrips) {
   }
 }
 
+/// The repeat rule across a restore: a plain StreamScan snapshot whose
+/// emission log ends with post 2 (fired by label 0 at 1.5) is resumed;
+/// label 1 then fires post 2 again at 2.5, and the restored processor
+/// drops that repeat, as the uninterrupted run does.
+TEST(CheckpointTest, RestoredLogEndingWithPostNeverReemitsIt) {
+  Instance inst = MakeInstance(4, {{0.0, MaskOf(0)},
+                                   {0.5, MaskOf(2)},
+                                   {1.0, MaskOf(0) | MaskOf(1)},
+                                   {1.6, MaskOf(3)}});
+  UniformLambda model(1.5);
+  const double tau = 5.0;
+  const PostId cut = 4;
+  auto victim = CreateStreamProcessor(StreamKind::kStreamScan, inst, model,
+                                      tau);
+  RunPrefix(inst, victim.get(), cut);
+  ASSERT_EQ(victim->emissions(), (std::vector<Emission>{{2, 1.5}}));
+  std::stringstream snapshot;
+  ASSERT_TRUE(SaveStreamCheckpoint(*victim, cut, snapshot).ok());
+
+  auto revived = CreateStreamProcessor(StreamKind::kStreamScan, inst, model,
+                                       tau);
+  auto cursor = RestoreStreamCheckpoint(revived.get(), inst, snapshot);
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  ASSERT_TRUE(ResumeStream(inst, revived.get(), *cursor).ok());
+  const std::vector<Emission> expected = {{2, 1.5}, {1, 2.0}, {3, 3.1}};
+  EXPECT_EQ(revived->emissions(), expected);
+
+  auto baseline = CreateStreamProcessor(StreamKind::kStreamScan, inst, model,
+                                        tau);
+  ASSERT_TRUE(RunStream(inst, baseline.get()).ok());
+  EXPECT_EQ(baseline->emissions(), expected);
+
+  // The repeat scan stops at the first entry emitted before the post's
+  // timestamp, so a log entry earlier than its own post is refused.
+  auto forged = CreateStreamProcessor(StreamKind::kStreamScan, inst, model,
+                                      tau);
+  EXPECT_EQ(forged->RestoreEmissionLog({{2, 0.5}}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(forged->RestoreEmissionLog({{2, 1.0}}).ok());
+}
+
 TEST(CheckpointTest, NonCheckpointableProcessorIsUnimplemented) {
   Instance inst = MakeInstance(1, {{0.0, MaskOf(0)}});
   UniformLambda model(1.0);

@@ -419,5 +419,28 @@ TEST(StreamDifferentialTest, MaskedDeadlineTieFiresLowestLabelFirst) {
   }
 }
 
+/// Plain StreamScan fires a post once per label whose P_lu it is, but
+/// Z is a set: post 2 (labels 0 and 1) is fired by label 0 at 1.5 and
+/// by label 1 at 2.5, and is emitted once, at 1.5, as the reference
+/// does. Label 2's emission at 2.0 sits between the two fires, so the
+/// repeat is found by scanning back past another post.
+TEST(StreamDifferentialTest, PostFiredByTwoLabelsIsEmittedOnce) {
+  UniformLambda model(1.5);
+  const double tau = 5.0;
+  Instance inst = MakeInstance(4, {{0.0, MaskOf(0)},
+                                   {0.5, MaskOf(2)},
+                                   {1.0, MaskOf(0) | MaskOf(1)},
+                                   {1.6, MaskOf(3)}});
+  StreamScanProcessor scan(inst, model, tau);
+  scan.EnableFireLog();
+  StreamScanReferenceProcessor reference(inst, model, tau);
+  EXPECT_EQ(ExpectIdenticalEmissions(inst, &scan, &reference, "repeat"), 3u);
+  const std::vector<Emission> expected = {{2, 1.5}, {1, 2.0}, {3, 3.1}};
+  EXPECT_EQ(scan.emissions(), expected);
+  const std::vector<StreamScanProcessor::LabelFire> fires = {
+      {1.5, 0, 2}, {2.0, 2, 1}, {2.5, 1, 2}, {3.1, 3, 3}};
+  EXPECT_EQ(scan.fire_log(), fires);
+}
+
 }  // namespace
 }  // namespace mqd

@@ -44,7 +44,11 @@ Usage:
                           [--tenant-out BENCH_tenant.json]
                           [--serve-out BENCH_serve.json]
                           [--sanity] [--fig13-scale 0.02]
-                          [--only REGEX]   (stream suite only)
+                          [--only REGEX]   (core or stream suite)
+
+--only re-records in place, in the suite's committed file, just the
+entries whose names match REGEX (re.search); each carries its own
+`revision` and `recorded_unix`, and every other entry stays as it was.
 
 --sanity is the CI mode: it still runs every binary end to end and
 validates the JSON it writes, but at the smallest workload scale and
@@ -89,6 +93,7 @@ REQUIRED_MICRO = [
 # reports it as an errored skip on non-AVX2 hardware).
 KERNELS = ["ArgmaxDense"]
 REQUIRED_MICRO += [f"BM_Kernel{k}/scalar" for k in KERNELS]
+MICRO_FAMILIES = [name.split("/")[0] for name in REQUIRED_MICRO]
 
 
 # Stream replay benches: each optimized processor paired with its
@@ -162,29 +167,38 @@ def benchmark_host(build_dir, binary, context):
     return host
 
 
-def run_micro(build_dir, sanity):
-    """bench_micro's entries and its host block."""
+def select_families(families, required, only, suite):
+    """The benchmark filter and required entries for the families whose
+    names `only` matches (re.search; a tiered bench by its family name,
+    so all its tiers run)."""
+    families = [name for name in families if re.search(only, name)]
+    if not families:
+        raise SystemExit(f"--only {only!r} matches no {suite} bench")
+    required = [name for name in required if name.split("/")[0] in families]
+    return "^(" + "|".join(families) + ")(/.*)?$", required
+
+
+def run_micro(build_dir, sanity, only=None):
+    """bench_micro's entries and its host block; with `only`, just the
+    matching benches."""
+    micro_filter, required = MICRO_FILTER, REQUIRED_MICRO
+    if only is not None:
+        micro_filter, required = select_families(
+            MICRO_FAMILIES, REQUIRED_MICRO, only, "core")
     context = {}
     entries = run_benchmark_json(
-        os.path.join(build_dir, "bench", "bench_micro"), MICRO_FILTER,
-        sanity, REQUIRED_MICRO, context)
+        os.path.join(build_dir, "bench", "bench_micro"), micro_filter,
+        sanity, required, context)
     return entries, benchmark_host(build_dir, "bench_micro", context)
 
 
 def run_stream_micro(build_dir, sanity, only=None):
-    """bench_stream_micro's entries and its host block. With `only` (a
-    regex), just the benches whose names it matches (re.search; a tier
-    bench by its family name) run."""
+    """bench_stream_micro's entries and its host block; with `only`,
+    just the matching benches."""
     families = ([name for pair in STREAM_PAIRS for name in pair]
                 + STREAM_TIER_BENCHES)
-    required = REQUIRED_STREAM
-    if only is not None:
-        families = [name for name in families if re.search(only, name)]
-        if not families:
-            raise SystemExit(f"--only {only!r} matches no stream bench")
-        required = [name for name in REQUIRED_STREAM
-                    if name.split("/")[0] in families]
-    stream_filter = "^(" + "|".join(families) + ")(/.*)?$"
+    stream_filter, required = select_families(
+        families, REQUIRED_STREAM, only if only is not None else "", "stream")
     context = {}
     entries = run_benchmark_json(
         os.path.join(build_dir, "bench", "bench_stream_micro"),
@@ -588,8 +602,35 @@ def git_revision():
 
 
 def write_core(args, scale):
+    if args.only is not None:
+        micro, host = run_micro(args.build_dir, False, args.only)
+        doc = rerecord(args.out, "bench_micro", micro, host)
+    else:
+        doc = fresh_core_doc(args, scale)
+        micro = doc["bench_micro"]
+
+    with open(args.out, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+    # Round-trip validation: the artifact must parse and carry every
+    # required family, in sanity mode and full mode alike.
+    reread = json.load(open(args.out))
+    for name in REQUIRED_MICRO:
+        assert name in reread["bench_micro"], name
+    for key in ("nproc", "simd", "compiler", "build_type"):
+        assert key in reread["host"], key
+    assert reread["fig13"]["sections"], "fig13 sections empty"
+    print(f"wrote {args.out}: recorded {len(micro)} of "
+          f"{len(reread['bench_micro'])} microbench entries, "
+          f"{len(reread['fig13']['sections'])} fig13 sections (revision "
+          f"{git_revision()})")
+
+
+def fresh_core_doc(args, scale):
+    """A whole BENCH_core.json document from one run of every bench."""
     micro, host = run_micro(args.build_dir, args.sanity)
-    doc = {
+    return {
         "schema": "mqd-bench-core/1",
         "revision": git_revision(),
         "recorded_unix": int(time.time()),
@@ -606,22 +647,6 @@ def write_core(args, scale):
         "bench_micro": micro,
         "fig13": run_fig13(args.build_dir, scale),
     }
-
-    with open(args.out, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-    # Round-trip validation: the artifact must parse and carry every
-    # required family, in sanity mode and full mode alike.
-    reread = json.load(open(args.out))
-    for name in REQUIRED_MICRO:
-        assert name in reread["bench_micro"], name
-    for key in ("nproc", "simd", "compiler", "build_type"):
-        assert key in reread["host"], key
-    assert reread["fig13"]["sections"], "fig13 sections empty"
-    print(f"wrote {args.out}: {len(reread['bench_micro'])} microbench "
-          f"entries, {len(reread['fig13']['sections'])} fig13 sections "
-          f"(revision {reread['revision']})")
 
 
 def fresh_stream_doc(args, entries, host):
@@ -644,31 +669,32 @@ def fresh_stream_doc(args, entries, host):
     }
 
 
-def rerecord_stream(args):
-    """Re-records, in place in --stream-out, only the entries --only
-    matches. Each re-recorded entry carries its own `revision` and
-    `recorded_unix`; every other entry, the file-level `revision` and an
-    existing `host` block stay. A file without a host block gains this
-    run's."""
+def rerecord(path, section, entries, host):
+    """The committed document at `path` with `entries` re-recorded in
+    place in its `section`. Each re-recorded entry carries its own
+    `revision` and `recorded_unix`; every other entry, the file-level
+    `revision` and an existing `host` block stay. A file without a host
+    block gains this run's."""
     try:
-        with open(args.stream_out) as f:
+        with open(path) as f:
             doc = json.load(f)
     except OSError as err:
         raise SystemExit(f"--only re-records an existing file: {err}")
-    entries, host = run_stream_micro(args.build_dir, False, args.only)
     revision = git_revision()
     recorded = int(time.time())
     for name, entry in entries.items():
         entry.update({"revision": revision, "recorded_unix": recorded})
-        doc["bench_stream"][name] = entry
+        doc[section][name] = entry
     doc.setdefault("host", host)
-    doc["speedup_vs_reference"] = stream_speedups(doc["bench_stream"])
-    return doc, sorted(entries)
+    return doc
 
 
 def write_stream(args):
     if args.only is not None:
-        doc, recorded = rerecord_stream(args)
+        entries, host = run_stream_micro(args.build_dir, False, args.only)
+        doc = rerecord(args.stream_out, "bench_stream", entries, host)
+        doc["speedup_vs_reference"] = stream_speedups(doc["bench_stream"])
+        recorded = sorted(entries)
     else:
         entries, host = run_stream_micro(args.build_dir, args.sanity)
         doc = fresh_stream_doc(args, entries, host)
@@ -709,15 +735,17 @@ def main():
                         help="CI smoke mode: minimal reps, structure-"
                              "only validation, no timing thresholds")
     parser.add_argument("--only", default=None, metavar="REGEX",
-                        help="stream suite: re-record in place only the "
-                             "bench_stream entries whose names match")
+                        help="core or stream suite: re-record in place "
+                             "only the entries whose names match")
     parser.add_argument("--fig13-scale", type=float, default=None,
                         help="MQD_BENCH_SCALE for the fig13 leg "
                              "(default 0.1; 0.02 in --sanity mode)")
     args = parser.parse_args()
-    if args.only is not None and (args.suite != "stream" or args.sanity):
-        parser.error("--only needs --suite stream and no --sanity: it "
-                     "re-records entries of a committed full-scale file")
+    if args.only is not None and (args.suite not in ("core", "stream")
+                                  or args.sanity):
+        parser.error("--only needs --suite core or stream and no "
+                     "--sanity: it re-records entries of a committed "
+                     "full-scale file")
 
     scale = args.fig13_scale
     if scale is None:
