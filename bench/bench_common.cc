@@ -2,11 +2,34 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <thread>
 
 #include "obs/exporter.h"
 #include "obs/metrics.h"
+#include "util/simd.h"
 
 namespace mqd::bench {
+
+void PrintHeader(std::string_view artifact, std::string_view setup,
+                 std::string_view paper_expectation) {
+  const std::string threads =
+      std::to_string(std::thread::hardware_concurrency());
+  const std::string tier(simd::LevelName(simd::Active()));
+  std::cout << "==========================================================\n"
+            << "Reproduction of " << artifact << "\n"
+            << "  (Cheng, Arvanitis, Chrobak, Hristidis: Multi-Query\n"
+            << "   Diversification in Microblogging Posts, EDBT 2014)\n"
+            << "Setup: " << setup << "\n"
+            << "Paper reports: " << paper_expectation << "\n"
+            << "Workload scale: " << FormatDouble(BenchScale(), 3)
+            << "x (set MQD_BENCH_SCALE to change)\n"
+            << "Host: " << threads << " hardware threads, SIMD tier " << tier
+            << "\n"
+            << "==========================================================\n";
+  TablePrinter host({"hardware_threads", "simd_tier"});
+  host.AddRow({threads, tier});
+  MaybeWriteCsv("host", host);
+}
 
 void MaybeWriteCsv(std::string_view artifact, const TablePrinter& table) {
   const char* dir = std::getenv("MQD_BENCH_CSV_DIR");

@@ -14,20 +14,12 @@
 namespace mqd::bench {
 
 /// Prints the standard banner every reproduction binary starts with:
-/// which paper artifact it regenerates and what qualitative shape the
-/// paper reports, so the console output is self-describing.
-inline void PrintHeader(std::string_view artifact, std::string_view setup,
-                        std::string_view paper_expectation) {
-  std::cout << "==========================================================\n"
-            << "Reproduction of " << artifact << "\n"
-            << "  (Cheng, Arvanitis, Chrobak, Hristidis: Multi-Query\n"
-            << "   Diversification in Microblogging Posts, EDBT 2014)\n"
-            << "Setup: " << setup << "\n"
-            << "Paper reports: " << paper_expectation << "\n"
-            << "Workload scale: " << FormatDouble(BenchScale(), 3)
-            << "x (set MQD_BENCH_SCALE to change)\n"
-            << "==========================================================\n";
-}
+/// which paper artifact it regenerates, what qualitative shape the
+/// paper reports and the host it runs on (hardware threads, SIMD
+/// tier), so the console output is self-describing. The host also
+/// goes to `host.csv` through MaybeWriteCsv.
+void PrintHeader(std::string_view artifact, std::string_view setup,
+                 std::string_view paper_expectation);
 
 inline void PrintSection(std::string_view title) {
   std::cout << "\n--- " << title << " ---\n";

@@ -67,6 +67,7 @@ void Run() {
       }
     }
     table.Print(std::cout);
+    bench::MaybeWriteCsv(StrFormat("fig13_time_L%d", L), table);
     std::cout << "checks: GreedySC/Scan time ratio at small lambda: "
               << FormatDouble(greedy_first / std::max(scan_first, 1e-9), 1)
               << "x; GreedySC time small->large lambda: "

@@ -1,17 +1,17 @@
 // Scaling benchmark of the thread-parallel batch solver engine: a
 // 50-instance batch (one instance per simulated user query-set) solved
-// with Scan+ and GreedySC at 1/2/4/8 threads. Emits the human table and a
-// machine-readable JSON summary line (prefix "JSON:") per
-// configuration, and verifies on every run that each thread count
-// returned bit-identical covers to the serial engine -- the
-// determinism contract the differential tests enforce exhaustively.
+// with Scan+ and GreedySC at 1/2/4/8 threads. Prints the table (and
+// writes it as CSV under MQD_BENCH_CSV_DIR), and verifies on every run
+// that each thread count returned bit-identical covers to the serial
+// engine -- the determinism contract the differential tests enforce
+// exhaustively.
 //
-// Speedup expectations assume real cores; on a single-core container
-// all thread counts degenerate to ~1x (the JSON records
-// hardware_threads so downstream tooling can tell these apart).
+// Speedup expectations assume real cores; on a single-core machine
+// all thread counts degenerate to ~1x (the header's host line and
+// host.csv record the hardware threads so readers can tell these
+// apart).
 #include <algorithm>
 #include <iostream>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -37,9 +37,6 @@ void Run() {
       "{Scan+, GreedySC} x {1,2,4,8} threads",
       "linear-ish batch speedup up to the core count; identical covers "
       "at every thread count");
-
-  const unsigned hw = std::thread::hardware_concurrency();
-  std::cout << "hardware threads: " << hw << "\n";
 
   const size_t batch_size = bench::Scaled(50, 4);
   std::vector<Instance> instances;
@@ -97,14 +94,6 @@ void Run() {
                     FormatDouble(seconds, 4), FormatDouble(speedup, 3),
                     FormatDouble(jobs.size() / std::max(seconds, 1e-9), 2),
                     identical ? "yes" : "NO"});
-      std::cout << "JSON: {\"bench\":\"parallel_batch\",\"algorithm\":\""
-                << algo.label << "\",\"threads\":" << threads
-                << ",\"batch_size\":" << jobs.size()
-                << ",\"seconds\":" << FormatDouble(seconds, 6)
-                << ",\"speedup\":" << FormatDouble(speedup, 4)
-                << ",\"hardware_threads\":" << hw
-                << ",\"identical_covers\":" << (identical ? "true" : "false")
-                << "}\n";
     }
   }
   table.Print(std::cout);

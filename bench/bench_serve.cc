@@ -29,8 +29,8 @@
 // budget. Latency is measured client-side, submit to callback, for
 // admitted+completed requests only (sheds answer inline).
 //
-// tools/bench_baseline.py records the table into BENCH_serve.json;
-// keep the columns stable.
+// tools/bench_baseline.py records the table's CSV export
+// (MQD_BENCH_CSV_DIR) into BENCH_serve.json; keep the columns stable.
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>

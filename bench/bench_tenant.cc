@@ -12,13 +12,12 @@
 // sweep per batch — matching how a serving layer drains a firehose.
 // One replay takes a few milliseconds, too short to time once, so
 // every row is the median of kRepeats runs, each on a fresh engine.
-// tools/bench_baseline.py records the table into BENCH_tenant.json;
-// keep the columns stable.
+// tools/bench_baseline.py records the table's CSV export
+// (MQD_BENCH_CSV_DIR) into BENCH_tenant.json; keep the columns stable.
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -29,7 +28,6 @@
 #include "stream/multi_tenant.h"
 #include "util/logging.h"
 #include "util/rng.h"
-#include "util/simd.h"
 #include "util/timer.h"
 
 namespace mqd {
@@ -151,9 +149,7 @@ void Run() {
   const Instance inst = PaperScaleInstance();
   UniformLambda model(300.0);
   const double tau = 300.0;
-  std::cout << "Stream: " << inst.num_posts() << " posts; hardware "
-            << "threads: " << std::thread::hardware_concurrency()
-            << "; SIMD tier: " << simd::LevelName(simd::Active()) << "\n";
+  std::cout << "Stream: " << inst.num_posts() << " posts\n";
 
   const std::vector<size_t> tenant_counts = {1000, 10000, 100000};
   TablePrinter table({"algo", "tenants", "clusters", "per_post_us",

@@ -6,6 +6,19 @@
 
 namespace mqd {
 
+ReferenceProcessor::ReferenceProcessor(const Instance& inst,
+                                       const CoverageModel& model)
+    : StreamProcessor(inst, model), emitted_(inst.num_posts(), false) {}
+
+void ReferenceProcessor::EmitOnce(PostId post, double when) {
+  if (emitted_[post]) return;
+  emitted_[post] = true;
+  const size_t before = emissions().size();
+  Emit(post, when);
+  MQD_CHECK(emissions().size() == before + 1)
+      << "Emit dropped post " << post << ", which was never emitted";
+}
+
 // ---------------------------------------------------------------------------
 // StreamScanReferenceProcessor — the pre-heap implementation, verbatim.
 // ---------------------------------------------------------------------------
@@ -13,7 +26,7 @@ namespace mqd {
 StreamScanReferenceProcessor::StreamScanReferenceProcessor(
     const Instance& inst, const CoverageModel& model, double tau,
     bool cross_label_pruning)
-    : StreamProcessor(inst, model),
+    : ReferenceProcessor(inst, model),
       tau_(tau),
       cross_label_pruning_(cross_label_pruning),
       labels_(static_cast<size_t>(inst.num_labels())) {
@@ -50,7 +63,7 @@ void StreamScanReferenceProcessor::Fire(LabelId a, double when) {
   LabelState& state = labels_[a];
   MQD_DCHECK(!state.uncovered.empty());
   const PostId lu = state.uncovered.back();
-  Emit(lu, when);
+  EmitOnce(lu, when);
   state.lc = lu;
   state.uncovered.clear();
 
@@ -92,7 +105,7 @@ void StreamScanReferenceProcessor::Finish() { AdvanceTo(kNeverDeadline); }
 StreamGreedyReferenceProcessor::StreamGreedyReferenceProcessor(
     const Instance& inst, const CoverageModel& model, double tau,
     bool stop_at_anchor)
-    : StreamProcessor(inst, model),
+    : ReferenceProcessor(inst, model),
       tau_(tau),
       stop_at_anchor_(stop_at_anchor),
       emitted_per_label_(static_cast<size_t>(inst.num_labels())) {
@@ -239,7 +252,7 @@ void StreamGreedyReferenceProcessor::RunBatch(double when) {
         }
       }
     });
-    Emit(z, when);
+    EmitOnce(z, when);
     RecordEmitted(z);
   };
 

@@ -8,6 +8,22 @@
 
 namespace mqd {
 
+/// Base of the reference processors: they keep their own emitted set
+/// and hand StreamProcessor::Emit only posts not emitted before, so a
+/// fault in Emit's repeat rule shows up as a difference from the
+/// optimized processors instead of in both.
+class ReferenceProcessor : public StreamProcessor {
+ protected:
+  ReferenceProcessor(const Instance& inst, const CoverageModel& model);
+
+  /// Emits `post` at `when` unless it was emitted before; a new post
+  /// must grow the log by exactly one.
+  void EmitOnce(PostId post, double when);
+
+ private:
+  std::vector<bool> emitted_;
+};
+
 /// Pre-overhaul StreamScan / StreamScan+ kept verbatim as the
 /// differential-testing oracle for the deadline-heap processor
 /// (stream/stream_scan.h): per arrival it rescans every label's
@@ -15,7 +31,7 @@ namespace mqd {
 /// Same contract PR 1/PR 3 used for the parallel and CSR overhauls —
 /// the optimized processor must reproduce this implementation's
 /// emission sequence (posts *and* times) bit for bit.
-class StreamScanReferenceProcessor final : public StreamProcessor {
+class StreamScanReferenceProcessor final : public ReferenceProcessor {
  public:
   StreamScanReferenceProcessor(const Instance& inst,
                                const CoverageModel& model, double tau,
@@ -47,7 +63,7 @@ class StreamScanReferenceProcessor final : public StreamProcessor {
 /// rebuilds by_label, re-probes emitted coverage and re-initializes
 /// all gains from the retained buffer suffix, and every covered pair
 /// decrements gains through a per-candidate Covers scan.
-class StreamGreedyReferenceProcessor final : public StreamProcessor {
+class StreamGreedyReferenceProcessor final : public ReferenceProcessor {
  public:
   StreamGreedyReferenceProcessor(const Instance& inst,
                                  const CoverageModel& model, double tau,

@@ -9,23 +9,17 @@ baseline"). Entries that exist on only one side — new benches, removed
 benches, /avx2 tiers absent on the current host — are reported but
 never fail the run.
 
-All five artifact schemas are understood:
-  core/stream - google-benchmark entries, compared by cpu_time
-                normalized to nanoseconds;
-  tenant      - the fan-out grid rows, compared by per-post cost
-                (keyed tenant/{algo}/tenants={n});
-  gap         - the certified lower/upper gaps, compared by gap size
-                (keyed gap/lambda={l}/seed={s} and gap/labels={n}).
-                These are deterministic at a fixed node budget, so
-                when baseline and current used the same budget any
-                ratio other than 1.00 is a real certificate change;
-  serve       - the overload-drill rows, compared by client-side p99
-                latency per lane (serve/rate={r}/{lane}_p99_ms) and
-                by time per completed request (serve/rate={r}/
-                ns_per_completed — goodput inverted so that, like
-                every other entry, a bigger ratio is a regression).
-A gap of zero on both sides compares as 1.0 (proven-optimal rows stay
-comparable); zero only on the baseline side is an infinite regression.
+Every file has the one schema tools/bench_baseline.py writes
+("mqd-bench/1"): each entry carries the number compared here (lower is
+better, timings normalized to nanoseconds), and an entry whose value is
+null (the Figure 13 rows) is recorded but not compared. A file without
+a host block, or with an entry that has no revision, is refused: the
+numbers would have no provenance. The certified gaps
+(gap/lambda={l}/seed={s}, gap/labels={n}) are deterministic at a fixed
+node budget, so when baseline and current used the same budget any
+ratio other than 1.00 is a real certificate change. A gap of zero on
+both sides compares as 1.0 (proven-optimal rows stay comparable); zero
+only on the baseline side is an infinite regression.
 
 The default threshold is deliberately loose: CI runners are noisy and
 the sanity-mode recordings use minimal repetitions, so this gate is a
@@ -43,46 +37,28 @@ import argparse
 import json
 import sys
 
-# cpu_time multipliers into nanoseconds.
-UNITS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+SCHEMA = "mqd-bench/1"
 
 
 def load_entries(path):
-    """Flattens one BENCH_*.json into {name: (value, display_unit)}."""
+    """The compared entries of one BENCH_*.json as {name: (value,
+    unit)}, and its sanity mode."""
     with open(path) as f:
         doc = json.load(f)
+    if doc.get("schema") != SCHEMA:
+        raise SystemExit(f"{path}: schema {doc.get('schema')!r}, want "
+                         f"{SCHEMA!r}")
+    if not doc.get("host"):
+        raise SystemExit(f"{path}: no host block")
     entries = {}
-    for family in ("bench_micro", "bench_stream"):
-        for name, row in doc.get(family, {}).items():
-            unit = row.get("time_unit", "ns")
-            if unit not in UNITS:
-                raise SystemExit(f"{path}: {name}: unknown time unit "
-                                 f"'{unit}'")
-            entries[name] = (row["cpu_time"] * UNITS[unit], "ns")
-    for row in doc.get("bench_tenant", {}).get("rows", []):
-        name = f"tenant/{row['algo']}/tenants={row['tenants']}"
-        entries[name] = (row["per_post_us"] * UNITS["us"], "ns")
-    for row in doc.get("bench_serve", {}).get("rows", []):
-        prefix = f"serve/rate={row['rate_x']}"
-        entries[f"{prefix}/stream_p99_ms"] = (
-            row["stream_p99_ms"] * UNITS["ms"], "ns")
-        entries[f"{prefix}/batch_p99_ms"] = (
-            row["batch_p99_ms"] * UNITS["ms"], "ns")
-        if row.get("goodput_rps", 0) > 0:
-            entries[f"{prefix}/ns_per_completed"] = (
-                1e9 / row["goodput_rps"], "ns")
-    gap_doc = doc.get("bench_gap", {})
-    for row in gap_doc.get("gap_vs_lambda", []):
-        name = f"gap/lambda={row['lambda_s']}/seed={row['seed']}"
-        entries[name] = (float(row["gap"]), "")
-    for row in gap_doc.get("gap_vs_labels", []):
-        entries[f"gap/labels={row['num_labels']}"] = (
-            float(row["gap"]), "")
+    for name, entry in doc["entries"].items():
+        if not entry.get("revision"):
+            raise SystemExit(f"{path}: entry {name} has no revision")
+        if entry["value"] is not None:
+            entries[name] = (entry["value"], entry["unit"])
     if not entries:
-        raise SystemExit(f"{path}: no comparable entries (expected "
-                         f"bench_micro/bench_stream/bench_tenant/"
-                         f"bench_gap/bench_serve)")
-    return entries, doc.get("sanity_mode", False)
+        raise SystemExit(f"{path}: no comparable entries")
+    return entries, doc["sanity_mode"]
 
 
 def main():
@@ -90,7 +66,7 @@ def main():
     parser.add_argument("baseline", help="committed BENCH_*.json")
     parser.add_argument("current", help="freshly recorded BENCH_*.json")
     parser.add_argument("--threshold", type=float, default=3.0,
-                        help="max allowed cpu_time ratio current/baseline "
+                        help="max allowed ratio current/baseline "
                              "(default 3.0: a catastrophic-regression "
                              "tripwire for noisy CI runners)")
     args = parser.parse_args()
