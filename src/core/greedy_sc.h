@@ -9,9 +9,11 @@ namespace mqd {
 /// with universe U = {(post, label)} and one set per post (the pairs
 /// that post lambda-covers); greedily pick the post covering the most
 /// still-uncovered pairs, ties toward the smallest PostId.
-/// Approximation ratio ln(|P| |L|) [Feige 98]. The argmax is a
-/// block-max index over the residual gains (internal::GreedyState), so
-/// a round costs O(|P|/64 + the PostId span its selection touched).
+/// Approximation ratio ln(|P| |L|) [Feige 98]. internal::GreedyState
+/// answers the argmax from a block-max index over the residual gains
+/// and reads each newly covered pair's coverers from a per-solve window
+/// table, so a round costs O(|P|/64 + the PostId span its selection
+/// touched).
 class GreedySCSolver final : public Solver {
  public:
   std::string_view name() const override { return "GreedySC"; }

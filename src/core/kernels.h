@@ -7,7 +7,9 @@
 #include "util/simd.h"
 
 /// The one SIMD-dispatched kernel (DESIGN.md §15): the dense argmax
-/// under GreedySC's block-max index and StreamGreedy's window batch.
+/// of GreedySC's Best() (over the block maxima, then inside the
+/// winning block) and of StreamGreedy's window batch. GreedySC's
+/// block rebuilds need only a block's maximum value and do not call it.
 ///
 /// The scalar body is the semantic reference; the AVX2 body
 /// (kernels_avx2.cc) must return the same index for every input —

@@ -210,5 +210,67 @@ TEST(GreedyOracleTest, AllEqualGainsTieToSmallestPostId) {
   }
 }
 
+TEST(GreedyOracleTest, WindowTableEdges) {
+  // Labels of 1-5 posts, shorter than the window sweep's four-value
+  // step: only its scalar tail runs. Even posts of label 0 also carry
+  // label 2, so posts cover pairs in several short labels at once.
+  for (int n = 1; n <= 5; ++n) {
+    for (int spacing = 1; spacing <= 3; ++spacing) {
+      std::vector<std::pair<DimValue, LabelMask>> posts;
+      for (int i = 0; i < n; ++i) {
+        posts.push_back({1.0 * spacing * i,
+                         MaskOf(0) | (i % 2 == 0 ? MaskOf(2) : 0)});
+      }
+      for (int i = 0; i < 6 - n; ++i) {
+        posts.push_back({spacing * i + 0.5, MaskOf(1)});
+      }
+      const Instance inst = MakeInstance(3, posts);
+      for (DimValue lambda : {0.0, 0.5, 1.0, 2.0, 4.0, 100.0}) {
+        const std::string what = "short n " + std::to_string(n) +
+                                 " spacing " + std::to_string(spacing) +
+                                 " lambda " + std::to_string(lambda);
+        ExpectMatchesOracle(inst, UniformLambda(lambda), what);
+        ExpectMatchesOracle(inst, *Proportional(inst, 1.0 + lambda),
+                            what + " proportional");
+      }
+    }
+  }
+  // Equal-value bursts longer than four posts, starting at every offset
+  // modulo the step, with integer values and lambdas so the window
+  // edges fall exactly on the burst: at lambda 2 the burst value is
+  // within reach of the last prefix post and of the first suffix post
+  // (both two away), at lambda 1 it is not. With no suffix, label 0's
+  // burst is its tail, and label 1 always ends in a burst, so their
+  // windows end at |LP(a)|: label 0's end marker lands on label 1's
+  // first difference-array slot, label 1's on the trailing slot.
+  for (int burst = 5; burst <= 9; ++burst) {
+    for (int offset = 0; offset <= 4; ++offset) {
+      for (int suffix : {0, 2}) {
+        std::vector<std::pair<DimValue, LabelMask>> posts;
+        const DimValue at = offset + 1.0;
+        for (int i = 0; i < offset; ++i) posts.push_back({1.0 * i, MaskOf(0)});
+        for (int i = 0; i < burst; ++i) {
+          posts.push_back({at, MaskOf(0) | (i % 3 == 0 ? MaskOf(1) : 0)});
+        }
+        for (int i = 0; i < suffix; ++i) {
+          posts.push_back({at + 2.0 + i, MaskOf(0)});
+        }
+        for (int i = 0; i < 3; ++i) posts.push_back({at + 1.0 * i, MaskOf(1)});
+        for (int i = 0; i < burst; ++i) posts.push_back({at + 4.0, MaskOf(1)});
+        const Instance inst = MakeInstance(2, posts);
+        for (DimValue lambda : {1.0, 2.0, 3.0, 4.0}) {
+          const std::string what =
+              "burst " + std::to_string(burst) + " offset " +
+              std::to_string(offset) + " suffix " + std::to_string(suffix) +
+              " lambda " + std::to_string(lambda);
+          ExpectMatchesOracle(inst, UniformLambda(lambda), what);
+          ExpectMatchesOracle(inst, *Proportional(inst, lambda),
+                              what + " proportional");
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mqd
