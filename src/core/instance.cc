@@ -1,7 +1,6 @@
 #include "core/instance.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 
@@ -72,7 +71,7 @@ Instance Instance::Restrict(std::span<const LabelId> labels,
   // is rank[d / 64] + (marked bits below d inside its word).
   std::vector<PostId> rank(bits.size() + 1, 0);
   for (size_t w = 0; w < bits.size(); ++w) {
-    rank[w + 1] = rank[w] + static_cast<PostId>(std::popcount(bits[w]));
+    rank[w + 1] = rank[w] + static_cast<PostId>(BitCount(bits[w]));
   }
 
   Instance out;
@@ -100,7 +99,7 @@ Instance Instance::Restrict(std::span<const LabelId> labels,
       const PostId d = global - from_post;
       const uint64_t below = bits[d >> 6] & ((uint64_t{1} << (d & 63)) - 1);
       const PostId local =
-          rank[d >> 6] + static_cast<PostId>(std::popcount(below));
+          rank[d >> 6] + static_cast<PostId>(BitCount(below));
       Post& post = out.posts_[local];
       post.value = values[j];
       post.labels |= bit;

@@ -1,7 +1,8 @@
 #include "simhash/simhash.h"
 
 #include <array>
-#include <bit>
+
+#include "core/types.h"
 
 namespace mqd {
 
@@ -24,6 +25,20 @@ constexpr std::array<uint64_t, 256> kSpread = MakeSpreadTable();
 /// A one-byte lane holds at most 255 before it wraps.
 constexpr size_t kDrainEvery = 255;
 
+/// Below this many tokens no lane passes 127, and SimHash thresholds
+/// the lanes in place.
+constexpr size_t kInPlaceBelow = 128;
+
+constexpr uint64_t kLowBytes = 0x0101010101010101ULL;
+
+/// Bit j of the result is the top bit of byte j of `x`: the multiply
+/// moves byte j's bit (at 8j after the shift) to bit 56 + j, and every
+/// other partial product lands below bit 56 on a distinct bit or above
+/// bit 63.
+constexpr uint64_t TopBitsOfBytes(uint64_t x) {
+  return (((x >> 7) & kLowBytes) * 0x0102040810204080ULL) >> 56;
+}
+
 }  // namespace
 
 uint64_t HashToken(std::string_view token) {
@@ -43,11 +58,33 @@ uint64_t HashToken(std::string_view token) {
 }
 
 uint64_t SimHash(const std::vector<std::string>& tokens) {
-  // ones[b] counts the tokens whose hash has bit b set. lanes[k] holds
-  // the pending counts of bits 8k..8k+7, one per byte, and is drained
-  // into `ones` before any byte can pass 255.
-  std::array<uint64_t, 64> ones{};
+  // lanes[k] counts, in byte j, the tokens whose hash has bit 8k + j
+  // set. Bit b's vote sum is ones - (n - ones), positive iff
+  // 2 * ones > n, i.e. iff ones >= n / 2 + 1.
+  const size_t n = tokens.size();
   std::array<uint64_t, 8> lanes{};
+  auto tally = [&](const std::string& token) {
+    const uint64_t h = HashToken(token);
+    for (size_t k = 0; k < 8; ++k) {
+      lanes[k] += kSpread[(h >> (8 * k)) & 0xFF];
+    }
+  };
+  uint64_t fingerprint = 0;
+  if (n < kInPlaceBelow) {
+    // Adding 0x80 - (n / 2 + 1) to a byte holding `ones` reaches 0x80
+    // exactly when ones >= n / 2 + 1, so each byte's top bit is its
+    // fingerprint bit. With n < 128 a byte ends at most at
+    // n + 127 - n / 2 <= 191, so the add never carries across lanes.
+    for (const std::string& token : tokens) tally(token);
+    const uint64_t bias = (0x80 - (n / 2 + 1)) * kLowBytes;
+    for (size_t k = 0; k < 8; ++k) {
+      fingerprint |= TopBitsOfBytes(lanes[k] + bias) << (8 * k);
+    }
+    return fingerprint;
+  }
+  // Longer lists can pass 255 in a byte: drain the lanes into 64 full
+  // counters every kDrainEvery tokens.
+  std::array<uint64_t, 64> ones{};
   auto drain = [&] {
     for (size_t k = 0; k < 8; ++k) {
       for (size_t j = 0; j < 8; ++j) {
@@ -58,25 +95,19 @@ uint64_t SimHash(const std::vector<std::string>& tokens) {
   };
   size_t pending = 0;
   for (const std::string& token : tokens) {
-    const uint64_t h = HashToken(token);
-    for (size_t k = 0; k < 8; ++k) {
-      lanes[k] += kSpread[(h >> (8 * k)) & 0xFF];
-    }
+    tally(token);
     if (++pending == kDrainEvery) {
       drain();
       pending = 0;
     }
   }
   drain();
-  // Bit b's vote sum is ones - (n - ones), positive iff 2 * ones > n.
-  const uint64_t n = tokens.size();
-  uint64_t fingerprint = 0;
   for (size_t bit = 0; bit < 64; ++bit) {
     if (2 * ones[bit] > n) fingerprint |= uint64_t{1} << bit;
   }
   return fingerprint;
 }
 
-int HammingDistance(uint64_t a, uint64_t b) { return std::popcount(a ^ b); }
+int HammingDistance(uint64_t a, uint64_t b) { return BitCount(a ^ b); }
 
 }  // namespace mqd

@@ -77,10 +77,19 @@ void MultiTenantStream::EnsureSharedScan() {
 void MultiTenantStream::IndexNewFires() {
   const std::vector<StreamScanProcessor::LabelFire>& log =
       shared_scan_->fire_log();
-  for (size_t i = indexed_fires_; i < log.size(); ++i) {
-    fires_by_label_[log[i].label].push_back(static_cast<uint32_t>(i));
+  for (size_t i = earlier_labels_.size(); i < log.size(); ++i) {
+    const StreamScanProcessor::LabelFire& fire = log[i];
+    fires_by_label_[fire.label].push_back(static_cast<uint32_t>(i));
+    // Fire times do not decrease and no fire precedes its post's
+    // arrival, so earlier fires of the post lie in the suffix fired at
+    // or after value(post) -- at most tau of fires, as in Emit.
+    const double arrival = inst_.value(fire.post);
+    LabelMask earlier = 0;
+    for (size_t j = i; j-- > 0 && log[j].time >= arrival;) {
+      if (log[j].post == fire.post) earlier |= MaskOf(log[j].label);
+    }
+    earlier_labels_.push_back(earlier);
   }
-  indexed_fires_ = log.size();
 }
 
 std::unique_ptr<MultiTenantStream::Cluster> MultiTenantStream::BuildCluster(
@@ -310,15 +319,14 @@ Status MultiTenantStream::RunToEnd() {
 std::vector<Emission> MultiTenantStream::DeriveSharedEmissions(
     LabelMask mask) const {
   // Merge the tenant's per-label fire positions back into log order
-  // and drop repeat posts: exactly the Emit() sequence of a private
-  // StreamScan over the tenant's sub-stream, because per-label state
-  // is independent and fires happen in (deadline, label) order on
-  // both sides. Both buffers are thread-local and reused; `seen` is
-  // all-zero between calls because only the entries set here are
-  // cleared on the way out, so a query touches O(tenant fires), never
-  // O(log) or O(num_posts).
+  // and keep each post's first fire within the mask: exactly the Emit()
+  // sequence of a private StreamScan over the tenant's sub-stream,
+  // because per-label state is independent and fires happen in
+  // (deadline, label) order on both sides. A fire is a repeat iff a
+  // label of the mask fired its post earlier, which its
+  // earlier_labels_ entry answers without reading the log. `merged`
+  // is thread-local and reused, so a query touches O(tenant fires).
   thread_local std::vector<uint32_t> merged;
-  thread_local std::vector<uint8_t> seen;
   merged.clear();
   ForEachLabel(mask, [&](LabelId a) {
     const std::vector<uint32_t>& fires = fires_by_label_[a];
@@ -326,19 +334,16 @@ std::vector<Emission> MultiTenantStream::DeriveSharedEmissions(
     merged.insert(merged.end(), fires.begin(), fires.end());
     std::inplace_merge(merged.begin(), merged.begin() + mid, merged.end());
   });
-  if (seen.size() < inst_.num_posts()) seen.resize(inst_.num_posts());
 
   const std::vector<StreamScanProcessor::LabelFire>& log =
       shared_scan_->fire_log();
   std::vector<Emission> out;
   out.reserve(merged.size());
   for (uint32_t position : merged) {
+    if ((earlier_labels_[position] & mask) != 0) continue;
     const StreamScanProcessor::LabelFire& fire = log[position];
-    if (seen[fire.post]) continue;
-    seen[fire.post] = 1;
     out.push_back(Emission{fire.post, fire.time});
   }
-  for (const Emission& e : out) seen[e.post] = 0;
   return out;
 }
 

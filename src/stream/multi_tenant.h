@@ -229,7 +229,8 @@ class MultiTenantStream {
   /// probes while the injector is armed; returns deliveries made.
   uint64_t SweepClusters(PostId end);
   void EnsureSharedScan();
-  /// Appends the fire log's unindexed tail to `fires_by_label_`.
+  /// Appends the fire log's unindexed tail to `fires_by_label_` and
+  /// `earlier_labels_`.
   void IndexNewFires();
   std::vector<Emission> DeriveSharedEmissions(LabelMask mask) const;
   void Deactivate(TenantId tenant);
@@ -251,10 +252,13 @@ class MultiTenantStream {
   /// and kept running for later restores even if all of them leave.
   std::unique_ptr<StreamScanProcessor> shared_scan_;
   /// Per label, the ascending positions of its fires in
-  /// `shared_scan_->fire_log()`; covers the first `indexed_fires_`
-  /// entries of the log.
+  /// `shared_scan_->fire_log()`; covers the first
+  /// `earlier_labels_.size()` entries of the log.
   std::vector<std::vector<uint32_t>> fires_by_label_;
-  size_t indexed_fires_ = 0;
+  /// Per indexed fire, the labels that fired the same post at an
+  /// earlier log position: the fire is a repeat for exactly the
+  /// tenants whose mask meets it.
+  std::vector<LabelMask> earlier_labels_;
 
   std::vector<std::unique_ptr<Cluster>> clusters_;  // tombstone = null
   size_t live_clusters_ = 0;

@@ -1,5 +1,6 @@
 #include "text/tokenizer.h"
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 
@@ -53,6 +54,50 @@ constexpr const ByteInfo& InfoOf(char c) {
   return kBytes[static_cast<unsigned char>(c)];
 }
 
+/// The token being read, lowercased into a stack buffer so only kept
+/// tokens allocate a std::string. A token that outgrows the buffer
+/// moves to a heap string for the rest of its bytes; clear() returns
+/// to the stack buffer (the heap string keeps its capacity).
+class TokenBuffer {
+ public:
+  TokenBuffer() = default;
+  TokenBuffer(const TokenBuffer&) = delete;
+  TokenBuffer& operator=(const TokenBuffer&) = delete;
+
+  std::string_view view() const { return {data_, size_}; }
+  bool empty() const { return size_ == 0; }
+  void clear() {
+    data_ = stack_;
+    size_ = 0;
+  }
+
+  /// Grows the token by `n` bytes and returns where they go.
+  char* Extend(size_t n) {
+    if (size_ + n > capacity()) MoveToHeap(size_ + n);
+    char* out = data_ + size_;
+    size_ += n;
+    return out;
+  }
+
+ private:
+  static constexpr size_t kStackBytes = 64;
+
+  size_t capacity() const {
+    return data_ == stack_ ? kStackBytes : heap_.size();
+  }
+
+  void MoveToHeap(size_t need) {
+    if (data_ == stack_) heap_.assign(stack_, size_);
+    heap_.resize(std::max(need, 2 * capacity()));
+    data_ = heap_.data();
+  }
+
+  char stack_[kStackBytes] = {};
+  std::string heap_;
+  char* data_ = stack_;
+  size_t size_ = 0;
+};
+
 }  // namespace
 
 Tokenizer::Tokenizer(TokenizerOptions options) : options_(options) {}
@@ -63,23 +108,22 @@ std::vector<std::string> Tokenizer::Tokenize(std::string_view text) const {
   // 6.9 bytes per kept token, so one slot per 4 bytes rarely regrows;
   // every caller drops the vector after use.
   tokens.reserve(text.size() / 4 + 1);
-  std::string current;
+  TokenBuffer current;
   auto flush = [&] {
-    if (current.empty()) return;
+    // clear() leaves the bytes in place, so `token` stays valid until
+    // the next Extend.
+    const std::string_view token = current.view();
+    current.clear();
+    if (token.empty()) return;
     // Drop URLs. A token holds no '.', so "www." chunks never get here.
-    if (current.size() >= 4 && current.compare(0, 4, "http") == 0) {
-      current.clear();
-      return;
-    }
+    if (token.starts_with("http")) return;
     // A bare '#'/'$' is noise.
-    const bool tagged = current[0] == '#' || current[0] == '$';
-    const std::string_view body =
-        tagged ? std::string_view(current).substr(1) : current;
+    const bool tagged = token[0] == '#' || token[0] == '$';
+    const std::string_view body = tagged ? token.substr(1) : token;
     if (body.size() >= options_.min_token_length &&
         !(options_.remove_stopwords && IsStopword(body))) {
-      tokens.push_back(current);
+      tokens.emplace_back(token);
     }
-    current.clear();
   };
 
   const char* p = text.data();
@@ -93,16 +137,15 @@ std::vector<std::string> Tokenizer::Tokenize(std::string_view text) const {
         do {
           ++p;
         } while (p != end && InfoOf(*p).cls == ByteClass::kWord);
-        const size_t old_size = current.size();
-        current.resize(old_size + static_cast<size_t>(p - run));
-        for (char* out = current.data() + old_size; run != p; ++run, ++out) {
+        for (char* out = current.Extend(static_cast<size_t>(p - run));
+             run != p; ++run, ++out) {
           *out = InfoOf(*run).lower;
         }
         continue;
       }
       case ByteClass::kTag:
         if (current.empty() && options_.keep_tag_prefixes) {
-          current.push_back(raw);
+          *current.Extend(1) = raw;
         } else {
           flush();
         }
@@ -113,8 +156,9 @@ std::vector<std::string> Tokenizer::Tokenize(std::string_view text) const {
         // Entering a URL chunk ("http://...", "www.example.com"): drop
         // it wholesale rather than emitting its fragments, up to the
         // whitespace byte that ends it.
-        if (raw == ':' ? (current == "http" || current == "https")
-                       : current == "www") {
+        if (raw == ':'
+                ? (current.view() == "http" || current.view() == "https")
+                : current.view() == "www") {
           current.clear();
           do {
             ++p;

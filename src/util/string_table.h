@@ -1,6 +1,7 @@
 #ifndef MQD_UTIL_STRING_TABLE_H_
 #define MQD_UTIL_STRING_TABLE_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -18,6 +19,13 @@ namespace mqd {
 /// power-of-two capacity kept at least 4x the key count), so a miss
 /// usually reads one slot and a hit confirms the key with an exact
 /// byte comparison. Key bytes live in one buffer.
+///
+/// Most lookups miss (a post's tokens are mostly neither stopwords nor
+/// keywords), so a 512-word filter rejects most misses with one load
+/// before any hashing: a key picks a word by its length mod 8 and its
+/// first byte mod 64, and a bit in it by its last byte mod 64; every
+/// insertion sets its key's bit. A clear bit proves the key absent; a
+/// set one falls through to the probe.
 template <typename V>
 class StringTable {
  public:
@@ -25,6 +33,7 @@ class StringTable {
   /// is valid until the next insertion.
   V& operator[](std::string_view key) {
     if (slots_.size() < 4 * (entries_.size() + 1)) Grow();
+    filter_[FilterWord(key)] |= FilterBit(key);
     const uint64_t h = Hash(key);
     for (size_t i = h >> shift_;; i = (i + 1) & mask_) {
       const uint32_t slot = slots_[i];
@@ -44,7 +53,7 @@ class StringTable {
 
   /// The value of `key`, or nullptr when it was never inserted.
   const V* Find(std::string_view key) const {
-    if (entries_.empty()) return nullptr;
+    if ((filter_[FilterWord(key)] & FilterBit(key)) == 0) return nullptr;
     const uint64_t h = Hash(key);
     for (size_t i = h >> shift_;; i = (i + 1) & mask_) {
       const uint32_t slot = slots_[i];
@@ -55,6 +64,23 @@ class StringTable {
   }
 
  private:
+  static constexpr size_t kFilterWords = 512;
+
+  /// The filter word of `key`: (size mod 8, first byte mod 64); the
+  /// empty key reads as first byte 0.
+  static size_t FilterWord(std::string_view key) {
+    const size_t first =
+        key.empty() ? 0 : static_cast<uint8_t>(key.front()) & 63u;
+    return (key.size() & 7u) << 6 | first;
+  }
+
+  /// The filter bit of `key`: its last byte mod 64 (0 for the empty key).
+  static uint64_t FilterBit(std::string_view key) {
+    const unsigned last =
+        key.empty() ? 0 : static_cast<uint8_t>(key.back()) & 63u;
+    return uint64_t{1} << last;
+  }
+
   /// Reads the first and last 8 bytes (4 for keys of 4-7 bytes, each
   /// byte for 1-3) and the length: nothing outside `key` is read, and
   /// the bytes between the two words of a key over 16 bytes are left
@@ -112,6 +138,8 @@ class StringTable {
   /// 0 for a free slot, else 1 + the position of its entry.
   std::vector<uint32_t> slots_;
   std::vector<Entry> entries_;
+  /// All zero while the table is empty, so Find on it probes nothing.
+  std::array<uint64_t, kFilterWords> filter_{};
   std::string bytes_;
   size_t mask_ = 0;
   unsigned shift_ = 64;

@@ -25,6 +25,7 @@ namespace mqd {
 namespace {
 
 using ::mqd::testing::BuildSingleTenant;
+using ::mqd::testing::MakeInstance;
 using ::mqd::testing::SingleTenant;
 
 /// The tenant-equivalence battery: every tenant served by the
@@ -603,6 +604,71 @@ TEST(TenantSharedTierTest, MidStreamDerivationMatchesGlobalClockReplay) {
     }
   }
   EXPECT_GE(checks, 3000u) << "mid-stream battery under-sampled";
+}
+
+TEST(TenantSharedTierTest, RepeatFiresAreDroppedOnlyWithinTheMask) {
+  // lambda 1.5, tau 5: a label fires its latest uncovered post 1.5
+  // after its oldest uncovered one arrived. Post 1 is fired by label 0
+  // (outside the tenant's mask) at 1.5, then by label 1 at 2.5; post 3
+  // by label 2 at 5.5, when post 4 arrives, then by label 1 at 6.5,
+  // when post 5 arrives, so one-post windows index the two in
+  // different RunUntil calls.
+  UniformLambda model(1.5);
+  const double tau = 5.0;
+  const Instance inst = MakeInstance(4, {{0.0, MaskOf(0)},
+                                         {1.0, MaskOf(0) | MaskOf(1)},
+                                         {4.0, MaskOf(2)},
+                                         {5.0, MaskOf(1) | MaskOf(2)},
+                                         {6.0, MaskOf(3)},
+                                         {7.0, MaskOf(3)}});
+  StreamScanProcessor scan(inst, model, tau);
+  scan.EnableFireLog();
+  ASSERT_TRUE(RunStream(inst, &scan).ok());
+  const std::vector<StreamScanProcessor::LabelFire> fires = {
+      {1.5, 0, 1}, {2.5, 1, 1}, {5.5, 2, 3}, {6.5, 1, 3}, {7.5, 3, 5}};
+  ASSERT_EQ(scan.fire_log(), fires);
+
+  auto engine =
+      MultiTenantStream::Create(inst, model, StreamKind::kStreamScan, tau);
+  ASSERT_TRUE(engine.ok());
+  const std::vector<LabelMask> masks = {MaskOf(1) | MaskOf(2), MaskOf(1),
+                                        MaskOf(0) | MaskOf(1)};
+  std::vector<TenantId> ids;
+  std::vector<GlobalClockReplay> oracles(masks.size());
+  for (size_t i = 0; i < masks.size(); ++i) {
+    auto id = (*engine)->Subscribe(masks[i]);
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+    auto view = BuildTenantView(inst, model, masks[i], 0);
+    ASSERT_TRUE(view.ok());
+    oracles[i].view = std::move(*view);
+    oracles[i].processor = std::make_unique<StreamScanProcessor>(
+        oracles[i].view.sub, *oracles[i].view.model, tau);
+  }
+  auto check_all = [&](const std::string& where) {
+    for (size_t i = 0; i < masks.size(); ++i) {
+      auto got = (*engine)->TenantEmissions(ids[i]);
+      ASSERT_TRUE(got.ok()) << where;
+      EXPECT_EQ(*got, oracles[i].GlobalEmissions())
+          << where << " tenant " << i;
+    }
+  };
+  for (PostId cursor = 1; cursor <= static_cast<PostId>(inst.num_posts());
+       ++cursor) {
+    ASSERT_TRUE((*engine)->RunUntil(cursor).ok());
+    for (GlobalClockReplay& oracle : oracles) oracle.AdvanceTo(inst, cursor);
+    check_all("cursor=" + std::to_string(cursor));
+  }
+  const std::vector<Emission> both = {{1, 2.5}, {3, 5.5}};
+  EXPECT_EQ(*(*engine)->TenantEmissions(ids[0]), both);
+  (*engine)->Finish();
+  for (GlobalClockReplay& oracle : oracles) oracle.processor->Finish();
+  check_all("after Finish");
+  EXPECT_EQ(*(*engine)->TenantEmissions(ids[0]), both);
+  const std::vector<Emission> label1 = {{1, 2.5}, {3, 6.5}};
+  EXPECT_EQ(*(*engine)->TenantEmissions(ids[1]), label1);
+  const std::vector<Emission> labels01 = {{1, 1.5}, {3, 6.5}};
+  EXPECT_EQ(*(*engine)->TenantEmissions(ids[2]), labels01);
 }
 
 // ---------------------------------------------------------------------------

@@ -277,6 +277,40 @@ TEST(TextOracleTest, EveryByteInEveryContextMatchesOracle) {
   }
 }
 
+TEST(TextOracleTest, TokensPastTheStackBufferMatchOracle) {
+  // The tokenizer builds a token in a 64-byte stack buffer and moves it
+  // to a heap string when it outgrows that. Tokens around and past 64
+  // bytes, grown by one run or by runs joined with apostrophes (one
+  // token, no separator), between short tokens that must start on the
+  // stack again.
+  Rng rng(31);
+  const std::string alnum =
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_";
+  auto word = [&](size_t length) {
+    std::string out;
+    for (size_t i = 0; i < length; ++i) {
+      out.push_back(alnum[rng.Uniform(alnum.size())]);
+    }
+    return out;
+  };
+  for (const TokenizerOptions& options : AllOptions()) {
+    const Tokenizer tokenizer(options);
+    for (size_t length : {63, 64, 65, 127, 128, 129, 300}) {
+      const std::string a = word(length);
+      const std::string b = word(length + 1);
+      std::string runs;
+      while (runs.size() < length) runs += word(9) + "'";
+      for (const std::string& text :
+           {a, "#" + a, "$" + b, a + " " + b, "x " + a + " yz " + b + " q",
+            runs, runs + " ab " + runs, "http" + a + " ok", "Www" + b,
+            "https" + a + ":" + b + " ok"}) {
+        ASSERT_EQ(tokenizer.Tokenize(text), OracleTokenize(text, options))
+            << "\"" << text << "\" " << Describe(options);
+      }
+    }
+  }
+}
+
 TEST(TextOracleTest, FuzzedTextMatchesOracle) {
   Rng rng(11);
   for (const TokenizerOptions& options : AllOptions()) {
@@ -352,6 +386,31 @@ TEST(TextOracleTest, SimHashAcrossLaneDrainBoundaries) {
     EXPECT_EQ(SimHash(mixed), OracleSimHash(mixed)) << length;
   }
   EXPECT_EQ(SimHash(std::vector<std::string>(256, "obama")), HashToken("obama"));
+}
+
+TEST(TextOracleTest, SimHashAroundTheInPlaceThresholdLimit) {
+  // Below 128 tokens SimHash thresholds the byte lanes in place with
+  // one add of 128 - (n / 2 + 1); from 128 on it drains into counters.
+  // One token repeated n times puts every set bit's lane at n, the
+  // lane's maximum; two alternating tokens put every bit they disagree
+  // on at exactly n / 2 (a tie at even n, which must read 0) or
+  // n / 2 + 1, where the rounding of n / 2 decides.
+  Rng rng(29);
+  for (size_t length : {0, 1, 2, 3, 126, 127, 128, 129, 255, 256}) {
+    std::vector<std::string> random_tokens;
+    std::vector<std::string> repeated(length, "senate");
+    std::vector<std::string> alternating;
+    for (size_t i = 0; i < length; ++i) {
+      random_tokens.push_back("r" + std::to_string(rng.Next()));
+      alternating.push_back(i % 2 == 0 ? "obama" : "senate");
+    }
+    EXPECT_EQ(SimHash(random_tokens), OracleSimHash(random_tokens)) << length;
+    EXPECT_EQ(SimHash(repeated), OracleSimHash(repeated)) << length;
+    EXPECT_EQ(SimHash(alternating), OracleSimHash(alternating)) << length;
+    if (length > 0) {
+      EXPECT_EQ(SimHash(repeated), HashToken("senate")) << length;
+    }
+  }
 }
 
 TEST(TextOracleTest, LowEntropyDedupMatchesOracle) {

@@ -3,6 +3,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -230,6 +231,74 @@ TEST(StringTableTest, InsertFindAndGrow) {
   for (const std::string& key : missing) {
     EXPECT_EQ(table.Find(key), nullptr) << key;
   }
+}
+
+TEST(StringTableTest, FilterNeighboursAgreeWithUnorderedMap) {
+  // The miss filter keys on (size mod 8, first byte mod 64, last byte
+  // mod 64). Every absent key below shares all three with a present
+  // one: sizes 0, 8 and 16 fold together, and a byte with bit 6 or 7
+  // flipped folds onto the original (0xE1 onto 'a', 0xE3 onto '#'),
+  // which covers bytes >= 0x80. Each query is checked against
+  // std::unordered_map as the table grows through rehashes.
+  const auto byte = [](int b) { return std::string(1, static_cast<char>(b)); };
+  std::vector<std::string> keys = {"a", "ab", "ax", "abcdefgh", "#tag",
+                                   "zzzzzzzzzzzzzzzzzzzz", "@@@@@@@@"};
+  std::vector<std::string> probes = keys;
+  for (const std::string& key : keys) {
+    const std::string middle(key.size() > 2 ? key.size() - 2 : 0, 'q');
+    const std::string ends = key.size() > 1 ? key.substr(key.size() - 1) : "";
+    // Same size, first and last byte; different middle.
+    probes.push_back(key.front() + middle + ends);
+    // Same first and last byte, size + 8 and + 16.
+    probes.push_back(key.front() + middle + std::string(8, 'm') + ends);
+    probes.push_back(key.front() + middle + std::string(16, 'm') + ends);
+    // First or last byte with bit 7, bit 6 or both flipped.
+    const int first = static_cast<uint8_t>(key.front());
+    probes.push_back(byte(first ^ 0x80) + key.substr(1));
+    probes.push_back(byte(first ^ 0x40) + key.substr(1));
+    const int last = static_cast<uint8_t>(key.back());
+    probes.push_back(key.substr(0, key.size() - 1) + byte(last ^ 0x80));
+    probes.push_back(key.substr(0, key.size() - 1) + byte(last ^ 0xC0));
+  }
+  // The empty key reads as first and last byte 0, the filter bit of
+  // "@@@@@@@@" ('@' & 63 == 0), and so do these.
+  probes.push_back("");
+  probes.push_back(std::string(16, '\0'));
+  probes.push_back(std::string(8, static_cast<char>(0xC0)));
+  probes.push_back(byte(0xE3) + "tag");  // 0xE3 & 63 == '#' & 63
+  probes.push_back(byte(0xE1));          // size 1, folds onto "a"
+  Rng rng(23);
+  for (int i = 0; i < 600; ++i) {
+    std::string key(1 + rng.Uniform(20), 'a');
+    for (char& c : key) c = static_cast<char>(rng.Uniform(256));
+    (i % 2 == 0 ? keys : probes).push_back(std::move(key));
+  }
+  keys.push_back("");  // absent through every rehash, present at the end
+
+  StringTable<int> table;
+  std::unordered_map<std::string, int> want;
+  auto check_all = [&](const std::string& where) {
+    for (const auto* list : {&keys, &probes}) {
+      for (const std::string& key : *list) {
+        const int* got = table.Find(key);
+        const auto it = want.find(key);
+        ASSERT_EQ(got != nullptr, it != want.end()) << where << " " << key;
+        if (got != nullptr) {
+          ASSERT_EQ(*got, it->second) << where;
+        }
+      }
+    }
+  };
+  check_all("empty table");
+  for (size_t i = 0; i < keys.size(); ++i) {
+    table[keys[i]] = static_cast<int>(i) + 1;
+    want[keys[i]] = static_cast<int>(i) + 1;
+    // Check after 1, 2, 4, 8, ... keys, so every capacity the table
+    // grows through is checked.
+    if ((i & (i + 1)) == 0) check_all("after " + std::to_string(i + 1));
+  }
+  check_all("full table");
+  EXPECT_NE(table.Find(""), nullptr);
 }
 
 TEST(StringTest, Split) {
