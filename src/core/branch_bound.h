@@ -16,7 +16,7 @@ struct BranchBoundStats {
   uint64_t incumbent_updates = 0;  // times a smaller cover was found
   uint64_t max_depth = 0;          // deepest chosen-set size reached
   bool node_budget_exhausted = false;
-  bool interrupted = false;        // deadline or cancel tripped mid-search
+  bool interrupted = false;        // deadline tripped mid-search
 };
 
 /// A cover together with a proven optimality certificate:

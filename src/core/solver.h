@@ -35,9 +35,9 @@ class Solver {
 
   /// Budgeted Solve: polls `deadline` at coarse loop boundaries
   /// (greedy round, label sweep, DP step) and unwinds with
-  /// kDeadlineExceeded / kCancelled once it trips. With an unbounded
-  /// deadline the checks reduce to a dead branch, so the result is
-  /// bit-identical to Solve.
+  /// kDeadlineExceeded once it trips. With an unbounded deadline the
+  /// checks reduce to a dead branch, so the result is bit-identical to
+  /// Solve.
   virtual Result<std::vector<PostId>> SolveWithBudget(
       const Instance& inst, const CoverageModel& model,
       const Deadline& deadline) const = 0;

@@ -1,7 +1,6 @@
 #ifndef MQD_INDEX_INVERTED_INDEX_H_
 #define MQD_INDEX_INVERTED_INDEX_H_
 
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,15 +50,6 @@ class InvertedIndex {
 
   /// Total compressed postings bytes (diagnostics).
   size_t postings_byte_size() const;
-
-  /// Binary persistence (versioned, FNV-checksummed; see
-  /// index/index_io.cc). Load validates magic, version and checksum,
-  /// and checks every count, timestamp and posting list it reads, so a
-  /// forged file with a correct checksum is rejected, not trusted.
-  Status Save(std::ostream& os) const;
-  static Result<InvertedIndex> Load(std::istream& is);
-  Status SaveToFile(const std::string& path) const;
-  static Result<InvertedIndex> LoadFromFile(const std::string& path);
 
  private:
   Tokenizer tokenizer_;

@@ -61,15 +61,6 @@ void PostingList::Iterator::SeekTo(DocId target) {
   while (valid_ && current_ < target) Next();
 }
 
-PostingList PostingList::FromRaw(std::vector<uint8_t> data, size_t count,
-                                 DocId last_doc) {
-  PostingList list;
-  list.data_ = std::move(data);
-  list.count_ = count;
-  list.last_doc_ = last_doc;
-  return list;
-}
-
 std::vector<DocId> PostingList::ToVector() const {
   std::vector<DocId> out;
   out.reserve(count_);

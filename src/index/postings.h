@@ -50,15 +50,6 @@ class PostingList {
   /// Decodes the whole list (tests and small queries).
   std::vector<DocId> ToVector() const;
 
-  /// Raw varint-delta payload (persistence).
-  const std::vector<uint8_t>& raw_bytes() const { return data_; }
-  DocId last_doc() const { return last_doc_; }
-
-  /// Reconstructs a list from persisted state; the triple must come
-  /// from a prior raw_bytes()/size()/last_doc() of a valid list.
-  static PostingList FromRaw(std::vector<uint8_t> data, size_t count,
-                             DocId last_doc);
-
  private:
   friend class Iterator;
   std::vector<uint8_t> data_;

@@ -11,8 +11,8 @@ namespace mqd {
 /// One ranked hit.
 struct SearchHit {
   DocId doc;
-  /// Coordination score: number of distinct query terms the document
-  /// contains (ties broken toward recency).
+  /// Coordination score: number of query terms the document contains,
+  /// a term given twice counting twice (ties broken toward recency).
   int score;
 };
 

@@ -20,19 +20,8 @@ Deadline Deadline::AfterSeconds(double seconds) {
   return d;
 }
 
-double Deadline::remaining_seconds() const {
-  if (cancel_ != nullptr && cancel_->cancelled()) return 0.0;
-  if (!bounded_) return std::numeric_limits<double>::infinity();
-  return std::chrono::duration<double>(at_ -
-                                       std::chrono::steady_clock::now())
-      .count();
-}
-
 Status Deadline::Check(const char* what) const {
-  if (cancel_ != nullptr && cancel_->cancelled()) {
-    return Status::Cancelled(StrFormat("%s: cancelled", what));
-  }
-  if (bounded_ && std::chrono::steady_clock::now() >= at_) {
+  if (expired()) {
     return Status::DeadlineExceeded(
         StrFormat("%s: deadline exceeded", what));
   }

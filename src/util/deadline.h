@@ -1,43 +1,22 @@
 #ifndef MQD_UTIL_DEADLINE_H_
 #define MQD_UTIL_DEADLINE_H_
 
-#include <atomic>
 #include <chrono>
-#include <limits>
+#include <cstdint>
 
 #include "util/status.h"
 
 namespace mqd {
 
-/// Cooperative cancellation flag. A producer (request handler, watchdog,
-/// test) calls Cancel(); workers poll cancelled() at loop boundaries and
-/// unwind with StatusCode::kCancelled. Thread safe; cancellation is
-/// one-way and sticky.
-class CancelToken {
- public:
-  CancelToken() = default;
-  CancelToken(const CancelToken&) = delete;
-  CancelToken& operator=(const CancelToken&) = delete;
-
-  void Cancel() { cancelled_.store(true, std::memory_order_release); }
-  bool cancelled() const {
-    return cancelled_.load(std::memory_order_acquire);
-  }
-
- private:
-  std::atomic<bool> cancelled_{false};
-};
-
-/// A time budget plus optional cancellation, passed by const reference
-/// down the solve/stream call stacks. Copyable and cheap: one
-/// steady-clock time point and two pointers.
+/// A time budget, passed by const reference down the solve/stream call
+/// stacks. Copyable and cheap: a flag and one steady-clock time point.
 ///
 /// The default-constructed Deadline is unbounded: expired() is a single
 /// branch with no clock read, so budget-aware code paths cost nothing
-/// when no budget is set (the PR 3/4 hot paths stay bit-identical).
+/// when no budget is set (unbudgeted solves stay bit-identical).
 class Deadline {
  public:
-  /// Unbounded, non-cancellable.
+  /// Unbounded.
   Deadline() = default;
 
   static Deadline Unbounded() { return Deadline(); }
@@ -47,38 +26,21 @@ class Deadline {
   /// unbounded (a NaN budget is "no budget", not "no time").
   static Deadline AfterSeconds(double seconds);
 
-  /// Attaches a cancellation token (borrowed; must outlive the
-  /// deadline). Composes with the time budget: expired() is true when
-  /// either trips.
-  Deadline WithCancelToken(const CancelToken* token) const {
-    Deadline d = *this;
-    d.cancel_ = token;
-    return d;
-  }
-
-  bool bounded() const { return bounded_; }
-  bool cancellable() const { return cancel_ != nullptr; }
-
   /// True when nothing can ever expire this deadline.
-  bool unbounded() const { return !bounded_ && cancel_ == nullptr; }
+  bool unbounded() const { return !bounded_; }
 
-  /// Clock read (when bounded) + cancellation probe.
+  /// Clock read when bounded.
   bool expired() const {
-    if (cancel_ != nullptr && cancel_->cancelled()) return true;
     return bounded_ && std::chrono::steady_clock::now() >= at_;
   }
 
-  /// Seconds left; +inf when unbounded, <= 0 when expired.
-  double remaining_seconds() const;
-
-  /// OK while live; kCancelled / kDeadlineExceeded once tripped.
-  /// `what` names the interrupted operation in the message.
+  /// OK while live; kDeadlineExceeded once tripped. `what` names the
+  /// interrupted operation in the message.
   Status Check(const char* what) const;
 
  private:
   bool bounded_ = false;
   std::chrono::steady_clock::time_point at_{};
-  const CancelToken* cancel_ = nullptr;
 };
 
 /// Amortizes Deadline::expired() for tight loops: the clock is only

@@ -35,10 +35,10 @@ struct FaultSpec {
 /// branch; nothing else in the process changes, so production binaries
 /// carry the sites for free.
 ///
-/// Built-in sites: io.read_instance, index.load, stream.replay,
-/// pool.task (probed once by each BatchSolver helper thread before it
-/// claims work; a fire ends that helper and the caller finishes the
-/// batch), io.write_checkpoint (probed between the flushed tmp
+/// Built-in sites: io.read_instance, stream.replay, pool.task (probed
+/// once by each BatchSolver helper thread before it claims work; a fire
+/// ends that helper and the caller finishes the batch),
+/// io.write_checkpoint (probed between the flushed tmp
 /// write and the rename in WriteStreamCheckpointToFile; a fire models
 /// a torn write — the previous on-disk snapshot survives), the
 /// multi-tenant pair tenant.fanout (probed on each per-cluster

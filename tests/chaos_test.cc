@@ -14,7 +14,6 @@
 #include "core/types.h"
 #include "core/verifier.h"
 #include "gen/instance_gen.h"
-#include "index/inverted_index.h"
 #include "parallel/batch_solver.h"
 #include "stream/factory.h"
 #include "stream/multi_tenant.h"
@@ -175,36 +174,6 @@ TEST(ChaosTest, FuzzedFaultSchedulesNeverCorrupt) {
   EXPECT_GT(batch_ok, 0u);
   EXPECT_EQ(batch_fail, 0u);
   EXPECT_GT(pool_fires, 0u);
-}
-
-/// index.load under injected faults: typed Status or a valid index.
-TEST(ChaosTest, IndexLoadFaultsAreTyped) {
-  ScopedDisarm disarm_guard;
-  InvertedIndex index;
-  ASSERT_TRUE(index.AddDocument(1, 1.0, "storm warning coast").ok());
-  ASSERT_TRUE(index.AddDocument(2, 2.0, "coast guard rescue").ok());
-  std::stringstream blob;
-  ASSERT_TRUE(index.Save(blob).ok());
-  const std::string bytes = blob.str();
-
-  size_t ok = 0, fail = 0;
-  for (uint64_t seed = 1; seed <= 64; ++seed) {
-    ASSERT_TRUE(FaultInjector::Global()
-                    .ArmFromSpec("index.load:0.5", seed)
-                    .ok());
-    std::istringstream is(bytes);
-    auto r = InvertedIndex::Load(is);
-    if (r.ok()) {
-      ++ok;
-      EXPECT_EQ(r->num_documents(), 2u);
-    } else {
-      ++fail;
-      EXPECT_NE(r.status().code(), StatusCode::kOk);
-    }
-    FaultInjector::Global().Disarm();
-  }
-  EXPECT_GT(ok, 0u);
-  EXPECT_GT(fail, 0u);
 }
 
 /// Firing is a pure function of (seed, site, hit index): replaying a

@@ -264,28 +264,5 @@ TEST(DegradeTest, UnboundedBudgetMatchesPlainSolve) {
   EXPECT_EQ(*plain, *budgeted);
 }
 
-/// Cancellation composes with the budget: a cancelled token trips
-/// every rung with kCancelled.
-TEST(DegradeTest, CancelTokenTripsTheLadder) {
-  Instance inst = TinyInstance();
-  UniformLambda model(10.0);
-  CancelToken token;
-  token.Cancel();
-  const Deadline deadline = Deadline::Unbounded().WithCancelToken(&token);
-
-  GreedySCSolver greedy;
-  auto r = greedy.SolveWithBudget(inst, model, deadline);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
-
-  DegradingSolver ladder;
-  DegradeOutcome out = ladder.SolveDegrading(inst, model, deadline);
-  EXPECT_EQ(out.rung, "trivial");
-  for (const Status& failure : out.failures) {
-    EXPECT_EQ(failure.code(), StatusCode::kCancelled);
-  }
-  EXPECT_TRUE(IsCover(inst, model, out.cover));
-}
-
 }  // namespace
 }  // namespace mqd

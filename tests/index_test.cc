@@ -1,4 +1,9 @@
+#include <algorithm>
+#include <cctype>
 #include <limits>
+#include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -117,6 +122,97 @@ TEST(InvertedIndexTest, MatchAnyInRange) {
   EXPECT_EQ(index.MatchAnyInRange({"senate"}, 3.0, 6.0),
             (std::vector<DocId>{3, 4, 5, 6}));
   EXPECT_TRUE(index.MatchAnyInRange({"senate"}, 20.0, 30.0).empty());
+}
+
+/// Randomized differential: MatchAny, MatchAnyInRange and
+/// Searcher::Search against a brute-force scan of the documents. The
+/// timestamps are integers with runs of equal values, and range edges
+/// land exactly on them, between them and outside the stream, with
+/// t_begin > t_end included. Queries mix absent terms, repeated terms
+/// and an upper-case spelling of a present one.
+TEST(InvertedIndexTest, QueriesMatchBruteForceScan) {
+  const std::vector<std::string> vocab{"storm", "senate", "nasdaq", "golf",
+                                       "obama", "coast",  "rally"};
+  const std::vector<std::string> query_pool{
+      "storm", "senate", "nasdaq", "golf", "obama", "coast",
+      "rally", "absent", "zebra",  "Storm", "NASDAQ"};
+  auto lower = [](std::string s) {
+    for (char& c : s) c = static_cast<char>(std::tolower(c));
+    return s;
+  };
+  Rng rng(31);
+  for (int trial = 0; trial < 60; ++trial) {
+    InvertedIndex index;
+    std::vector<std::set<std::string>> doc_terms;
+    std::vector<double> times;
+    const size_t n = rng.Uniform(120);
+    double t = static_cast<double>(rng.Uniform(5));
+    for (size_t d = 0; d < n; ++d) {
+      // About half the steps repeat the previous timestamp.
+      if (d > 0 && rng.Uniform(2) == 0) t += 1.0 + rng.Uniform(3);
+      std::string text;
+      std::set<std::string> terms;
+      const size_t words = rng.Uniform(5);
+      for (size_t w = 0; w < words; ++w) {
+        const std::string& word = vocab[rng.Uniform(vocab.size())];
+        text += word + " ";
+        terms.insert(word);
+      }
+      ASSERT_TRUE(index.AddDocument(1000 + d, t, text).ok());
+      doc_terms.push_back(terms);
+      times.push_back(t);
+    }
+    ASSERT_EQ(index.num_documents(), n);
+
+    for (int q = 0; q < 20; ++q) {
+      std::vector<std::string> query;
+      const size_t k = rng.Uniform(5);
+      for (size_t i = 0; i < k; ++i) {
+        query.push_back(query_pool[rng.Uniform(query_pool.size())]);
+      }
+      if (!query.empty() && rng.Uniform(3) == 0) query.push_back(query[0]);
+
+      // Range edges: a present timestamp, half a step off one, or a
+      // point outside the stream; the pair is not reordered.
+      auto edge = [&]() {
+        if (n > 0 && rng.Uniform(3) != 0) {
+          return times[rng.Uniform(n)] + 0.5 * rng.UniformInt(-1, 1);
+        }
+        return static_cast<double>(rng.UniformInt(-5, 400));
+      };
+      const double t_begin = edge();
+      const double t_end = edge();
+
+      std::vector<DocId> any, in_range;
+      std::vector<SearchHit> ranked;
+      for (DocId d = 0; d < n; ++d) {
+        int score = 0;
+        for (const std::string& term : query) {
+          score += static_cast<int>(doc_terms[d].count(lower(term)));
+        }
+        if (score == 0) continue;
+        any.push_back(d);
+        ranked.push_back(SearchHit{d, score});
+        if (t_begin <= times[d] && times[d] <= t_end) in_range.push_back(d);
+      }
+      std::sort(ranked.begin(), ranked.end(),
+                [](const SearchHit& a, const SearchHit& b) {
+                  if (a.score != b.score) return a.score > b.score;
+                  return a.doc > b.doc;
+                });
+
+      EXPECT_EQ(index.MatchAny(query), any) << "trial " << trial;
+      EXPECT_EQ(index.MatchAnyInRange(query, t_begin, t_end), in_range)
+          << "trial " << trial << " range [" << t_begin << ", " << t_end
+          << "]";
+      const std::vector<SearchHit> hits = Searcher(&index).Search(query);
+      ASSERT_EQ(hits.size(), ranked.size()) << "trial " << trial;
+      for (size_t i = 0; i < hits.size(); ++i) {
+        EXPECT_EQ(hits[i].doc, ranked[i].doc) << "trial " << trial;
+        EXPECT_EQ(hits[i].score, ranked[i].score) << "trial " << trial;
+      }
+    }
+  }
 }
 
 TEST(SearcherTest, CoordinationRanking) {

@@ -1,5 +1,4 @@
 #include <cmath>
-#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -371,19 +370,16 @@ TEST(DeadlineTest, UnboundedNeverExpires) {
   EXPECT_TRUE(deadline.unbounded());
   EXPECT_FALSE(deadline.expired());
   EXPECT_TRUE(deadline.Check("op").ok());
-  EXPECT_EQ(deadline.remaining_seconds(),
-            std::numeric_limits<double>::infinity());
 }
 
 TEST(DeadlineTest, NonPositiveBudgetIsAlreadyExpired) {
   for (double budget : {0.0, -1.0}) {
     const Deadline deadline = Deadline::AfterSeconds(budget);
-    EXPECT_TRUE(deadline.bounded()) << budget;
+    EXPECT_FALSE(deadline.unbounded()) << budget;
     EXPECT_TRUE(deadline.expired()) << budget;
     const Status status = deadline.Check("solve");
     EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded) << budget;
     EXPECT_NE(status.ToString().find("solve"), std::string::npos);
-    EXPECT_LE(deadline.remaining_seconds(), 0.0) << budget;
   }
   // NaN budgets mean "no budget", not "no time".
   EXPECT_TRUE(Deadline::AfterSeconds(std::nan("")).unbounded());
@@ -393,17 +389,6 @@ TEST(DeadlineTest, GenerousBudgetIsLive) {
   const Deadline deadline = Deadline::AfterSeconds(3600.0);
   EXPECT_FALSE(deadline.expired());
   EXPECT_TRUE(deadline.Check("op").ok());
-  EXPECT_GT(deadline.remaining_seconds(), 3000.0);
-}
-
-TEST(DeadlineTest, CancelTokenTripsImmediatelyAndSticks) {
-  CancelToken token;
-  const Deadline deadline = Deadline::Unbounded().WithCancelToken(&token);
-  EXPECT_FALSE(deadline.unbounded());
-  EXPECT_FALSE(deadline.expired());
-  token.Cancel();
-  EXPECT_TRUE(deadline.expired());
-  EXPECT_EQ(deadline.Check("stream").code(), StatusCode::kCancelled);
 }
 
 TEST(DeadlineCheckerTest, StrideAmortizesAndTripsSticky) {

@@ -51,10 +51,15 @@ names match REGEX (re.search); every other entry stays as it was. A
 table bench runs whole; a google-benchmark binary runs the families
 whose names match. It refuses a host other than the file's.
 
+A google-benchmark entry is the median cpu_time of REPETITIONS runs
+of its benchmark, so one slow phase of the host does not become the
+committed number; its row holds the medians, the cpu_time quartiles
+and the repetition count.
+
 --sanity is the CI mode: it still runs every binary end to end and
 validates the JSON it writes, but at the smallest workload scale and
-with no repetitions, and asserts structure only, never timing
-thresholds (CI machines are too noisy for that).
+the shortest minimum time per repetition, and asserts structure only,
+never timing thresholds (CI machines are too noisy for that).
 
 Pure stdlib; no third-party deps.
 """
@@ -67,6 +72,7 @@ import hashlib
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -76,6 +82,9 @@ SCHEMA = "mqd-bench/1"
 
 # Time units into nanoseconds.
 UNITS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+# Runs of each google-benchmark entry; its value is their median.
+REPETITIONS = 5
 
 # bench_micro families the core suite records. Keep in sync with
 # bench/bench_micro.cc. The dispatched kernel's scalar tier runs
@@ -174,28 +183,42 @@ def run(cmd, env=None):
 
 def run_gbench(build_dir, binary, families, sanity, only):
     """{name: (value, unit, row)} and host of one google-benchmark
-    binary, compared by cpu_time in ns; with `only`, just the families
-    whose names match (none: nothing runs)."""
+    binary, compared by the median cpu_time of REPETITIONS runs in ns;
+    with `only`, just the families whose names match (none: nothing
+    runs)."""
     if only is not None:
         families = [name for name in families if re.search(only, name)]
         if not families:
             return {}, None
     cmd = [os.path.join(build_dir, "bench", binary),
            "--benchmark_filter=^(" + "|".join(families) + ")(/.*)?$",
-           "--benchmark_format=json"]
+           "--benchmark_format=json",
+           f"--benchmark_repetitions={REPETITIONS}"]
     if sanity:
         # Keep it a plain seconds value: the "<N>x" iteration syntax
         # needs a newer google-benchmark than some CI images carry.
         cmd.append("--benchmark_min_time=0.01")
     doc = json.loads(run(cmd))
-    entries = {}
+    runs = collections.defaultdict(list)
     for bench in doc["benchmarks"]:
+        # The binary's own _mean/_median/... rows are not entries.
+        if bench.get("run_type") != "iteration":
+            continue
         if bench.get("error_occurred"):
             continue  # e.g. the /avx2 tier skipped on non-AVX2 hosts
-        row = {key: bench[key] for key in
-               ("real_time", "cpu_time", "time_unit", "iterations")}
-        entries[bench["name"]] = (
-            row["cpu_time"] * UNITS[row["time_unit"]], "ns", row)
+        runs[bench["run_name"]].append(bench)
+    entries = {}
+    for name, reps in runs.items():
+        cpu_q1, cpu, cpu_q3 = statistics.quantiles(
+            [rep["cpu_time"] for rep in reps], n=4, method="inclusive")
+        row = {"cpu_time": cpu, "cpu_time_q1": cpu_q1,
+               "cpu_time_q3": cpu_q3,
+               "real_time": statistics.median(
+                   rep["real_time"] for rep in reps),
+               "time_unit": reps[0]["time_unit"],
+               "iterations": reps[0]["iterations"],
+               "repetitions": len(reps)}
+        entries[name] = (cpu * UNITS[row["time_unit"]], "ns", row)
     context = doc["context"]
     return entries, host_block(build_dir, context["num_cpus"],
                                context["simd_tier"])
@@ -474,7 +497,7 @@ def main():
     parser.add_argument("--out", default=None,
                         help="output file (default BENCH_<suite>.json)")
     parser.add_argument("--sanity", action="store_true",
-                        help="CI smoke mode: minimal reps, structure-"
+                        help="CI smoke mode: shortest runs, structure-"
                              "only validation, no timing thresholds")
     parser.add_argument("--only", default=None, metavar="REGEX",
                         help="re-record in place only the entries whose "

@@ -74,7 +74,7 @@ def main():
     base, _ = load_entries(args.baseline)
     cur, cur_sanity = load_entries(args.current)
     if cur_sanity:
-        print("note: current recording is --sanity mode (minimal reps); "
+        print("note: current recording is --sanity mode (shortest runs); "
               "ratios are noisy by construction")
 
     regressed = []

@@ -136,9 +136,9 @@ void DefineFaultFlags(FlagParser* flags) {
   flags->Define("faults", "",
                 "arm fault injection, comma-separated "
                 "site:prob[:latency_ms][:throw] entries (sites: "
-                "io.read_instance, io.write_checkpoint, index.load, "
-                "pool.task, stream.replay, tenant.fanout, tenant.evict, "
-                "serve.accept, serve.queue, serve.worker)");
+                "io.read_instance, io.write_checkpoint, stream.replay, "
+                "pool.task, tenant.fanout, tenant.evict, serve.accept, "
+                "serve.queue, serve.worker)");
   flags->Define("fault-seed", "0",
                 "seed of the deterministic fault schedule");
 }
