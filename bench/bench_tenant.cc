@@ -11,7 +11,8 @@
 // The replay is windowed — 256-post RunUntil batches, one cluster
 // sweep per batch — matching how a serving layer drains a firehose.
 // One replay takes a few milliseconds, too short to time once, so
-// every row is the median of kRepeats runs, each on a fresh engine.
+// every row is the median of kRepeats runs, each on a fresh engine,
+// with the quartiles of those runs beside each timing as its spread.
 // tools/bench_baseline.py records the table's CSV export
 // (MQD_BENCH_CSV_DIR) into BENCH_tenant.json; keep the columns stable.
 #include <algorithm>
@@ -53,8 +54,15 @@ Instance PaperScaleInstance() {
 /// would run at.
 constexpr PostId kBatchPosts = 256;
 
-/// Timed runs per row; the row reports their medians.
+/// Timed runs per row; the row reports their medians and quartiles.
 constexpr int kRepeats = 5;
+
+/// Quartiles of one timing over a row's runs.
+struct Spread {
+  double q1 = 0.0;
+  double median = 0.0;
+  double q3 = 0.0;
+};
 
 struct RowStats {
   double per_post_us = 0.0;
@@ -114,16 +122,31 @@ RowStats RunEngine(const Instance& inst, const CoverageModel& model,
   return row;
 }
 
-double Median(std::vector<double> xs) {
+/// Inclusive quartiles (linear interpolation between order
+/// statistics, as Python's statistics.quantiles(method="inclusive")).
+Spread Quartiles(std::vector<double> xs) {
   std::sort(xs.begin(), xs.end());
-  return xs[xs.size() / 2];
+  auto at = [&](double q) {
+    const double pos = q * static_cast<double>(xs.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, xs.size() - 1);
+    return xs[lo] + (pos - static_cast<double>(lo)) * (xs[hi] - xs[lo]);
+  };
+  return {at(0.25), at(0.5), at(0.75)};
 }
 
-/// kRepeats RunEngine calls: median timings and the (run-independent)
-/// shape columns.
-RowStats RunRow(const Instance& inst, const CoverageModel& model,
-                StreamKind kind, double tau, size_t num_tenants) {
-  RowStats row;
+struct RowSpread {
+  Spread per_post_us;
+  Spread derive_us;
+  size_t clusters = 0;
+  double shared_hit_rate = 0.0;
+};
+
+/// kRepeats RunEngine calls: timing quartiles and the
+/// (run-independent) shape columns.
+RowSpread RunRow(const Instance& inst, const CoverageModel& model,
+                 StreamKind kind, double tau, size_t num_tenants) {
+  RowSpread row;
   std::vector<double> per_post_us, derive_us;
   for (int r = 0; r < kRepeats; ++r) {
     const RowStats run = RunEngine(inst, model, kind, tau, num_tenants);
@@ -132,8 +155,8 @@ RowStats RunRow(const Instance& inst, const CoverageModel& model,
     row.clusters = run.clusters;
     row.shared_hit_rate = run.shared_hit_rate;
   }
-  row.per_post_us = Median(std::move(per_post_us));
-  row.derive_us = Median(std::move(derive_us));
+  row.per_post_us = Quartiles(std::move(per_post_us));
+  row.derive_us = Quartiles(std::move(derive_us));
   return row;
 }
 
@@ -142,7 +165,8 @@ void Run() {
       "multi-tenant stream fan-out scaling (no paper counterpart)",
       "Figure 14-15 arrival regime (|L|=20, 118 posts/min, overlap "
       "1.4, lambda=tau=300s), 3-label profiles, tenants subscribed at "
-      "epoch 0, 256-post replay windows, median of 5 runs per row",
+      "epoch 0, 256-post replay windows, median and quartiles of 5 runs "
+      "per row",
       "n/a — the engine's contract: per-post cost sublinear in tenant "
       "count");
 
@@ -153,7 +177,8 @@ void Run() {
 
   const std::vector<size_t> tenant_counts = {1000, 10000, 100000};
   TablePrinter table({"algo", "tenants", "clusters", "per_post_us",
-                      "shared_hit_rate", "derive_us"});
+                      "per_post_us_q1", "per_post_us_q3", "shared_hit_rate",
+                      "derive_us", "derive_us_q1", "derive_us_q3"});
   // per_post_us at the sweep's endpoints, per algorithm, for the
   // sublinearity shape check.
   std::vector<double> first_cost, last_cost;
@@ -161,14 +186,19 @@ void Run() {
        {StreamKind::kStreamScan, StreamKind::kStreamGreedyPlus}) {
     for (size_t i = 0; i < tenant_counts.size(); ++i) {
       const size_t n = tenant_counts[i];
-      const RowStats row = RunRow(inst, model, kind, tau, n);
+      const RowSpread row = RunRow(inst, model, kind, tau, n);
       table.AddRow({std::string(StreamKindName(kind)), std::to_string(n),
                     std::to_string(row.clusters),
-                    FormatDouble(row.per_post_us, 3),
+                    FormatDouble(row.per_post_us.median, 3),
+                    FormatDouble(row.per_post_us.q1, 3),
+                    FormatDouble(row.per_post_us.q3, 3),
                     FormatDouble(row.shared_hit_rate, 3),
-                    FormatDouble(row.derive_us, 3)});
-      if (i == 0) first_cost.push_back(row.per_post_us);
-      if (i + 1 == tenant_counts.size()) last_cost.push_back(row.per_post_us);
+                    FormatDouble(row.derive_us.median, 3),
+                    FormatDouble(row.derive_us.q1, 3),
+                    FormatDouble(row.derive_us.q3, 3)});
+      const double cost = row.per_post_us.median;
+      if (i == 0) first_cost.push_back(cost);
+      if (i + 1 == tenant_counts.size()) last_cost.push_back(cost);
     }
   }
   table.Print(std::cout);

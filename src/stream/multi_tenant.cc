@@ -71,15 +71,21 @@ void MultiTenantStream::EnsureSharedScan() {
   shared_scan_ = std::make_unique<StreamScanProcessor>(
       inst_, model_, tau_, /*cross_label_pruning=*/false);
   shared_scan_->EnableFireLog();
-  fires_by_label_.resize(static_cast<size_t>(inst_.num_labels()));
+  fire_bits_.resize(static_cast<size_t>(inst_.num_labels()));
+  fire_counts_.resize(static_cast<size_t>(inst_.num_labels()));
 }
 
 void MultiTenantStream::IndexNewFires() {
   const std::vector<StreamScanProcessor::LabelFire>& log =
       shared_scan_->fire_log();
+  // Every label's bitmap spans the whole indexed log, fired or not, so
+  // a query ORs equal-length rows.
+  const size_t words = (log.size() + 63) / 64;
+  for (std::vector<uint64_t>& bits : fire_bits_) bits.resize(words, 0);
   for (size_t i = earlier_labels_.size(); i < log.size(); ++i) {
     const StreamScanProcessor::LabelFire& fire = log[i];
-    fires_by_label_[fire.label].push_back(static_cast<uint32_t>(i));
+    fire_bits_[fire.label][i / 64] |= uint64_t{1} << (i % 64);
+    ++fire_counts_[fire.label];
     // Fire times do not decrease and no fire precedes its post's
     // arrival, so earlier fires of the post lie in the suffix fired at
     // or after value(post) -- at most tau of fires, as in Emit.
@@ -318,32 +324,41 @@ Status MultiTenantStream::RunToEnd() {
 
 std::vector<Emission> MultiTenantStream::DeriveSharedEmissions(
     LabelMask mask) const {
-  // Merge the tenant's per-label fire positions back into log order
-  // and keep each post's first fire within the mask: exactly the Emit()
-  // sequence of a private StreamScan over the tenant's sub-stream,
-  // because per-label state is independent and fires happen in
-  // (deadline, label) order on both sides. A fire is a repeat iff a
-  // label of the mask fired its post earlier, which its
-  // earlier_labels_ entry answers without reading the log. `merged`
-  // is thread-local and reused, so a query touches O(tenant fires).
-  thread_local std::vector<uint32_t> merged;
-  merged.clear();
+  // The union of the tenant's fire bitmaps, read one 64-position word
+  // at a time in ascending position, is its labels' fires in log
+  // order; keeping each post's first fire within the mask gives
+  // exactly the Emit() sequence of a private StreamScan over the
+  // tenant's sub-stream, because per-label state is independent and
+  // fires happen in (deadline, label) order on both sides. A fire is a
+  // repeat iff a label of the mask fired its post earlier, which its
+  // earlier_labels_ entry answers without reading the log.
+  const uint64_t* rows[kMaxLabels] = {};
+  size_t num_rows = 0, fires = 0;
   ForEachLabel(mask, [&](LabelId a) {
-    const std::vector<uint32_t>& fires = fires_by_label_[a];
-    const auto mid = static_cast<std::ptrdiff_t>(merged.size());
-    merged.insert(merged.end(), fires.begin(), fires.end());
-    std::inplace_merge(merged.begin(), merged.begin() + mid, merged.end());
+    rows[num_rows++] = fire_bits_[a].data();
+    fires += fire_counts_[a];
   });
 
+  // Each log position is one label's fire, so the union has exactly
+  // `fires` bits: every fire is written at `dst`, which advances past
+  // kept ones only (no branch on the repeat test), and the vector --
+  // the query's one allocation -- is trimmed to the kept fires.
   const std::vector<StreamScanProcessor::LabelFire>& log =
       shared_scan_->fire_log();
-  std::vector<Emission> out;
-  out.reserve(merged.size());
-  for (uint32_t position : merged) {
-    if ((earlier_labels_[position] & mask) != 0) continue;
-    const StreamScanProcessor::LabelFire& fire = log[position];
-    out.push_back(Emission{fire.post, fire.time});
+  std::vector<Emission> out(fires);
+  Emission* dst = out.data();
+  const size_t words = (earlier_labels_.size() + 63) / 64;
+  for (size_t w = 0; w < words; ++w) {
+    uint64_t hits = 0;
+    for (size_t r = 0; r < num_rows; ++r) hits |= rows[r][w];
+    for (; hits != 0; hits &= hits - 1) {
+      const size_t position = 64 * w + std::countr_zero(hits);
+      const StreamScanProcessor::LabelFire& fire = log[position];
+      *dst = Emission{fire.post, fire.time};
+      dst += (earlier_labels_[position] & mask) == 0;
+    }
   }
+  out.resize(static_cast<size_t>(dst - out.data()));
   return out;
 }
 

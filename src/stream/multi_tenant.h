@@ -40,11 +40,12 @@ inline constexpr TenantId kInvalidTenant = static_cast<TenantId>(-1);
 ///    before the first arrival). StreamScan's per-label state is
 ///    independent across labels, so ONE full-universe scan engine is
 ///    the union of every tenant's engine. The engine indexes the
-///    scan's fire log by label (ascending log positions per label,
-///    extended after each RunUntil and at Finish); a tenant's emission
-///    sequence is derived on demand by merging its labels' position
-///    lists back into log order and keeping each post's first
-///    occurrence, so a query costs O(tenant fires), not O(log).
+///    scan's fire log by label (one bitmap over log positions per
+///    label, extended after each RunUntil and at Finish); a tenant's
+///    emission sequence is derived on demand by ORing its labels'
+///    bitmaps one 64-position word at a time, which walks their fires
+///    in log order, and keeping each post's first occurrence, so a
+///    query costs O(|mask| * F/64 + tenant fires) for a log of F fires.
 ///    Per-arrival cost is O(s log |L|) regardless of tenant count.
 ///
 ///  * Cluster tier (Scan+/Greedy± — whose cross-label coupling makes
@@ -75,9 +76,9 @@ inline constexpr TenantId kInvalidTenant = static_cast<TenantId>(-1);
 /// vectors, sized by its mask and window, and its emission log; no
 /// per-representative state is sized by the stream's length. Each
 /// sweep allocates its batch bitmap (|L| words per 64 posts). The
-/// shared tier's fire log and its per-label index grow by amortized
-/// appends (4 index bytes per fire), and each derivation allocates the
-/// returned vector plus std::inplace_merge's buffer.
+/// shared tier's fire log and its per-label bitmaps grow by amortized
+/// appends (|L|/8 index bytes per fire), and each derivation allocates
+/// only the returned vector.
 ///
 /// Churn: Subscribe after the first arrival joins at the current
 /// cursor (equal to a fresh tenant whose stream starts there);
@@ -229,8 +230,8 @@ class MultiTenantStream {
   /// probes while the injector is armed; returns deliveries made.
   uint64_t SweepClusters(PostId end);
   void EnsureSharedScan();
-  /// Appends the fire log's unindexed tail to `fires_by_label_` and
-  /// `earlier_labels_`.
+  /// Indexes the fire log's unindexed tail into `fire_bits_`,
+  /// `fire_counts_` and `earlier_labels_`.
   void IndexNewFires();
   std::vector<Emission> DeriveSharedEmissions(LabelMask mask) const;
   void Deactivate(TenantId tenant);
@@ -251,10 +252,13 @@ class MultiTenantStream {
   /// enabled. Created when the first epoch-0 scan tenant subscribes
   /// and kept running for later restores even if all of them leave.
   std::unique_ptr<StreamScanProcessor> shared_scan_;
-  /// Per label, the ascending positions of its fires in
-  /// `shared_scan_->fire_log()`; covers the first
-  /// `earlier_labels_.size()` entries of the log.
-  std::vector<std::vector<uint32_t>> fires_by_label_;
+  /// Per label, a bitmap over positions in `shared_scan_->fire_log()`:
+  /// bit i % 64 of word i / 64 is set iff the label fired position i.
+  /// Every label's bitmap covers the first `earlier_labels_.size()`
+  /// entries of the log, in ceil(that / 64) words.
+  std::vector<std::vector<uint64_t>> fire_bits_;
+  /// Per label, its set bits in `fire_bits_`.
+  std::vector<uint32_t> fire_counts_;
   /// Per indexed fire, the labels that fired the same post at an
   /// earlier log position: the fire is a repeat for exactly the
   /// tenants whose mask meets it.

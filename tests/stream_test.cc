@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 
 #include "core/scan.h"
 #include "core/verifier.h"
@@ -206,6 +207,13 @@ struct StreamParam {
   double tau;
   uint64_t seed;
 };
+
+// gtest's fallback printer dumps the struct's bytes, padding included,
+// into the test names gtest_discover_tests registers.
+void PrintTo(const StreamParam& p, std::ostream* os) {
+  *os << StreamKindName(p.kind) << " lambda=" << p.lambda
+      << " tau=" << p.tau << " seed=" << p.seed;
+}
 
 class StreamPropertyTest : public ::testing::TestWithParam<StreamParam> {};
 

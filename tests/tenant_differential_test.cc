@@ -671,6 +671,175 @@ TEST(TenantSharedTierTest, RepeatFiresAreDroppedOnlyWithinTheMask) {
   EXPECT_EQ(*(*engine)->TenantEmissions(ids[2]), labels01);
 }
 
+/// Subscribes every mask at epoch 0, feeds the instance `step` posts
+/// per RunUntil and compares every tenant with its GlobalClockReplay
+/// after every call and after Finish. Returns the shared fire log's
+/// length after each call and after Finish, read from a twin
+/// StreamScan driven the same way with its fire log on.
+std::vector<size_t> ExpectSharedTierMatchesAfterEveryCall(
+    const Instance& inst, const CoverageModel& model, double tau,
+    const std::vector<LabelMask>& masks, PostId step) {
+  std::vector<size_t> log_sizes;
+  auto engine =
+      MultiTenantStream::Create(inst, model, StreamKind::kStreamScan, tau);
+  EXPECT_TRUE(engine.ok());
+  if (!engine.ok()) return log_sizes;
+  std::vector<TenantId> ids;
+  std::vector<GlobalClockReplay> oracles(masks.size());
+  for (size_t i = 0; i < masks.size(); ++i) {
+    auto id = (*engine)->Subscribe(masks[i]);
+    EXPECT_TRUE(id.ok()) << "mask " << masks[i];
+    if (!id.ok()) return log_sizes;
+    ids.push_back(*id);
+    auto view = BuildTenantView(inst, model, masks[i], 0);
+    EXPECT_TRUE(view.ok());
+    if (!view.ok()) return log_sizes;
+    oracles[i].view = std::move(*view);
+    oracles[i].processor = std::make_unique<StreamScanProcessor>(
+        oracles[i].view.sub, *oracles[i].view.model, tau);
+  }
+  StreamScanProcessor twin(inst, model, tau);
+  twin.EnableFireLog();
+  auto check_all = [&](const std::string& where) {
+    for (size_t i = 0; i < masks.size(); ++i) {
+      auto got = (*engine)->TenantEmissions(ids[i]);
+      ASSERT_TRUE(got.ok()) << where;
+      ASSERT_EQ(*got, oracles[i].GlobalEmissions())
+          << where << " log length " << twin.fire_log().size() << " mask "
+          << masks[i];
+    }
+  };
+  const auto n = static_cast<PostId>(inst.num_posts());
+  for (PostId cursor = 0; cursor < n;) {
+    const PostId end = std::min<PostId>(n, cursor + step);
+    EXPECT_TRUE((*engine)->RunUntil(end).ok());
+    for (; cursor < end; ++cursor) {
+      twin.AdvanceTo(inst.value(cursor));
+      twin.OnArrival(cursor);
+    }
+    for (GlobalClockReplay& oracle : oracles) oracle.AdvanceTo(inst, cursor);
+    log_sizes.push_back(twin.fire_log().size());
+    check_all("cursor=" + std::to_string(cursor));
+    if (::testing::Test::HasFailure()) return log_sizes;
+  }
+  (*engine)->Finish();
+  twin.Finish();
+  for (GlobalClockReplay& oracle : oracles) oracle.processor->Finish();
+  log_sizes.push_back(twin.fire_log().size());
+  check_all("after Finish");
+  return log_sizes;
+}
+
+/// One post per second, post p carrying `labels_per_post[p]`
+/// consecutive labels of 0..3 from p % 4, plus label 4 on the first 8
+/// and the last 3 posts. Reaches of 0.25 s cover no other post, so at
+/// tau 0 post p's labels fire once each when post p + 1 arrives: its
+/// label count is how far that arrival's RunUntil extends the fire
+/// log. Label 4's long silence leaves a label whose bitmap must still
+/// be extended word by word.
+Instance WordEdgeInstance(const std::vector<int>& labels_per_post) {
+  std::vector<std::pair<DimValue, LabelMask>> posts;
+  const size_t n = labels_per_post.size();
+  for (size_t p = 0; p < n; ++p) {
+    LabelMask mask = 0;
+    for (int k = 0; k < labels_per_post[p]; ++k) {
+      mask |= MaskOf(static_cast<LabelId>((p + k) % 4));
+    }
+    if (p < 8 || p + 3 >= n) mask |= MaskOf(4);
+    posts.emplace_back(static_cast<DimValue>(p), mask);
+  }
+  return MakeInstance(5, posts);
+}
+
+/// Whether one RunUntil extended the log from at most `first` to more
+/// than `last` fires, so that it indexed positions first..last.
+bool OneCallIndexes(const std::vector<size_t>& log_sizes, size_t first,
+                    size_t last) {
+  for (size_t i = 1; i < log_sizes.size(); ++i) {
+    if (log_sizes[i - 1] <= first && log_sizes[i] > last) return true;
+  }
+  return false;
+}
+
+bool SomeCallEndsAt(const std::vector<size_t>& log_sizes, size_t length) {
+  return std::find(log_sizes.begin(), log_sizes.end(), length) !=
+         log_sizes.end();
+}
+
+TEST(TenantSharedTierTest, FireBitmapWordEdgesMatchGlobalClockReplay) {
+  // Each fire-log bitmap word holds 64 positions. Every non-empty mask
+  // over the 5 labels is queried after every one-post RunUntil and
+  // after Finish, while the log's length crosses 63/64/65 and 127/128
+  // once between calls and once inside one call.
+  UniformLambda model(0.25);
+  const double tau = 0.0;
+  std::vector<LabelMask> masks;
+  for (LabelMask mask = 1; mask < 32; ++mask) masks.push_back(mask);
+
+  // Between calls around 64, inside one call around 128: single-label
+  // posts, then 3-label ones.
+  std::vector<int> between_then_inside(100, 1);
+  between_then_inside.resize(between_then_inside.size() + 16, 3);
+  // Inside one call around 64, between calls around 128.
+  std::vector<int> inside_then_between(19, 3);
+  inside_then_between.resize(inside_then_between.size() + 90, 1);
+  for (const std::vector<int>* labels_per_post :
+       {&between_then_inside, &inside_then_between}) {
+    const bool between_first = labels_per_post == &between_then_inside;
+    SCOPED_TRACE(between_first ? "between then inside"
+                               : "inside then between");
+    const Instance inst = WordEdgeInstance(*labels_per_post);
+    const std::vector<size_t> log_sizes =
+        ExpectSharedTierMatchesAfterEveryCall(inst, model, tau, masks, 1);
+    if (::testing::Test::HasFailure()) return;
+    ASSERT_GT(log_sizes.back(), 130u);
+    if (between_first) {
+      for (size_t length : {63, 64, 65}) {
+        EXPECT_TRUE(SomeCallEndsAt(log_sizes, length)) << length;
+      }
+      EXPECT_TRUE(OneCallIndexes(log_sizes, 126, 128));
+    } else {
+      EXPECT_TRUE(OneCallIndexes(log_sizes, 62, 64));
+      for (size_t length : {127, 128, 129}) {
+        EXPECT_TRUE(SomeCallEndsAt(log_sizes, length)) << length;
+      }
+    }
+  }
+}
+
+TEST(TenantSharedTierTest, SixtyFourLabelMasksMatchGlobalClockReplay) {
+  // A full 64-label universe: the masks reach labels 0 and 63, the top
+  // bit of a LabelMask, and one tenant subscribes to every label.
+  std::vector<std::pair<DimValue, LabelMask>> posts;
+  for (uint32_t p = 0; p < 400; ++p) {
+    LabelMask mask = MaskOf(static_cast<LabelId>(p % 64)) |
+                     MaskOf(static_cast<LabelId>((7 * p + 3) % 64));
+    if (p % 5 == 0) mask |= MaskOf(0) | MaskOf(63);
+    posts.emplace_back(0.5 * p, mask);
+  }
+  const Instance inst = MakeInstance(64, posts);
+  UniformLambda model(2.0);
+  const LabelMask all = ~LabelMask{0};
+  const std::vector<LabelMask> masks = {
+      MaskOf(0),
+      MaskOf(63),
+      MaskOf(0) | MaskOf(63),
+      MaskOf(0) | MaskOf(1) | MaskOf(62) | MaskOf(63),
+      MaskOf(0) | MaskOf(31) | MaskOf(32) | MaskOf(63),
+      all,
+      all & ~MaskOf(0),
+      all & ~MaskOf(63),
+      0x5555555555555555ULL,
+      0xAAAAAAAAAAAAAAAAULL};
+  for (double tau : {0.0, 3.0}) {
+    SCOPED_TRACE("tau=" + std::to_string(tau));
+    const std::vector<size_t> log_sizes =
+        ExpectSharedTierMatchesAfterEveryCall(inst, model, tau, masks, 37);
+    if (::testing::Test::HasFailure()) return;
+    EXPECT_GT(log_sizes.back(), 4 * 64u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // View construction: Instance::Restrict (behind BuildTenantView) must
 // equal the InstanceBuilder loop of BuildSingleTenant in every field,

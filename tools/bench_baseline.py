@@ -7,7 +7,8 @@ Five suites, one file each:
             BM_InstanceBuild entries), its dispatched kernel and its
             text front-end benches (BM_Tokenize / BM_SimHash /
             BM_NearDuplicateTweetStream), plus the Figure 13 timing
-            table of bench_fig13_time_mqdp at MQD_BENCH_SCALE 0.1.
+            table of bench_fig13_time_mqdp at MQD_BENCH_SCALE 0.1,
+            each cell the median of FIG13_INVOCATIONS runs.
   stream  - bench_stream_micro's per-arrival replays at the Figure 14-15
             paper scale: each optimized processor beside its
             pre-overhaul reference, plus the deadline-fire and
@@ -20,7 +21,9 @@ Five suites, one file each:
   tenant  - bench_tenant's multi-tenant fan-out grid (shared scan tier
             and StreamGreedySC+ cluster tier at 1k/10k/100k label-set
             profiles); the per-post cost growth over the sweep is the
-            sublinearity evidence.
+            sublinearity evidence. Each row carries the median and
+            quartiles of per_post_us and derive_us over the bench's
+            own 5 repetitions.
   serve   - bench_serve's overload drill (in-process daemon, open-loop
             arrivals at 1x/10x/100x of the base rate against a 2 ms
             service floor): shed counts, goodput, client-side latency.
@@ -54,7 +57,10 @@ whose names match. It refuses a host other than the file's.
 A google-benchmark entry is the median cpu_time of REPETITIONS runs
 of its benchmark, so one slow phase of the host does not become the
 committed number; its row holds the medians, the cpu_time quartiles
-and the repetition count.
+and the repetition count. A Figure 13 entry is likewise the median of
+FIG13_INVOCATIONS whole runs of bench_fig13_time_mqdp: its row holds
+each "<algo> us/post" column's median, its "_q1"/"_q3" quartiles, the
+run-independent cover sizes and the invocation count.
 
 --sanity is the CI mode: it still runs every binary end to end and
 validates the JSON it writes, but at the smallest workload scale and
@@ -85,6 +91,11 @@ UNITS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 # Runs of each google-benchmark entry; its value is their median.
 REPETITIONS = 5
+
+# Runs of bench_fig13_time_mqdp behind each fig13/ entry. One run times
+# each cell once on a few thousand posts, too short for one reading to
+# order the cells.
+FIG13_INVOCATIONS = 5
 
 # bench_micro families the core suite records. Keep in sync with
 # bench/bench_micro.cc. The dispatched kernel's scalar tier runs
@@ -181,6 +192,11 @@ def run(cmd, env=None):
     return out.stdout
 
 
+def quartiles(values):
+    """(q1, median, q3) of `values`, inclusive method."""
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
 def run_gbench(build_dir, binary, families, sanity, only):
     """{name: (value, unit, row)} and host of one google-benchmark
     binary, compared by the median cpu_time of REPETITIONS runs in ns;
@@ -209,8 +225,7 @@ def run_gbench(build_dir, binary, families, sanity, only):
         runs[bench["run_name"]].append(bench)
     entries = {}
     for name, reps in runs.items():
-        cpu_q1, cpu, cpu_q3 = statistics.quantiles(
-            [rep["cpu_time"] for rep in reps], n=4, method="inclusive")
+        cpu_q1, cpu, cpu_q3 = quartiles([rep["cpu_time"] for rep in reps])
         row = {"cpu_time": cpu, "cpu_time_q1": cpu_q1,
                "cpu_time_q3": cpu_q3,
                "real_time": statistics.median(
@@ -253,18 +268,41 @@ def run_tables(build_dir, binary, scale):
                               host["simd_tier"])
 
 
+def fig13_rows(build_dir, scale):
+    """{entry name: row} of FIG13_INVOCATIONS bench_fig13_time_mqdp
+    runs, each timing column as its median and quartiles, and the
+    host."""
+    cells = collections.defaultdict(list)
+    for _ in range(FIG13_INVOCATIONS):
+        tables, host = run_tables(build_dir, "bench_fig13_time_mqdp", scale)
+        for artifact, rows in tables.items():
+            labels = artifact.removeprefix("fig13_time_L")
+            for row in rows:
+                cells[f"fig13/labels={labels}/lambda={row['lambda(s)']}"] \
+                    .append(row)
+    merged = {}
+    for name, runs in cells.items():
+        row = {"invocations": len(runs)}
+        for key, value in runs[0].items():
+            if key.endswith(" us/post"):
+                q1, median, q3 = quartiles([run[key] for run in runs])
+                row.update({key: median, f"{key}_q1": q1, f"{key}_q3": q3})
+            else:
+                # Cover sizes and lambda do not depend on the run.
+                assert all(run[key] == value for run in runs), (name, key)
+                row[key] = value
+        merged[name] = row
+    return merged, host
+
+
 def core(build_dir, sanity, only):
     entries, _ = run_gbench(build_dir, "bench_micro", MICRO_FAMILIES,
                             sanity, only)
-    tables, host = run_tables(build_dir, "bench_fig13_time_mqdp",
-                              0.02 if sanity else 0.1)
-    for artifact, rows in tables.items():
-        labels = artifact.removeprefix("fig13_time_L")
-        for row in rows:
-            # Recorded, not compared: the CI tripwire never gated on
-            # the Figure 13 table, and this keeps it that way.
-            entries[f"fig13/labels={labels}/lambda={row['lambda(s)']}"] = (
-                None, "", row)
+    rows, host = fig13_rows(build_dir, 0.02 if sanity else 0.1)
+    for name, row in rows.items():
+        # Recorded, not compared: the CI tripwire never gated on the
+        # Figure 13 table, and this keeps it that way.
+        entries[name] = (None, "", row)
     return entries, host
 
 
@@ -345,6 +383,13 @@ def check_tenant(entries, sanity):
         sweep = sorted((entry["row"] for entry in entries.values()
                         if entry["row"]["algo"] == algo),
                        key=lambda row: row["tenants"])
+        for row in sweep:
+            for column in ("per_post_us", "derive_us"):
+                # Rows recorded before the bench reported its spread
+                # have no quartiles.
+                if f"{column}_q1" in row:
+                    assert (row[f"{column}_q1"] <= row[column]
+                            <= row[f"{column}_q3"]), (algo, row)
         tenant_ratio = sweep[-1]["tenants"] / sweep[0]["tenants"]
         assert sweep[0]["per_post_us"] > 0, (algo, sweep[0])
         cost_ratio = sweep[-1]["per_post_us"] / sweep[0]["per_post_us"]
